@@ -16,12 +16,11 @@ from .algorithms import (
     NetworkState,
     TheoremParams,
     dgfm_plus_run,
-    dgfm_plus_step,
     dgfm_run,
-    dgfm_step,
     gfm_plus_run,
     gfm_run,
     select_output,
+    step,
     theorem_params_dgfm,
     theorem_params_dgfm_plus,
 )

@@ -1,29 +1,30 @@
 """Gradient-free optimizers over a simulated synchronous agent network.
 
-Four stepwise methods share the estimator machinery:
+All four methods run one iteration, `step`, on stacked per-agent
+iterates: each agent forms a new estimate ``v_new`` of the smoothed
+gradient at its iterate, the gradient-tracking variable follows the
+estimates, ``y <- W((y - v) + v_new)``, so that the network average of y
+equals the average estimate, and the iterates descend it,
+``x <- W(x - eta y)``. The methods differ only in how ``v_new`` is formed:
 
-* ``dgfm`` -- every agent draws one (sample, direction) pair per iteration,
-  pushes its estimator difference through a gossip tracking variable y so
-  that the network average of y equals the network-average estimator, and
-  descends the tracked direction. Two gossip rounds per iteration (y, x).
-* ``dgfm_plus`` -- variance-reduced variant: every ``period`` iterations each
-  agent rebuilds its estimate from a mega-batch and the tracker is
-  re-synchronized with ``gossip_rounds`` extra communication rounds; in
-  between, cheap paired differences recursively update the estimate.
-* ``gfm`` / ``gfm_plus`` -- single-agent counterparts (no network), kept
-  step-compatible so that the m = 1 / period = 1 degenerations are
-  bit-identical.
+* ``dgfm`` -- the mean of ``batch`` fresh two-point estimates per agent.
+* ``dgfm_plus`` -- variance-reduced variant: every ``period`` iterations
+  each agent restarts from a mega-batch estimate and the tracker is reset
+  to the estimates and gossiped ``gossip_rounds`` times; in between, a
+  cheap paired difference updates the previous estimate recursively.
+* ``gfm`` / ``gfm_plus`` -- the centralized baselines: the same iteration
+  with one agent holding every sample and W = [[1]], under which the
+  tracked update is plain descent bit for bit. One agent has no
+  neighbours, so it counts no communication rounds.
 
 Every stochastic draw comes from a counter-based stream keyed by
 (seed, lane, agent, iteration); see :mod:`dgfm.rng`. Agent updates inside
 one iteration are independent and could run in any order or in parallel
-with identical results; the two gossip applications are the
-synchronization barriers.
-
-Exact invariants maintained by the updates (used heavily by the tests):
-the mean of the tracking variable after the step equals the mean of the
-current estimates, and the mean iterate moves by exactly
--eta * mean(tracker), both up to round-off.
+with identical results; the gossip applications are the synchronization
+barriers. Exact invariants (used heavily by the tests): the mean of the
+tracking variable after the step equals the mean of the current
+estimates, and the mean iterate moves by exactly -eta * mean(tracker),
+both up to round-off.
 """
 
 import math
@@ -33,6 +34,7 @@ from time import perf_counter
 
 import numpy as np
 
+from .data import partition as partition_samples
 from .errors import (
     BudgetExceeded,
     EmptyTrajectory,
@@ -50,23 +52,21 @@ from .smoothing import (
     sigma_squared,
     spider_difference,
     surrogate_smoothness,
-    two_point_estimate,
+    two_point_estimate,  # noqa: F401 -- unused, but perfbench's tracer patches it here
 )
-from .topology import MixingMatrix, TopologySchedule, mix
+from .topology import MixingMatrix, TopologySchedule, build_complete, mix
 
 __all__ = [
-    "AgentView",
     "DgfmConfig",
     "DgfmPlusConfig",
     "NetworkState",
     "TheoremParams",
     "dgfm_plus_run",
-    "dgfm_plus_step",
     "dgfm_run",
-    "dgfm_step",
     "gfm_plus_run",
     "gfm_run",
     "select_output",
+    "step",
     "theorem_params_dgfm",
     "theorem_params_dgfm_plus",
 ]
@@ -85,10 +85,17 @@ def _require_positive(**kwargs):
             raise InvalidParameter(f"{name} must be positive, got {value}")
 
 
+def _require_nonnegative(**kwargs):
+    for name, value in kwargs.items():
+        if value < 0:
+            raise InvalidParameter(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class DgfmConfig:
-    """Hyperparameters for the single-pair tracked method (and for gfm,
-    which additionally reads ``batch``)."""
+    """Hyperparameters for the tracked method and its centralized baseline:
+    every agent averages the two-point estimates of ``batch`` pairs per
+    iteration."""
 
     eta: float
     delta: float
@@ -98,10 +105,7 @@ class DgfmConfig:
 
     def __post_init__(self):
         _require_positive(eta=self.eta, delta=self.delta, batch=self.batch)
-        if self.iters < 0:
-            raise InvalidParameter(f"iters must be >= 0, got {self.iters}")
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
+        _require_nonnegative(iters=self.iters, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -133,21 +137,7 @@ class DgfmPlusConfig:
             mega_batch=self.mega_batch,
             gossip_rounds=self.gossip_rounds,
         )
-        if self.iters < 0:
-            raise InvalidParameter(f"iters must be >= 0, got {self.iters}")
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class AgentView:
-    """Read-only view of one agent's vectors inside a NetworkState."""
-
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-    g_prev: np.ndarray
-    x_prev: np.ndarray
+        _require_nonnegative(iters=self.iters, seed=self.seed)
 
 
 @dataclass
@@ -155,16 +145,14 @@ class NetworkState:
     """Stacked per-agent iterates plus bookkeeping counters.
 
     Rows index agents. ``y`` is the gradient-tracking variable, ``v`` the
-    recursive estimate of the variance-reduced methods, ``g_prev`` the
-    cached previous estimator of the single-pair method, and ``x_prev`` the
-    previous iterate the paired differences are taken against. At k = 0 all
-    of y, v, g_prev are zero and x_prev equals x.
+    agents' current estimates (formed in the last step), and ``x_prev`` the
+    previous iterate the paired differences are taken against. At k = 0 y
+    and v are zero and x_prev equals x.
     """
 
     x: np.ndarray
     y: np.ndarray
     v: np.ndarray
-    g_prev: np.ndarray
     x_prev: np.ndarray
     k: int = 0
     comm_rounds: int = 0
@@ -178,8 +166,12 @@ class NetworkState:
         if x0.ndim != 1:
             raise ShapeError(f"x0 must be a vector, got shape {x0.shape}")
         x = np.tile(x0, (m, 1))
-        zeros = lambda: np.zeros_like(x)
-        return cls(x=x, y=zeros(), v=zeros(), g_prev=zeros(), x_prev=x.copy())
+        return cls(x=x, y=np.zeros_like(x), v=np.zeros_like(x), x_prev=x.copy())
+
+    @property
+    def g_prev(self):
+        """Read-only alias of ``v``: the previous estimates, as dgfm names them."""
+        return self.v
 
     @property
     def m(self):
@@ -197,187 +189,150 @@ class NetworkState:
     def mean_x(self):
         return self.x.mean(axis=0)
 
-    def agent(self, i):
-        return AgentView(
-            x=self.x[i], y=self.y[i], v=self.v[i], g_prev=self.g_prev[i], x_prev=self.x_prev[i]
-        )
+
+def _as_schedule(topology):
+    if isinstance(topology, MixingMatrix):
+        return TopologySchedule.static(topology)
+    return topology
 
 
-def _check_step(state, cfg, m):
-    if state.k >= cfg.iters:
-        raise BudgetExceeded(
-            f"iteration {state.k} outside the configured budget of {cfg.iters}"
-        )
-    if state.m != m:
-        raise ShapeError(f"state has {state.m} agents, topology has {m}")
+def step(state, topology, partition, objective, cfg):
+    """One synchronous iteration of the tracked method.
 
+    ``topology`` is a MixingMatrix or a TopologySchedule, and ``cfg`` picks
+    how each agent i, drawing from its own stream for (i, k), forms its new
+    estimate at its iterate:
 
-def dgfm_step(state, matrix, partition, objective, cfg):
-    """One synchronous iteration of the single-pair tracked method.
+    * a `DgfmConfig` averages the two-point estimates of ``batch`` pairs
+      from the agent's shard (2 m b oracle calls);
+    * a `DgfmPlusConfig` restart (k mod period == 0) does the same over
+      ``mega_batch`` pairs (2 m b' oracle calls); in between, each agent
+      adds a paired difference over ``batch`` shared pairs to its previous
+      estimate (4 m b oracle calls).
 
-    Each agent draws one (sample, direction) pair from its own shard and
-    forms the two-point estimate at its iterate (2m oracle calls). The
-    tracking variable is gossiped with the local estimator increment
-    folded in, then the iterates descend the fresh tracker and are gossiped
-    as well (2 communication rounds). Mutates ``state`` and returns it.
+    At a restart the tracker is reset to the new estimates and gossiped
+    ``gossip_rounds`` times, and its consensus error after each round is
+    logged; otherwise it is gossiped once with the estimate increment
+    folded in. Both cases end with the gossiped descent step on x. Every
+    gossip round counts one communication round when there are neighbours
+    (m > 1). Mutates ``state`` and returns it.
     """
-    _check_step(state, cfg, matrix.m)
+    schedule = _as_schedule(topology)
+    if state.k >= cfg.iters:
+        raise BudgetExceeded(f"iteration {state.k} outside the configured budget of {cfg.iters}")
+    if state.m != schedule.m:
+        raise ShapeError(f"state has {state.m} agents, topology has {schedule.m}")
     m, d = state.x.shape
     params = SmoothingParams(delta=cfg.delta, dim=d)
     k = state.k
-    g = np.empty((m, d))
+    recursive = isinstance(cfg, DgfmPlusConfig)
+    restart = recursive and k % cfg.period == 0
+    size = cfg.mega_batch if restart else cfg.batch
+    v_new = np.empty((m, d))
     for i in range(m):
         rng = substream(cfg.seed, _LANE_DRAW, i, k)
-        pair = sample_batch(partition.assignment[i], 1, d, rng)
-        g[i] = two_point_estimate(
-            objective, state.x[i], params, pair.ws[0], pair.xis[0], state.counter
-        )
-    # (y - g_prev) + g keeps the m = 1 path bit-equal to plain two-point SGD.
-    y_new = matrix.weights @ ((state.y - state.g_prev) + g)
-    x_new = matrix.weights @ (state.x - cfg.eta * y_new)
-    state.comm_rounds += 2
-    state.g_prev = g
-    state.x_prev = state.x
-    state.y = y_new
-    state.x = x_new
-    state.k += 1
-    return state
-
-
-def dgfm_plus_step(state, schedule, partition, objective, cfg):
-    """One synchronous iteration of the variance-reduced tracked method.
-
-    At a restart (k mod period == 0) each agent rebuilds its estimate from
-    a mega-batch of ``mega_batch`` pairs (2 m b' oracle calls), the tracker
-    is set to the fresh estimates and gossiped ``gossip_rounds`` times.
-    Otherwise each agent updates its estimate with a paired difference over
-    ``batch`` shared pairs (4 m b oracle calls) and the tracker is gossiped
-    once with the increment folded in. Both branches end with the gossiped
-    descent step on x.
-    """
-    if isinstance(schedule, MixingMatrix):
-        schedule = TopologySchedule.static(schedule)
-    _check_step(state, cfg, schedule.m)
-    m, d = state.x.shape
-    params = SmoothingParams(delta=cfg.delta, dim=d)
-    k = state.k
-    v_new = np.empty((m, d))
-    if k % cfg.period == 0:
-        for i in range(m):
-            rng = substream(cfg.seed, _LANE_DRAW, i, k)
-            batch = sample_batch(partition.assignment[i], cfg.mega_batch, d, rng)
+        batch = sample_batch(partition.assignment[i], size, d, rng)
+        if recursive and not restart:
+            v_new[i] = state.v[i] + spider_difference(
+                objective, state.x[i], state.x_prev[i], params, batch, state.counter
+            )
+        else:
             v_new[i] = minibatch_estimate(objective, state.x[i], params, batch, state.counter)
-        y_new = v_new.copy()
+    if restart:
+        y_new = v_new
         trace = [consensus_error(y_new)]
         for tau in range(1, cfg.gossip_rounds + 1):
             y_new = mix(schedule.matrix_at(k, tau), y_new)
             trace.append(consensus_error(y_new))
-        state.comm_rounds += cfg.gossip_rounds
         state.restart_log.append({"iter": k, "tracking_consensus": trace})
     else:
-        for i in range(m):
-            rng = substream(cfg.seed, _LANE_DRAW, i, k)
-            batch = sample_batch(partition.assignment[i], cfg.batch, d, rng)
-            v_new[i] = state.v[i] + spider_difference(
-                objective, state.x[i], state.x_prev[i], params, batch, state.counter
-            )
-        y_new = schedule.matrix_at(k).weights @ ((state.y - state.v) + v_new)
-        state.comm_rounds += 1
-    x_new = schedule.matrix_at(k).weights @ (state.x - cfg.eta * y_new)
-    state.comm_rounds += 1
+        # (y - v) + v_new keeps the m = 1 path bit-equal to plain descent.
+        y_new = mix(schedule.matrix_at(k), (state.y - state.v) + v_new)
     state.x_prev = state.x
+    state.x = mix(schedule.matrix_at(k), state.x - cfg.eta * y_new)
+    # one communication round per gossip on y and on x, if there are neighbours
+    state.comm_rounds += (m > 1) * ((cfg.gossip_rounds if restart else 1) + 1)
     state.v = v_new
     state.y = y_new
-    state.x = x_new
     state.k += 1
     return state
 
 
-def _snapshot_due(k, record_due, keep_iterates, snapshot_every):
-    # snapshot_every overrides the default record-aligned snapshots, giving
-    # a full (or custom-density) trajectory for output selection
-    if not keep_iterates:
-        return False
-    if snapshot_every is not None:
-        return k % snapshot_every == 0
-    return record_due
-
-
-def _observe(record, objective, delta, seed, state_x, k, zo_calls, comm_rounds, t0,
-             stationarity_every, stationarity_samples):
+def _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples):
     """Append one metrics entry; loss/stationarity never touch the oracle counter."""
-    xbar = state_x.mean(axis=0)
+    xbar = state.mean_x
     loss = objective.full_loss(xbar)
     if not math.isfinite(loss):
-        raise NumericFailure(f"non-finite loss at iteration {k}", iteration=k)
+        raise NumericFailure(f"non-finite loss at iteration {state.k}", iteration=state.k)
     stat = None
     if stationarity_every and (len(record.entries) + 1) % stationarity_every == 0:
-        est = stationarity_estimate(
-            objective, xbar, delta, stationarity_samples, substream(seed, _LANE_METRICS, k)
-        )
-        stat = est.value
+        stat = stationarity_estimate(objective, xbar, cfg.delta, stationarity_samples,
+                                     substream(cfg.seed, _LANE_METRICS, state.k)).value
     record.append(
         RunEntry(
-            iteration=k,
-            zo_calls=zo_calls,
-            comm_rounds=comm_rounds,
+            iteration=state.k,
+            zo_calls=state.oracle_calls,
+            comm_rounds=state.comm_rounds,
             loss=loss,
-            consensus_err=consensus_error(state_x),
+            consensus_err=consensus_error(state.x),
             stationarity=stat,
             wall_ms=(perf_counter() - t0) * 1000.0,
         )
     )
 
 
-def _metadata(algo, cfg, objective, topology_id, rho, extra=None):
-    md = {
-        "algo": algo,
-        "seed": cfg.seed,
-        "config": asdict(cfg),
-        "dataset": objective.name,
-        "topology": topology_id,
-        "rho": rho,
-    }
-    if extra:
-        md.update(extra)
-    return md
+def _run(topology, partition, objective, cfg, record_every, x0, metadata,
+         stationarity_every, stationarity_samples, keep_iterates, snapshot_every):
+    """Run `step` ``cfg.iters`` times and record the trajectory; a None
+    ``topology`` runs the centralized baseline (one agent, W = [[1]])."""
+    network = topology is not None
+    if not network:
+        topology = build_complete(1)
+        partition = partition_samples(objective.n_samples, 1, cfg.seed)
+    schedule = _as_schedule(topology)
+    if partition.m != schedule.m:
+        raise ShapeError(f"partition has {partition.m} agents, topology has {schedule.m}")
+    state = NetworkState.initial(schedule.m, np.zeros(objective.dim) if x0 is None else x0)
+    algo = ("dgfm" if network else "gfm") + ("-plus" if isinstance(cfg, DgfmPlusConfig) else "")
+    record = RunRecord(metadata={
+        "algo": algo, "seed": cfg.seed, "config": asdict(cfg), "dataset": objective.name,
+        "topology": f"m={schedule.m}" if network else "centralized",
+        "rho": schedule.base.rho if network else None, **(metadata or {}),
+    })
+    t0 = perf_counter()
+    for _ in range(cfg.iters):
+        step(state, schedule, partition, objective, cfg)
+        due = state.k % record_every == 0
+        if due:
+            _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples)
+        # snapshot_every overrides the default record-aligned snapshots, giving
+        # a full (or custom-density) trajectory for output selection
+        if keep_iterates and (due if snapshot_every is None else state.k % snapshot_every == 0):
+            record.snapshots.append((state.k, state.x.copy()))
+    record.restarts = list(state.restart_log)
+    return state, record
 
 
 def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
              metadata=None, stationarity_every=10, stationarity_samples=32,
              keep_iterates=True, snapshot_every=None):
-    """Run the single-pair tracked method for ``cfg.iters`` iterations.
+    """Run the tracked method for ``cfg.iters`` iterations.
 
-    All agents start from the common point ``x0`` (zero by default).
-    Metrics are recorded every ``record_every`` iterations; the Monte Carlo
-    stationarity proxy every ``stationarity_every``-th recorded entry
-    (0 disables it). Iterate snapshots for output selection follow the
-    recorded entries unless ``snapshot_every`` asks for a different density
-    (1 keeps the full trajectory; sensible for small runs only). Identical
-    (config, seed) give bit-identical records apart from wall-clock times.
+    ``matrix`` is a MixingMatrix or a TopologySchedule. All agents start
+    from the common point ``x0`` (zero by default). Metrics are recorded
+    every ``record_every`` iterations; the Monte Carlo stationarity proxy
+    every ``stationarity_every``-th recorded entry (0 disables it). Iterate
+    snapshots for output selection follow the recorded entries unless
+    ``snapshot_every`` asks for a different density (1 keeps the full
+    trajectory; sensible for small runs only). Identical (config, seed)
+    give bit-identical records apart from wall-clock times.
 
     Returns
     -------
     (NetworkState, RunRecord)
     """
-    if partition.m != matrix.m:
-        raise ShapeError(f"partition has {partition.m} agents, topology has {matrix.m}")
-    x0 = np.zeros(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
-    state = NetworkState.initial(matrix.m, x0)
-    record = RunRecord(
-        metadata=_metadata("dgfm", cfg, objective, f"m={matrix.m}", matrix.rho, metadata)
-    )
-    t0 = perf_counter()
-    for _ in range(cfg.iters):
-        dgfm_step(state, matrix, partition, objective, cfg)
-        due = state.k % record_every == 0
-        if due:
-            _observe(record, objective, cfg.delta, cfg.seed, state.x, state.k,
-                     state.oracle_calls, state.comm_rounds, t0,
-                     stationarity_every, stationarity_samples)
-        if _snapshot_due(state.k, due, keep_iterates, snapshot_every):
-            record.snapshots.append((state.k, state.x.copy()))
-    return state, record
+    return _run(matrix, partition, objective, cfg, record_every, x0, metadata,
+                stationarity_every, stationarity_samples, keep_iterates, snapshot_every)
 
 
 def dgfm_plus_run(schedule, partition, objective, cfg, record_every=1, x0=None,
@@ -389,29 +344,8 @@ def dgfm_plus_run(schedule, partition, objective, cfg, record_every=1, x0=None,
     partial cycle simply runs short when ``iters`` is not a multiple of the
     period. Per-restart gossip diagnostics are logged into the record.
     """
-    if isinstance(schedule, MixingMatrix):
-        schedule = TopologySchedule.static(schedule)
-    if partition.m != schedule.m:
-        raise ShapeError(f"partition has {partition.m} agents, topology has {schedule.m}")
-    x0 = np.zeros(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
-    state = NetworkState.initial(schedule.m, x0)
-    record = RunRecord(
-        metadata=_metadata(
-            "dgfm-plus", cfg, objective, f"m={schedule.m}", schedule.base.rho, metadata
-        )
-    )
-    t0 = perf_counter()
-    for _ in range(cfg.iters):
-        dgfm_plus_step(state, schedule, partition, objective, cfg)
-        due = state.k % record_every == 0
-        if due:
-            _observe(record, objective, cfg.delta, cfg.seed, state.x, state.k,
-                     state.oracle_calls, state.comm_rounds, t0,
-                     stationarity_every, stationarity_samples)
-        if _snapshot_due(state.k, due, keep_iterates, snapshot_every):
-            record.snapshots.append((state.k, state.x.copy()))
-    record.restarts = list(state.restart_log)
-    return state, record
+    return _run(schedule, partition, objective, cfg, record_every, x0, metadata,
+                stationarity_every, stationarity_samples, keep_iterates, snapshot_every)
 
 
 def gfm_run(objective, cfg, record_every=1, x0=None, metadata=None,
@@ -421,32 +355,14 @@ def gfm_run(objective, cfg, record_every=1, x0=None, metadata=None,
 
     Per iteration: draw ``cfg.batch`` pairs, average their two-point
     estimates, step against the average. 2 b oracle calls per iteration and
-    no communication. Bit-equal to `dgfm_run` with one agent and batch 1.
+    no communication. Bit-equal to `dgfm_run` with one agent.
 
     Returns
     -------
     RunRecord
     """
-    d = objective.dim
-    x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    params = SmoothingParams(delta=cfg.delta, dim=d)
-    indices = np.arange(objective.n_samples)
-    counter = OracleCounter()
-    record = RunRecord(metadata=_metadata("gfm", cfg, objective, "centralized", None, metadata))
-    t0 = perf_counter()
-    for k in range(cfg.iters):
-        rng = substream(cfg.seed, _LANE_DRAW, 0, k)
-        batch = sample_batch(indices, cfg.batch, d, rng)
-        g = minibatch_estimate(objective, x, params, batch, counter)
-        x = x - cfg.eta * g
-        due = (k + 1) % record_every == 0
-        if due:
-            _observe(record, objective, cfg.delta, cfg.seed, x[None, :], k + 1,
-                     counter.count, 0, t0,
-                     stationarity_every, stationarity_samples)
-        if _snapshot_due(k + 1, due, keep_iterates, snapshot_every):
-            record.snapshots.append((k + 1, x[None, :].copy()))
-    return record
+    return _run(None, None, objective, cfg, record_every, x0, metadata, stationarity_every,
+                stationarity_samples, keep_iterates, snapshot_every)[1]
 
 
 def gfm_plus_run(objective, cfg, record_every=1, x0=None, metadata=None,
@@ -457,37 +373,11 @@ def gfm_plus_run(objective, cfg, record_every=1, x0=None, metadata=None,
     Mega-batch restart every ``period`` iterations, paired-difference
     recursion in between, plain descent step on the running estimate. With
     period 1 it coincides bit-for-bit with `gfm_run` at batch
-    ``mega_batch``.
+    ``mega_batch``. Restarts are logged into the record like dgfm_plus's,
+    with all-zero consensus traces.
     """
-    d = objective.dim
-    x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    x_prev = x
-    v = np.zeros(d)
-    params = SmoothingParams(delta=cfg.delta, dim=d)
-    indices = np.arange(objective.n_samples)
-    counter = OracleCounter()
-    record = RunRecord(
-        metadata=_metadata("gfm-plus", cfg, objective, "centralized", None, metadata)
-    )
-    t0 = perf_counter()
-    for k in range(cfg.iters):
-        rng = substream(cfg.seed, _LANE_DRAW, 0, k)
-        if k % cfg.period == 0:
-            batch = sample_batch(indices, cfg.mega_batch, d, rng)
-            v = minibatch_estimate(objective, x, params, batch, counter)
-        else:
-            batch = sample_batch(indices, cfg.batch, d, rng)
-            v = v + spider_difference(objective, x, x_prev, params, batch, counter)
-        x_prev = x
-        x = x - cfg.eta * v
-        due = (k + 1) % record_every == 0
-        if due:
-            _observe(record, objective, cfg.delta, cfg.seed, x[None, :], k + 1,
-                     counter.count, 0, t0,
-                     stationarity_every, stationarity_samples)
-        if _snapshot_due(k + 1, due, keep_iterates, snapshot_every):
-            record.snapshots.append((k + 1, x[None, :].copy()))
-    return record
+    return _run(None, None, objective, cfg, record_every, x0, metadata, stationarity_every,
+                stationarity_samples, keep_iterates, snapshot_every)[1]
 
 
 def select_output(record, rng):

@@ -41,7 +41,8 @@ from .objectives import AbsTest, CappedL1Svm, QuadraticTest, estimate_lipschitz
 from .rng import substream
 from .topology import build_complete, build_metropolis_hastings, build_ring, load_adjacency
 
-ALGOS = ("dgfm", "dgfm-plus", "gfm", "gfm-plus")
+RUNS = {"dgfm": dgfm_run, "dgfm-plus": dgfm_plus_run, "gfm": gfm_run, "gfm-plus": gfm_plus_run}
+ALGOS = tuple(RUNS)
 OUT_DIR_ENV = "DGFM_OUT_DIR"
 
 EXIT_CONFIG = 2
@@ -121,10 +122,9 @@ class ExperimentConfig:
                 raise ConfigError(f"--period is required for {self.algo}")
             if self.mega_batch is None:
                 raise ConfigError(f"--mega-batch is required for {self.algo}")
-        if self.algo in ("dgfm", "dgfm-plus") and self.m < 2 and self.topology == "ring":
+        if self.algo in ("dgfm", "dgfm-plus") and self.m < 3 and self.topology == "ring":
             # ring needs >= 3 agents; fail here with a friendlier message
-            if self.m < 3:
-                raise ConfigError("ring topology needs --m >= 3")
+            raise ConfigError("ring topology needs --m >= 3")
 
 
 def build_parser():
@@ -143,7 +143,7 @@ def build_parser():
     p.add_argument("--eta", type=float, help="step size (manual mode)")
     p.add_argument("--delta", type=float, help="smoothing radius (default 1e-3)")
     p.add_argument("--iters", type=int, help="iteration count per run")
-    p.add_argument("--batch", type=int, help="per-iteration batch size (gfm, *-plus)")
+    p.add_argument("--batch", type=int, help="pairs per agent and iteration (all algorithms)")
     p.add_argument("--mega-batch", type=int, help="restart batch size (*-plus)")
     p.add_argument("--period", type=int, help="restart period (*-plus)")
     p.add_argument("--gossip", type=int, help="gossip rounds at a restart (dgfm-plus)")
@@ -296,50 +296,37 @@ def run_experiment(cfg):
         matrix, topology_id = _build_topology(cfg)
         if cfg.params.startswith("theorem:"):
             theorem_echo = _resolve_theorem(cfg, objective, matrix.rho).echo()
-    elif cfg.params.startswith("theorem:"):  # validated earlier; defensive
-        raise ConfigError("theorem mode is defined for the decentralized algorithms only")
 
     # Builtin test functions are minimized at the origin, so start them at
     # ones; dataset runs start at zero per the benchmark protocol.
     x0 = np.ones(objective.dim) if cfg.dataset.startswith("builtin:") else None
 
+    plus = cfg.algo.endswith("-plus")
+    schedule = dict(period=cfg.period, mega_batch=cfg.mega_batch,
+                    gossip_rounds=cfg.gossip) if plus else {}
     records = []
-    final_losses = []
     for r in range(cfg.repeats):
         seed = cfg.seed + r
         extra = {"dataset": dataset_id, "repeat": r}
         if theorem_echo:
             extra["theorem_params"] = theorem_echo
-        if cfg.algo == "dgfm":
-            run_cfg = DgfmConfig(eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=seed)
-            partition = data_mod.partition(objective.n_samples, cfg.m, seed)
-            _, record = dgfm_run(matrix, partition, objective, run_cfg, x0=x0,
-                                 record_every=cfg.record_every, metadata=extra)
-        elif cfg.algo == "dgfm-plus":
-            run_cfg = DgfmPlusConfig(eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=seed,
-                                     period=cfg.period, batch=cfg.batch,
-                                     mega_batch=cfg.mega_batch, gossip_rounds=cfg.gossip)
-            partition = data_mod.partition(objective.n_samples, cfg.m, seed)
-            _, record = dgfm_plus_run(matrix, partition, objective, run_cfg, x0=x0,
-                                      record_every=cfg.record_every, metadata=extra)
-        elif cfg.algo == "gfm":
-            run_cfg = DgfmConfig(eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=seed,
-                                 batch=cfg.batch)
-            record = gfm_run(objective, run_cfg, x0=x0, record_every=cfg.record_every, metadata=extra)
+        run_cfg = (DgfmPlusConfig if plus else DgfmConfig)(
+            eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=seed, batch=cfg.batch, **schedule
+        )
+        # the runs never select an output iterate, so they keep no snapshots
+        opts = dict(x0=x0, record_every=cfg.record_every, metadata=extra, keep_iterates=False)
+        if cfg.algo.startswith("dgfm"):
+            part = data_mod.partition(objective.n_samples, cfg.m, seed)
+            records.append(RUNS[cfg.algo](matrix, part, objective, run_cfg, **opts)[1])
         else:
-            run_cfg = DgfmPlusConfig(eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=seed,
-                                     period=cfg.period, batch=cfg.batch,
-                                     mega_batch=cfg.mega_batch, gossip_rounds=cfg.gossip)
-            record = gfm_plus_run(objective, run_cfg, x0=x0,
-                                  record_every=cfg.record_every, metadata=extra)
-        records.append(record)
-        final_losses.append(record.final_loss)
+            records.append(RUNS[cfg.algo](objective, run_cfg, **opts))
 
     out = cfg.out
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out_dir and not os.path.isabs(out):
         out = os.path.join(out_dir, out)
     write_records(records, out, format=cfg.format)
+    final_losses = [record.final_loss for record in records]
     mean = float(np.mean(final_losses))
     std = float(np.std(final_losses))
     print(f"{cfg.algo}: final loss {mean:.6g} +- {std:.6g} over {cfg.repeats} seed(s) -> {out}")

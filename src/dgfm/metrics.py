@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameter
-from .smoothing import SmoothingParams, sample_sphere, two_point_estimate
+from .smoothing import SmoothingParams, fresh_estimates
 
 __all__ = [
     "RunEntry",
@@ -146,16 +146,11 @@ def stationarity_estimate(obj, x, delta, n_samples, rng):
     for the stationarity measure. ``stderr`` aggregates the componentwise
     standard errors of the Monte Carlo mean.
     """
-    if n_samples < 1:
-        raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
     x = np.asarray(x, dtype=float)
     params = SmoothingParams(delta=delta, dim=x.shape[0])
     acc = np.zeros(x.shape[0])
     acc_sq = np.zeros(x.shape[0])
-    for _ in range(n_samples):
-        xi = int(rng.integers(obj.n_samples))
-        w = sample_sphere(params.dim, rng)
-        g = two_point_estimate(obj, x, params, w, xi)
+    for g in fresh_estimates(obj, x, params, n_samples, rng):
         acc += g
         acc_sq += g * g
     mean = acc / n_samples

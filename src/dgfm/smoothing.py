@@ -30,6 +30,7 @@ __all__ = [
     "OracleCounter",
     "SampleBatch",
     "SmoothingParams",
+    "fresh_estimates",
     "minibatch_estimate",
     "sample_batch",
     "sample_sphere",
@@ -188,14 +189,21 @@ def surrogate_grad_estimate(obj, x, params, n_samples, rng, counter=None):
     of the delta-ball subdifferential of f at x; its norm is the
     stationarity proxy reported by the metrics module.
     """
+    acc = np.zeros(params.dim)
+    for g in fresh_estimates(obj, x, params, n_samples, rng, counter):
+        acc += g
+    return acc / n_samples
+
+
+def fresh_estimates(obj, x, params, n_samples, rng, counter=None):
+    """Yield ``n_samples`` two-point estimates at x, each from a fresh draw
+    of a sample index over the whole objective and then a direction."""
     if n_samples < 1:
         raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
-    acc = np.zeros(params.dim)
     for _ in range(n_samples):
         xi = int(rng.integers(obj.n_samples))
         w = sample_sphere(params.dim, rng)
-        acc += two_point_estimate(obj, x, params, w, xi, counter)
-    return acc / n_samples
+        yield two_point_estimate(obj, x, params, w, xi, counter)
 
 
 def sigma_squared(d, lipschitz):

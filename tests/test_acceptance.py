@@ -23,9 +23,7 @@ from dgfm import (
     build_complete,
     build_ring,
     dgfm_plus_run,
-    dgfm_plus_step,
     dgfm_run,
-    dgfm_step,
     gfm_plus_run,
     gfm_run,
     make_quadratic_test,
@@ -35,6 +33,7 @@ from dgfm import (
     sample_batch,
     sample_sphere,
     sigma_squared,
+    step,
     substream,
     theorem_params_dgfm,
     theorem_params_dgfm_plus,
@@ -132,7 +131,7 @@ def test_criterion_04_exact_mean_identities():
     state = NetworkState.initial(8, np.ones(4))
     for _ in range(200):
         xbar_before = state.mean_x.copy()
-        dgfm_step(state, ring, part, obj, cfg)
+        step(state, ring, part, obj, cfg)
         assert rel_err(state.y.mean(axis=0), state.g_prev.mean(axis=0)) <= 1e-10
         assert rel_err(state.mean_x, xbar_before - cfg.eta * state.y.mean(axis=0)) <= 1e-10
 
@@ -142,7 +141,7 @@ def test_criterion_04_exact_mean_identities():
     sched = TopologySchedule.static(ring)
     for _ in range(200):
         xbar_before = state.mean_x.copy()
-        dgfm_plus_step(state, sched, part, obj, cfgp)
+        step(state, sched, part, obj, cfgp)
         assert rel_err(state.y.mean(axis=0), state.v.mean(axis=0)) <= 1e-10
         assert rel_err(state.mean_x, xbar_before - cfgp.eta * state.y.mean(axis=0)) <= 1e-10
     elapsed = time.time() - t0

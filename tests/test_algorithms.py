@@ -10,24 +10,26 @@ from dgfm import (
     LinearTest,
     NetworkState,
     QuadraticTest,
+    SmoothingParams,
     TopologySchedule,
     build_complete,
     build_ring,
     dgfm_plus_run,
-    dgfm_plus_step,
     dgfm_run,
-    dgfm_step,
     estimate_lipschitz,
     gfm_plus_run,
     gfm_run,
     make_quadratic_test,
     partition,
+    sample_batch,
     select_output,
     sigma_squared,
+    step,
     substream,
     surrogate_smoothness,
     theorem_params_dgfm,
     theorem_params_dgfm_plus,
+    two_point_estimate,
 )
 from dgfm.errors import BudgetExceeded, EmptyTrajectory, InvalidParameter
 from dgfm.metrics import RunRecord
@@ -49,7 +51,7 @@ class TestDgfmStep:
         gbar_prev = state.g_prev.mean(axis=0)
         for _ in range(50):
             xbar_before = state.mean_x.copy()
-            dgfm_step(state, ring, part, obj, cfg)
+            step(state, ring, part, obj, cfg)
             gbar = state.g_prev.mean(axis=0)
             ybar = state.y.mean(axis=0)
             assert rel_err(ybar, gbar) <= 1e-10
@@ -73,7 +75,7 @@ class TestDgfmStep:
         cfg = DgfmConfig(eta=0.5, delta=0.1, iters=20, seed=3)
         state = NetworkState.initial(4, np.full(3, 2.0))
         for _ in range(20):
-            dgfm_step(state, ring, part, obj, cfg)
+            step(state, ring, part, obj, cfg)
             assert np.array_equal(state.y, np.zeros((4, 3)))
             assert np.allclose(state.x, 2.0, atol=1e-12)
 
@@ -83,9 +85,9 @@ class TestDgfmStep:
         part = partition(1, 1, seed=0)
         cfg = DgfmConfig(eta=0.1, delta=0.1, iters=1, seed=0)
         state = NetworkState.initial(1, np.zeros(2))
-        dgfm_step(state, mat, part, obj, cfg)
+        step(state, mat, part, obj, cfg)
         with pytest.raises(BudgetExceeded):
-            dgfm_step(state, mat, part, obj, cfg)
+            step(state, mat, part, obj, cfg)
 
     def test_oracle_and_comm_accounting(self):
         obj = QuadraticTest(2, n_samples=8)
@@ -95,6 +97,38 @@ class TestDgfmStep:
         state, _ = dgfm_run(ring, part, obj, cfg, stationarity_every=0, keep_iterates=False)
         assert state.oracle_calls == 2 * 8 * 100
         assert state.comm_rounds == 2 * 100
+
+    def test_batch_is_honoured(self):
+        obj = QuadraticTest(2, n_samples=8)
+        ring = build_ring(4)
+        part = partition(8, 4, seed=0)
+        cfg = DgfmConfig(eta=0.01, delta=0.01, iters=25, seed=1, batch=3)
+        state, record = dgfm_run(ring, part, obj, cfg, stationarity_every=0,
+                                 keep_iterates=False)
+        assert state.oracle_calls == 2 * 4 * 3 * 25
+        assert [e.zo_calls for e in record.entries] == [2 * 4 * 3 * k for k in range(1, 26)]
+
+    def test_batch_one_is_single_pair(self):
+        obj = QuadraticTest(3, n_samples=8)
+        ring = build_ring(4)
+        part = partition(8, 4, seed=1)
+        cfg = DgfmConfig(eta=0.02, delta=0.01, iters=5, seed=2)
+        state = NetworkState.initial(4, np.ones(3))
+        step(state, ring, part, obj, cfg)
+        for i in range(4):
+            pair = sample_batch(part.assignment[i], 1, 3, substream(2, 0, i, 0))
+            g = two_point_estimate(obj, np.ones(3), SmoothingParams(0.01, 3),
+                                   pair.ws[0], pair.xis[0])
+            assert np.array_equal(state.v[i], g)
+
+    def test_single_agent_counts_no_comm_rounds(self):
+        obj = QuadraticTest(2, n_samples=4)
+        part = partition(4, 1, seed=0)
+        cfg = DgfmConfig(eta=0.01, delta=0.01, iters=10, seed=1)
+        state, record = dgfm_run(build_complete(1), part, obj, cfg, stationarity_every=0)
+        assert state.comm_rounds == 0
+        assert state.oracle_calls == 2 * 10
+        assert all(e.comm_rounds == 0 for e in record.entries)
 
 
 class TestDgfmPlusStep:
@@ -113,7 +147,7 @@ class TestDgfmPlusStep:
         sched = TopologySchedule.static(ring)
         for _ in range(25):
             xbar_before = state.mean_x.copy()
-            dgfm_plus_step(state, sched, part, obj, cfg)
+            step(state, sched, part, obj, cfg)
             assert rel_err(state.y.mean(axis=0), state.v.mean(axis=0)) <= 1e-10
             assert rel_err(state.mean_x, xbar_before - cfg.eta * state.y.mean(axis=0)) <= 1e-10
 
@@ -126,6 +160,22 @@ class TestDgfmPlusStep:
         assert state.oracle_calls == restarts * 2 * 4 * 16 + others * 4 * 4 * 2
         assert state.comm_rounds == restarts * (4 + 1) + others * 2
         assert [r["iter"] for r in record.restarts] == [7 * i for i in range(restarts)]
+
+    def test_centralized_logs_restarts(self):
+        obj = QuadraticTest(3, n_samples=8)
+        cfg = DgfmPlusConfig(eta=0.02, delta=0.01, iters=25, seed=5,
+                             period=10, batch=2, mega_batch=16, gossip_rounds=2)
+        record = gfm_plus_run(obj, cfg, stationarity_every=0, keep_iterates=False)
+        assert [r["iter"] for r in record.restarts] == [0, 10, 20]
+        assert all(r["tracking_consensus"] == [0.0, 0.0, 0.0] for r in record.restarts)
+        assert record.entries[-1].comm_rounds == 0
+
+    def test_static_matrix_equals_static_schedule(self):
+        obj, ring, part, cfg = self.make()
+        state_m, rec_m = dgfm_plus_run(ring, part, obj, cfg)
+        state_s, rec_s = dgfm_plus_run(TopologySchedule.static(ring), part, obj, cfg)
+        assert records_match(rec_m, rec_s)
+        assert np.array_equal(state_m.y, state_s.y)
 
     def test_period_one_restarts_every_step(self):
         obj, ring, part, cfg = self.make(period=1, iters=10)
@@ -157,7 +207,7 @@ class TestDgfmPlusStep:
         sched = TopologySchedule.static(mat)
         v_restart = None
         for k in range(12):
-            dgfm_plus_step(state, sched, part, obj, cfg)
+            step(state, sched, part, obj, cfg)
             if k % 6 == 0:
                 v_restart = state.v.copy()
             else:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import synthetic_svm_text
 from dgfm import read_csv_rows, theorem_params_dgfm_plus
+from dgfm import cli
 from dgfm.cli import main
 
 
@@ -108,6 +109,13 @@ class TestExitCodes:
                        "--out", str(tmp_path / "r.csv"))
         assert code == 2
 
+    def test_ring_below_three_agents_is_config_error(self, tmp_path, capsys):
+        code = run_cli("--algo", "dgfm", "--dataset", "builtin:quadratic",
+                       "--m", "2", "--topology", "ring", "--iters", "10",
+                       "--eta", "0.1", "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "--m >= 3" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_is_numeric_failure(self, tmp_path, capsys):
         # the quadratic squares its scale every step, so a huge step size
@@ -205,3 +213,25 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
                    "--out", "nested.csv")
     assert code == 0
     assert (tmp_path / "nested.csv").exists()
+
+
+@pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus", "gfm", "gfm-plus"])
+def test_runs_keep_no_snapshots(algo, tmp_path, monkeypatch):
+    # the CLI never selects an output iterate, so its runs hold no snapshots
+    written = []
+    monkeypatch.setattr(cli, "write_records", lambda records, *a, **kw: written.extend(records))
+    code = run_cli("--algo", algo, "--dataset", "builtin:quadratic", "--m", "4",
+                   "--iters", "20", "--eta", "0.05", "--delta", "0.01", "--period", "5",
+                   "--mega-batch", "4", "--repeats", "2", "--out", str(tmp_path / "r.csv"))
+    assert code == 0
+    assert len(written) == 2
+    assert all(len(r.entries) == 20 and r.snapshots == [] for r in written)
+
+
+def test_batch_reaches_dgfm(tmp_path):
+    out = tmp_path / "r.csv"
+    code = run_cli("--algo", "dgfm", "--dataset", "builtin:quadratic", "--m", "4",
+                   "--topology", "complete", "--iters", "10", "--eta", "0.05",
+                   "--delta", "0.01", "--batch", "3", "--out", str(out))
+    assert code == 0
+    assert read_csv_rows(out)[-1]["zo_calls"] == 2 * 4 * 3 * 10
