@@ -250,8 +250,8 @@ def step(state, topology, partition, objective, cfg):
         y_new = mix(schedule.matrix_at(k), (state.y - state.v) + v_new)
     state.x_prev = state.x
     state.x = mix(schedule.matrix_at(k), state.x - cfg.eta * y_new)
-    # one communication round per gossip on y and on x, if there are neighbours
-    state.comm_rounds += (m > 1) * ((cfg.gossip_rounds if restart else 1) + 1)
+    if m > 1:  # one communication round per gossip on y and on x; none without neighbours
+        state.comm_rounds += (cfg.gossip_rounds if restart else 1) + 1
     state.v = v_new
     state.y = y_new
     state.k += 1

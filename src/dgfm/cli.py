@@ -302,8 +302,8 @@ def run_experiment(cfg):
     x0 = np.ones(objective.dim) if cfg.dataset.startswith("builtin:") else None
 
     plus = cfg.algo.endswith("-plus")
-    schedule = dict(period=cfg.period, mega_batch=cfg.mega_batch,
-                    gossip_rounds=cfg.gossip) if plus else {}
+    plus_fields = dict(period=cfg.period, mega_batch=cfg.mega_batch,
+                       gossip_rounds=cfg.gossip) if plus else {}
     records = []
     for r in range(cfg.repeats):
         seed = cfg.seed + r
@@ -311,7 +311,7 @@ def run_experiment(cfg):
         if theorem_echo:
             extra["theorem_params"] = theorem_echo
         run_cfg = (DgfmPlusConfig if plus else DgfmConfig)(
-            eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=seed, batch=cfg.batch, **schedule
+            eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=seed, batch=cfg.batch, **plus_fields
         )
         # the runs never select an output iterate, so they keep no snapshots
         opts = dict(x0=x0, record_every=cfg.record_every, metadata=extra, keep_iterates=False)
