@@ -54,7 +54,7 @@ from .smoothing import (
     surrogate_smoothness,
     two_point_estimate,  # noqa: F401 -- unused, but perfbench's tracer patches it here
 )
-from .topology import MixingMatrix, TopologySchedule, build_complete, mix
+from .topology import MixingMatrix, TopologySchedule, build_complete
 
 __all__ = [
     "DgfmConfig",
@@ -196,6 +196,14 @@ def _as_schedule(topology):
     return topology
 
 
+def _gossip(state, matrix, z):
+    """One gossip round, counted as one communication round; a single agent has none."""
+    if state.m == 1:
+        return z
+    state.comm_rounds += 1
+    return matrix.weights @ z
+
+
 def step(state, topology, partition, objective, cfg):
     """One synchronous iteration of the tracked method.
 
@@ -214,8 +222,8 @@ def step(state, topology, partition, objective, cfg):
     ``gossip_rounds`` times, and its consensus error after each round is
     logged; otherwise it is gossiped once with the estimate increment
     folded in. Both cases end with the gossiped descent step on x. Every
-    gossip round counts one communication round when there are neighbours
-    (m > 1). Mutates ``state`` and returns it.
+    gossip round counts one communication round; a single agent has no
+    neighbours and counts none. Mutates ``state`` and returns it.
     """
     schedule = _as_schedule(topology)
     if state.k >= cfg.iters:
@@ -239,19 +247,17 @@ def step(state, topology, partition, objective, cfg):
         else:
             v_new[i] = minibatch_estimate(objective, state.x[i], params, batch, state.counter)
     if restart:
-        y_new = v_new
+        y_new = v_new.copy()
         trace = [consensus_error(y_new)]
         for tau in range(1, cfg.gossip_rounds + 1):
-            y_new = mix(schedule.matrix_at(k, tau), y_new)
+            y_new = _gossip(state, schedule.matrix_at(k, tau), y_new)
             trace.append(consensus_error(y_new))
         state.restart_log.append({"iter": k, "tracking_consensus": trace})
     else:
         # (y - v) + v_new keeps the m = 1 path bit-equal to plain descent.
-        y_new = mix(schedule.matrix_at(k), (state.y - state.v) + v_new)
+        y_new = _gossip(state, schedule.matrix_at(k), (state.y - state.v) + v_new)
     state.x_prev = state.x
-    state.x = mix(schedule.matrix_at(k), state.x - cfg.eta * y_new)
-    if m > 1:  # one communication round per gossip on y and on x; none without neighbours
-        state.comm_rounds += (cfg.gossip_rounds if restart else 1) + 1
+    state.x = _gossip(state, schedule.matrix_at(k), state.x - cfg.eta * y_new)
     state.v = v_new
     state.y = y_new
     state.k += 1
@@ -287,8 +293,7 @@ def _run(topology, partition, objective, cfg, record_every, x0, metadata,
     ``topology`` runs the centralized baseline (one agent, W = [[1]])."""
     network = topology is not None
     if not network:
-        topology = build_complete(1)
-        partition = partition_samples(objective.n_samples, 1, cfg.seed)
+        topology, partition = build_complete(1), partition_samples(objective.n_samples, 1, cfg.seed)
     schedule = _as_schedule(topology)
     if partition.m != schedule.m:
         raise ShapeError(f"partition has {partition.m} agents, topology has {schedule.m}")
@@ -305,8 +310,6 @@ def _run(topology, partition, objective, cfg, record_every, x0, metadata,
         due = state.k % record_every == 0
         if due:
             _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples)
-        # snapshot_every overrides the default record-aligned snapshots, giving
-        # a full (or custom-density) trajectory for output selection
         if keep_iterates and (due if snapshot_every is None else state.k % snapshot_every == 0):
             record.snapshots.append((state.k, state.x.copy()))
     record.restarts = list(state.restart_log)
@@ -318,10 +321,11 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
              keep_iterates=True, snapshot_every=None):
     """Run the tracked method for ``cfg.iters`` iterations.
 
-    ``matrix`` is a MixingMatrix or a TopologySchedule. All agents start
-    from the common point ``x0`` (zero by default). Metrics are recorded
-    every ``record_every`` iterations; the Monte Carlo stationarity proxy
-    every ``stationarity_every``-th recorded entry (0 disables it). Iterate
+    ``matrix`` is a MixingMatrix or a TopologySchedule; ``cfg`` picks the
+    estimate (see `step`). All agents start from the common point ``x0``
+    (zero by default). Metrics are recorded every ``record_every``
+    iterations; the Monte Carlo stationarity proxy every
+    ``stationarity_every``-th recorded entry (0 disables it). Iterate
     snapshots for output selection follow the recorded entries unless
     ``snapshot_every`` asks for a different density (1 keeps the full
     trajectory; sensible for small runs only). Identical (config, seed)

@@ -158,8 +158,8 @@ def minibatch_estimate(obj, x, params, batch, counter=None):
     """Arithmetic mean of `two_point_estimate` over the batch (2b oracle calls)."""
     if batch.size == 0:
         raise EmptyBatch("cannot estimate from an empty batch")
-    acc = np.zeros(params.dim)
-    for j in range(batch.size):
+    acc = two_point_estimate(obj, x, params, batch.ws[0], batch.xis[0], counter)
+    for j in range(1, batch.size):
         acc += two_point_estimate(obj, x, params, batch.ws[j], batch.xis[j], counter)
     return acc / batch.size
 
@@ -189,10 +189,7 @@ def surrogate_grad_estimate(obj, x, params, n_samples, rng, counter=None):
     of the delta-ball subdifferential of f at x; its norm is the
     stationarity proxy reported by the metrics module.
     """
-    acc = np.zeros(params.dim)
-    for g in fresh_estimates(obj, x, params, n_samples, rng, counter):
-        acc += g
-    return acc / n_samples
+    return sum(fresh_estimates(obj, x, params, n_samples, rng, counter)) / n_samples
 
 
 def fresh_estimates(obj, x, params, n_samples, rng, counter=None):

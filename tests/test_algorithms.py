@@ -10,7 +10,6 @@ from dgfm import (
     LinearTest,
     NetworkState,
     QuadraticTest,
-    SmoothingParams,
     TopologySchedule,
     build_complete,
     build_ring,
@@ -21,7 +20,6 @@ from dgfm import (
     gfm_run,
     make_quadratic_test,
     partition,
-    sample_batch,
     select_output,
     sigma_squared,
     step,
@@ -29,7 +27,6 @@ from dgfm import (
     surrogate_smoothness,
     theorem_params_dgfm,
     theorem_params_dgfm_plus,
-    two_point_estimate,
 )
 from dgfm.errors import BudgetExceeded, EmptyTrajectory, InvalidParameter
 from dgfm.metrics import RunRecord
@@ -108,19 +105,6 @@ class TestDgfmStep:
         assert state.oracle_calls == 2 * 4 * 3 * 25
         assert [e.zo_calls for e in record.entries] == [2 * 4 * 3 * k for k in range(1, 26)]
 
-    def test_batch_one_is_single_pair(self):
-        obj = QuadraticTest(3, n_samples=8)
-        ring = build_ring(4)
-        part = partition(8, 4, seed=1)
-        cfg = DgfmConfig(eta=0.02, delta=0.01, iters=5, seed=2)
-        state = NetworkState.initial(4, np.ones(3))
-        step(state, ring, part, obj, cfg)
-        for i in range(4):
-            pair = sample_batch(part.assignment[i], 1, 3, substream(2, 0, i, 0))
-            g = two_point_estimate(obj, np.ones(3), SmoothingParams(0.01, 3),
-                                   pair.ws[0], pair.xis[0])
-            assert np.array_equal(state.v[i], g)
-
     def test_single_agent_counts_no_comm_rounds(self):
         obj = QuadraticTest(2, n_samples=4)
         part = partition(4, 1, seed=0)
@@ -170,10 +154,13 @@ class TestDgfmPlusStep:
         assert all(r["tracking_consensus"] == [0.0, 0.0, 0.0] for r in record.restarts)
         assert record.entries[-1].comm_rounds == 0
 
-    def test_static_matrix_equals_static_schedule(self):
+    @pytest.mark.parametrize("run", [dgfm_run, dgfm_plus_run])
+    def test_matrix_or_schedule_runs_alike(self, run):
         obj, ring, part, cfg = self.make()
-        state_m, rec_m = dgfm_plus_run(ring, part, obj, cfg)
-        state_s, rec_s = dgfm_plus_run(TopologySchedule.static(ring), part, obj, cfg)
+        if run is dgfm_run:
+            cfg = DgfmConfig(eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=cfg.seed)
+        state_m, rec_m = run(ring, part, obj, cfg)
+        state_s, rec_s = run(TopologySchedule.static(ring), part, obj, cfg)
         assert records_match(rec_m, rec_s)
         assert np.array_equal(state_m.y, state_s.y)
 
