@@ -46,7 +46,7 @@ for k in range(cfg.iters):
     if k % 60 == 0:
         drift = np.linalg.norm(state.y.mean(axis=0) - state.v.mean(axis=0))
         print(f"iter {k:3d}: loss {obj.full_loss(state.mean_x):8.4f}   "
-              f"consensus err {consensus_error(state):9.2e}   "
+              f"consensus err {consensus_error(state.x):9.2e}   "
               f"tracking identity drift {drift:.1e}")
 
 print("\n=== variance-reduced variant with periodic mega-batch restarts ===")

@@ -49,7 +49,6 @@ from .objectives import (
     QuadraticTest,
     StochasticObjective,
     estimate_lipschitz,
-    full_loss,
     make_quadratic_test,
 )
 from .rng import substream
@@ -72,9 +71,7 @@ from .topology import (
     build_complete,
     build_metropolis_hastings,
     build_ring,
-    gossip,
     load_adjacency,
-    load_matrix,
     mix,
     spectral_gap,
     validate,

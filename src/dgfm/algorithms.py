@@ -54,7 +54,7 @@ from .smoothing import (
     surrogate_smoothness,
     two_point_estimate,  # noqa: F401 -- unused, but perfbench's tracer patches it here
 )
-from .topology import MixingMatrix, TopologySchedule, build_complete
+from .topology import MixingMatrix, TopologySchedule, build_complete, mix
 
 __all__ = [
     "DgfmConfig",
@@ -201,7 +201,15 @@ def _gossip(state, matrix, z):
     if state.m == 1:
         return z
     state.comm_rounds += 1
-    return matrix.weights @ z
+    return mix(matrix, z)
+
+
+def _require_finite(z, what, k):
+    """Raise NumericFailure naming the first agent whose row of ``z`` is not finite."""
+    finite = np.isfinite(z)
+    if not finite.all():
+        agent = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise NumericFailure(f"non-finite {what} of agent {agent} at iteration {k}", iteration=k)
 
 
 def step(state, topology, partition, objective, cfg):
@@ -223,7 +231,9 @@ def step(state, topology, partition, objective, cfg):
     logged; otherwise it is gossiped once with the estimate increment
     folded in. Both cases end with the gossiped descent step on x. Every
     gossip round counts one communication round; a single agent has no
-    neighbours and counts none. Mutates ``state`` and returns it.
+    neighbours and counts none. Mutates ``state`` and returns it; a
+    non-finite estimate or iterate raises `NumericFailure` naming the
+    agent and iteration before ``x``, ``y`` and ``v`` are replaced.
     """
     schedule = _as_schedule(topology)
     if state.k >= cfg.iters:
@@ -246,6 +256,7 @@ def step(state, topology, partition, objective, cfg):
             )
         else:
             v_new[i] = minibatch_estimate(objective, state.x[i], params, batch, state.counter)
+    _require_finite(v_new, "estimate", k)
     if restart:
         y_new = v_new.copy()
         trace = [consensus_error(y_new)]
@@ -256,8 +267,10 @@ def step(state, topology, partition, objective, cfg):
     else:
         # (y - v) + v_new keeps the m = 1 path bit-equal to plain descent.
         y_new = _gossip(state, schedule.matrix_at(k), (state.y - state.v) + v_new)
+    x_new = _gossip(state, schedule.matrix_at(k), state.x - cfg.eta * y_new)
+    _require_finite(x_new, "iterate", k)
     state.x_prev = state.x
-    state.x = _gossip(state, schedule.matrix_at(k), state.x - cfg.eta * y_new)
+    state.x = x_new
     state.v = v_new
     state.y = y_new
     state.k += 1
@@ -287,110 +300,87 @@ def _observe(record, objective, state, cfg, t0, stationarity_every, stationarity
     )
 
 
-def _run(topology, partition, objective, cfg, record_every, x0, metadata,
-         stationarity_every, stationarity_samples, keep_iterates, snapshot_every):
-    """Run `step` ``cfg.iters`` times and record the trajectory; a None
-    ``topology`` runs the centralized baseline (one agent, W = [[1]])."""
-    network = topology is not None
-    if not network:
-        topology, partition = build_complete(1), partition_samples(objective.n_samples, 1, cfg.seed)
-    schedule = _as_schedule(topology)
-    if partition.m != schedule.m:
-        raise ShapeError(f"partition has {partition.m} agents, topology has {schedule.m}")
-    state = NetworkState.initial(schedule.m, np.zeros(objective.dim) if x0 is None else x0)
-    algo = ("dgfm" if network else "gfm") + ("-plus" if isinstance(cfg, DgfmPlusConfig) else "")
-    record = RunRecord(metadata={
-        "algo": algo, "seed": cfg.seed, "config": asdict(cfg), "dataset": objective.name,
-        "topology": f"m={schedule.m}" if network else "centralized",
-        "rho": schedule.base.rho if network else None, **(metadata or {}),
-    })
-    t0 = perf_counter()
-    for _ in range(cfg.iters):
-        step(state, schedule, partition, objective, cfg)
-        due = state.k % record_every == 0
-        if due:
-            _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples)
-        if keep_iterates and (due if snapshot_every is None else state.k % snapshot_every == 0):
-            record.snapshots.append((state.k, state.x.copy()))
-    record.restarts = list(state.restart_log)
-    return state, record
-
-
 def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
              metadata=None, stationarity_every=10, stationarity_samples=32,
-             keep_iterates=True, snapshot_every=None):
-    """Run the tracked method for ``cfg.iters`` iterations.
+             keep_iterates=True):
+    """Run the tracked method, plain or variance-reduced, for ``cfg.iters`` iterations.
 
     ``matrix`` is a MixingMatrix or a TopologySchedule; ``cfg`` picks the
-    estimate (see `step`). All agents start from the common point ``x0``
-    (zero by default). Metrics are recorded every ``record_every``
-    iterations; the Monte Carlo stationarity proxy every
-    ``stationarity_every``-th recorded entry (0 disables it). Iterate
-    snapshots for output selection follow the recorded entries unless
-    ``snapshot_every`` asks for a different density (1 keeps the full
-    trajectory; sensible for small runs only). Identical (config, seed)
-    give bit-identical records apart from wall-clock times.
+    estimate (see `step`): a `DgfmConfig` runs dgfm, a `DgfmPlusConfig`
+    dgfm-plus. All agents start from the common point ``x0`` (zero by
+    default). Metrics are recorded every ``record_every`` iterations; the
+    Monte Carlo stationarity proxy every ``stationarity_every``-th recorded
+    entry (0 disables it). Unless ``keep_iterates`` is off, the iterates of
+    every recorded iteration are kept as snapshots for output selection.
+    Identical (config, seed) give bit-identical records apart from
+    wall-clock times.
+
+    For dgfm-plus, restarts fire at every iteration k with
+    k mod period == 0, so a final partial cycle simply runs short when
+    ``iters`` is not a multiple of the period. Per-restart gossip
+    diagnostics are logged into the record.
 
     Returns
     -------
     (NetworkState, RunRecord)
     """
-    return _run(matrix, partition, objective, cfg, record_every, x0, metadata,
-                stationarity_every, stationarity_samples, keep_iterates, snapshot_every)
-
-
-def dgfm_plus_run(schedule, partition, objective, cfg, record_every=1, x0=None,
-                  metadata=None, stationarity_every=10, stationarity_samples=32,
-                  keep_iterates=True, snapshot_every=None):
-    """Run the variance-reduced tracked method; see `dgfm_run` for the contract.
-
-    Restarts fire at every iteration k with k mod period == 0, so a final
-    partial cycle simply runs short when ``iters`` is not a multiple of the
-    period. Per-restart gossip diagnostics are logged into the record.
-    """
-    return _run(schedule, partition, objective, cfg, record_every, x0, metadata,
-                stationarity_every, stationarity_samples, keep_iterates, snapshot_every)
+    schedule = _as_schedule(matrix)
+    if partition.m != schedule.m:
+        raise ShapeError(f"partition has {partition.m} agents, topology has {schedule.m}")
+    state = NetworkState.initial(schedule.m, np.zeros(objective.dim) if x0 is None else x0)
+    algo = "dgfm-plus" if isinstance(cfg, DgfmPlusConfig) else "dgfm"
+    record = RunRecord(metadata={
+        "algo": algo, "seed": cfg.seed, "config": asdict(cfg), "dataset": objective.name,
+        "topology": f"m={schedule.m}", "rho": schedule.base.rho, **(metadata or {}),
+    })
+    t0 = perf_counter()
+    for _ in range(cfg.iters):
+        step(state, schedule, partition, objective, cfg)
+        if state.k % record_every == 0:
+            _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples)
+            if keep_iterates:
+                record.snapshots.append((state.k, state.x.copy()))
+    record.restarts = list(state.restart_log)
+    return state, record
 
 
 def gfm_run(objective, cfg, record_every=1, x0=None, metadata=None,
-            stationarity_every=10, stationarity_samples=32, keep_iterates=True,
-            snapshot_every=None):
-    """Centralized two-point mini-batch descent (the m = 1 baseline).
+            stationarity_every=10, stationarity_samples=32, keep_iterates=True):
+    """Centralized descent: `dgfm_run` with one agent holding every sample.
 
-    Per iteration: draw ``cfg.batch`` pairs, average their two-point
-    estimates, step against the average. 2 b oracle calls per iteration and
-    no communication. Bit-equal to `dgfm_run` with one agent.
+    A `DgfmConfig` runs gfm: per iteration, draw ``cfg.batch`` pairs,
+    average their two-point estimates and step against the average (2 b
+    oracle calls). A `DgfmPlusConfig` runs gfm-plus: a mega-batch restart
+    every ``period`` iterations, the paired-difference recursion in
+    between, and a plain descent step on the running estimate; with period
+    1 it coincides bit-for-bit with gfm at batch ``mega_batch``. Restarts
+    are logged into the record with all-zero consensus traces. One agent
+    has no neighbours, so no communication round is counted. The keywords
+    are those of `dgfm_run`.
 
     Returns
     -------
     RunRecord
     """
-    return _run(None, None, objective, cfg, record_every, x0, metadata, stationarity_every,
-                stationarity_samples, keep_iterates, snapshot_every)[1]
+    algo = "gfm-plus" if isinstance(cfg, DgfmPlusConfig) else "gfm"
+    metadata = {"algo": algo, "topology": "centralized", "rho": None, **(metadata or {})}
+    return dgfm_run(build_complete(1), partition_samples(objective.n_samples, 1, cfg.seed),
+                    objective, cfg, record_every, x0, metadata, stationarity_every,
+                    stationarity_samples, keep_iterates)[1]
 
 
-def gfm_plus_run(objective, cfg, record_every=1, x0=None, metadata=None,
-                 stationarity_every=10, stationarity_samples=32, keep_iterates=True,
-                 snapshot_every=None):
-    """Centralized variance-reduced descent (the m = 1 baseline of dgfm_plus).
-
-    Mega-batch restart every ``period`` iterations, paired-difference
-    recursion in between, plain descent step on the running estimate. With
-    period 1 it coincides bit-for-bit with `gfm_run` at batch
-    ``mega_batch``. Restarts are logged into the record like dgfm_plus's,
-    with all-zero consensus traces.
-    """
-    return _run(None, None, objective, cfg, record_every, x0, metadata, stationarity_every,
-                stationarity_samples, keep_iterates, snapshot_every)[1]
+# dgfm-plus and gfm-plus are the same runs; the config type picks the estimate.
+dgfm_plus_run = dgfm_run
+gfm_plus_run = gfm_run
 
 
 def select_output(record, rng):
     """Uniform draw over all recorded (agent, iteration) iterates.
 
     The draw is over the subsampled trajectory the record actually kept
-    (every ``record_every``-th iteration by default), not over all m * K
-    iterates; run with ``snapshot_every=1`` when the full trajectory
-    matters. ``rng`` may be a Generator or a bare seed.
+    (every ``record_every``-th iteration), not over all m * K iterates;
+    run with ``record_every=1`` when the full trajectory matters. ``rng``
+    may be a Generator or a bare seed.
     """
     if isinstance(rng, (int, np.integer)):
         rng = substream(rng, _LANE_SELECT)

@@ -28,9 +28,7 @@ from . import data as data_mod
 from .algorithms import (
     DgfmConfig,
     DgfmPlusConfig,
-    dgfm_plus_run,
     dgfm_run,
-    gfm_plus_run,
     gfm_run,
     theorem_params_dgfm,
     theorem_params_dgfm_plus,
@@ -41,8 +39,7 @@ from .objectives import AbsTest, CappedL1Svm, QuadraticTest, estimate_lipschitz
 from .rng import substream
 from .topology import build_complete, build_metropolis_hastings, build_ring, load_adjacency
 
-RUNS = {"dgfm": dgfm_run, "dgfm-plus": dgfm_plus_run, "gfm": gfm_run, "gfm-plus": gfm_plus_run}
-ALGOS = tuple(RUNS)
+ALGOS = ("dgfm", "dgfm-plus", "gfm", "gfm-plus")
 OUT_DIR_ENV = "DGFM_OUT_DIR"
 
 EXIT_CONFIG = 2
@@ -288,7 +285,8 @@ def run_experiment(cfg):
     """Execute one configured experiment: repeats runs, one output file."""
     objective, dataset_id = _load_objective(cfg)
     theorem_echo = None
-    if cfg.algo.startswith("dgfm"):
+    network = cfg.algo.startswith("dgfm")
+    if network:
         if objective.n_samples < cfg.m:
             raise ConfigError(
                 f"dataset has {objective.n_samples} samples, cannot shard across {cfg.m} agents"
@@ -308,6 +306,8 @@ def run_experiment(cfg):
     for r in range(cfg.repeats):
         seed = cfg.seed + r
         extra = {"dataset": dataset_id, "repeat": r}
+        if network:
+            extra["topology"] = topology_id
         if theorem_echo:
             extra["theorem_params"] = theorem_echo
         run_cfg = (DgfmPlusConfig if plus else DgfmConfig)(
@@ -315,11 +315,11 @@ def run_experiment(cfg):
         )
         # the runs never select an output iterate, so they keep no snapshots
         opts = dict(x0=x0, record_every=cfg.record_every, metadata=extra, keep_iterates=False)
-        if cfg.algo.startswith("dgfm"):
+        if network:
             part = data_mod.partition(objective.n_samples, cfg.m, seed)
-            records.append(RUNS[cfg.algo](matrix, part, objective, run_cfg, **opts)[1])
+            records.append(dgfm_run(matrix, part, objective, run_cfg, **opts)[1])
         else:
-            records.append(RUNS[cfg.algo](objective, run_cfg, **opts))
+            records.append(gfm_run(objective, run_cfg, **opts))
 
     out = cfg.out
     out_dir = os.environ.get(OUT_DIR_ENV)

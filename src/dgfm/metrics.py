@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ShapeError
 from .smoothing import SmoothingParams, fresh_estimates
 
 __all__ = [
@@ -89,9 +89,6 @@ class RunRecord:
     def losses(self):
         return np.array([e.loss for e in self.entries])
 
-    def zo_calls(self):
-        return np.array([e.zo_calls for e in self.entries])
-
     def loss_at_budget(self, budget):
         """Loss at the last recorded entry within the given oracle budget."""
         best = None
@@ -119,17 +116,15 @@ class RunRecord:
         }
 
 
-def consensus_error(state_or_stack):
-    """Squared deviation of agent iterates from their mean.
+def consensus_error(stacked):
+    """Squared deviation of the rows of a stacked (m, d) array from their mean.
 
-    Accepts a network state (anything with an ``x`` attribute holding the
-    stacked (m, d) iterates) or the stacked array itself. Zero exactly when
-    all agents agree; translation-invariant; scales quadratically.
+    Zero exactly when all agents agree; translation-invariant; scales
+    quadratically.
     """
-    x = getattr(state_or_stack, "x", state_or_stack)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = np.asarray(stacked, dtype=float)
+    if x.ndim != 2:
+        raise ShapeError(f"stacked iterates must have shape (m, d), got {x.shape}")
     return float(((x - x.mean(axis=0)) ** 2).sum())
 
 

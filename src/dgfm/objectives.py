@@ -26,7 +26,6 @@ __all__ = [
     "AbsTest",
     "LinearTest",
     "estimate_lipschitz",
-    "full_loss",
     "make_quadratic_test",
 ]
 
@@ -73,11 +72,6 @@ class StochasticObjective:
         """Average of all summands at x (reporting only, not an oracle call)."""
         x = np.asarray(x, dtype=float)
         return sum(self.eval(x, xi) for xi in range(self.n_samples)) / self.n_samples
-
-
-def full_loss(obj, x):
-    """Average of all summands of ``obj`` at x."""
-    return obj.full_loss(x)
 
 
 class CappedL1Svm(StochasticObjective):

@@ -10,7 +10,11 @@ constructors here validate them aggressively and cache rho.
 
 Matrices are stored dense; the network sizes of interest are at most a few
 hundred agents. The Kronecker lift A (x) I_d is never materialized: `mix`
-applies it as a plain (m, m) x (m, d) product.
+applies it as a plain (m, m) x (m, d) product. `mix` is the one gossip
+round in the package (the optimizers gossip through it); several rounds
+are several calls. Weights come from the ring, complete and
+Metropolis-Hastings builders, the last one fed by a 0/1 adjacency file
+through `load_adjacency`.
 """
 
 from dataclasses import dataclass
@@ -28,9 +32,7 @@ __all__ = [
     "build_ring",
     "averaging_matrix",
     "load_adjacency",
-    "load_matrix",
     "mix",
-    "gossip",
     "spectral_gap",
     "validate",
 ]
@@ -257,14 +259,6 @@ def mix(matrix, stacked):
     return matrix.weights @ z
 
 
-def gossip(matrix, stacked, rounds):
-    """Apply `mix` ``rounds`` times; deviation contracts by <= rho**rounds."""
-    z = stacked
-    for _ in range(rounds):
-        z = mix(matrix, z)
-    return z
-
-
 @dataclass(frozen=True)
 class TopologySchedule:
     """Mixing matrix per iteration (and per gossip repetition).
@@ -305,19 +299,6 @@ class TopologySchedule:
             if k in self.schedule:
                 return self.schedule[k]
         return self.base
-
-    def max_rho(self):
-        """Worst spectral gap over the base and all scheduled matrices."""
-        rho = self.base.rho
-        if self.schedule:
-            rho = max(rho, *(mat.rho for mat in self.schedule.values()))
-        return rho
-
-
-def load_matrix(path):
-    """Load a plain-text weight matrix (whitespace rows, one agent per line)."""
-    w = np.loadtxt(path, ndmin=2)
-    return MixingMatrix.from_weights(w)
 
 
 def load_adjacency(path):

@@ -58,6 +58,16 @@ class TestSmoke:
         assert code == 0
         blob = json.loads(out.read_text())
         assert blob[0]["metadata"]["rho"] == pytest.approx(1 / 3, abs=1e-12)
+        assert blob[0]["metadata"]["topology"] == "metropolis:ring4.adj"
+
+    def test_topology_id_in_metadata(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run_cli("--algo", "dgfm-plus", "--dataset", "builtin:quadratic", "--dim", "3",
+                       "--m", "4", "--topology", "ring", "--iters", "10", "--eta", "0.02",
+                       "--delta", "0.01", "--period", "5", "--mega-batch", "4",
+                       "--out", str(out), "--format", "json")
+        assert code == 0
+        assert json.loads(out.read_text())[0]["metadata"]["topology"] == "ring"
 
     def test_abs_builtin_with_plus(self, tmp_path):
         out = tmp_path / "r.json"

@@ -7,7 +7,6 @@ from dgfm import (
     LinearTest,
     QuadraticTest,
     estimate_lipschitz,
-    full_loss,
     make_quadratic_test,
     substream,
 )
@@ -59,7 +58,7 @@ class TestCappedL1Svm:
         obj = tiny_svm()
         x = np.array([0.3, -0.7])
         by_hand = np.mean([obj.eval(x, xi) for xi in range(obj.n_samples)])
-        assert full_loss(obj, x) == pytest.approx(by_hand, rel=1e-12)
+        assert obj.full_loss(x) == pytest.approx(by_hand, rel=1e-12)
 
     def test_index_out_of_range(self):
         obj = tiny_svm()
@@ -100,11 +99,11 @@ class TestSyntheticObjectives:
                 return float(xi)
 
         obj = TwoValued(n_samples=2, dim=2)
-        assert full_loss(obj, np.zeros(2)) == 0.5
+        assert obj.full_loss(np.zeros(2)) == 0.5
 
     def test_constant_full_loss(self):
         obj = LinearTest(np.zeros(3), n_samples=5)
-        assert full_loss(obj, np.ones(3)) == 0.0
+        assert obj.full_loss(np.ones(3)) == 0.0
 
 
 class TestEstimateLipschitz:
