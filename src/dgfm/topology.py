@@ -13,7 +13,7 @@ hundred agents. The Kronecker lift A (x) I_d is never materialized: `mix`
 applies it as a plain (m, m) x (m, d) product. `mix` is the one gossip
 round in the package (the optimizers gossip through it); several rounds
 are several calls. Weights come from the ring, complete and
-Metropolis-Hastings builders, the last one fed by a 0/1 adjacency file
+Metropolis-Hastings constructors, the last one fed by a 0/1 adjacency file
 through `load_adjacency`.
 """
 

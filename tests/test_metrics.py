@@ -16,6 +16,7 @@ from dgfm import (
     substream,
     write_records,
 )
+from dgfm.errors import ShapeError
 
 
 class TestConsensusError:
@@ -41,6 +42,10 @@ class TestConsensusError:
             assert consensus_error(x.mean(axis=0) + s * dev) == pytest.approx(
                 s**2 * consensus_error(x), rel=1e-12
             )
+
+    def test_takes_the_stack_only(self):
+        with pytest.raises(ShapeError):
+            consensus_error(np.ones(3))
 
     def test_contracts_under_mix(self):
         ring = build_ring(4)
