@@ -61,7 +61,6 @@ from .smoothing import (
     sample_sphere,
     sigma_squared,
     spider_difference,
-    surrogate_grad_estimate,
     surrogate_smoothness,
     two_point_estimate,
 )
@@ -73,7 +72,6 @@ from .topology import (
     build_ring,
     load_adjacency,
     mix,
-    spectral_gap,
     validate,
 )
 

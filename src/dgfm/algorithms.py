@@ -196,14 +196,6 @@ def _as_schedule(topology):
     return topology
 
 
-def _gossip(state, matrix, z):
-    """One gossip round, counted as one communication round; a single agent has none."""
-    if state.m == 1:
-        return z
-    state.comm_rounds += 1
-    return mix(matrix, z)
-
-
 def _require_finite(z, what, k):
     """Raise NumericFailure naming the first agent whose row of ``z`` is not finite."""
     finite = np.isfinite(z)
@@ -233,7 +225,8 @@ def step(state, topology, partition, objective, cfg):
     gossip round counts one communication round; a single agent has no
     neighbours and counts none. Mutates ``state`` and returns it; a
     non-finite estimate or iterate raises `NumericFailure` naming the
-    agent and iteration before ``x``, ``y`` and ``v`` are replaced.
+    agent and iteration and leaves ``state`` as it was, counters and
+    restart log included.
     """
     schedule = _as_schedule(topology)
     if state.k >= cfg.iters:
@@ -246,33 +239,45 @@ def step(state, topology, partition, objective, cfg):
     recursive = isinstance(cfg, DgfmPlusConfig)
     restart = recursive and k % cfg.period == 0
     size = cfg.mega_batch if restart else cfg.batch
+    calls = OracleCounter()
+    rounds = 0
+
+    def gossip(matrix, z):
+        # one communication round; a single agent has no neighbours and counts none
+        nonlocal rounds
+        if m == 1:
+            return z
+        rounds += 1
+        return mix(matrix, z)
+
     v_new = np.empty((m, d))
     for i in range(m):
         rng = substream(cfg.seed, _LANE_DRAW, i, k)
         batch = sample_batch(partition.assignment[i], size, d, rng)
         if recursive and not restart:
             v_new[i] = state.v[i] + spider_difference(
-                objective, state.x[i], state.x_prev[i], params, batch, state.counter
+                objective, state.x[i], state.x_prev[i], params, batch, calls
             )
         else:
-            v_new[i] = minibatch_estimate(objective, state.x[i], params, batch, state.counter)
+            v_new[i] = minibatch_estimate(objective, state.x[i], params, batch, calls)
     _require_finite(v_new, "estimate", k)
     if restart:
         y_new = v_new.copy()
         trace = [consensus_error(y_new)]
         for tau in range(1, cfg.gossip_rounds + 1):
-            y_new = _gossip(state, schedule.matrix_at(k, tau), y_new)
+            y_new = gossip(schedule.matrix_at(k, tau), y_new)
             trace.append(consensus_error(y_new))
-        state.restart_log.append({"iter": k, "tracking_consensus": trace})
     else:
         # (y - v) + v_new keeps the m = 1 path bit-equal to plain descent.
-        y_new = _gossip(state, schedule.matrix_at(k), (state.y - state.v) + v_new)
-    x_new = _gossip(state, schedule.matrix_at(k), state.x - cfg.eta * y_new)
+        y_new = gossip(schedule.matrix_at(k), (state.y - state.v) + v_new)
+    x_new = gossip(schedule.matrix_at(k), state.x - cfg.eta * y_new)
     _require_finite(x_new, "iterate", k)
-    state.x_prev = state.x
-    state.x = x_new
-    state.v = v_new
-    state.y = y_new
+    # commit the iteration as a whole: a failure above leaves the state untouched
+    if restart:
+        state.restart_log.append({"iter": k, "tracking_consensus": trace})
+    state.counter.add(calls.count)
+    state.comm_rounds += rounds
+    state.x_prev, state.x, state.v, state.y = state.x, x_new, v_new, y_new
     state.k += 1
     return state
 
@@ -327,7 +332,12 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
     schedule = _as_schedule(matrix)
     if partition.m != schedule.m:
         raise ShapeError(f"partition has {partition.m} agents, topology has {schedule.m}")
-    state = NetworkState.initial(schedule.m, np.zeros(objective.dim) if x0 is None else x0)
+    x0 = np.zeros(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (objective.dim,):
+        raise ShapeError(f"x0 must have shape ({objective.dim},), got {x0.shape}")
+    _require_positive(record_every=record_every)
+    _require_nonnegative(stationarity_every=stationarity_every)
+    state = NetworkState.initial(schedule.m, x0)
     algo = "dgfm-plus" if isinstance(cfg, DgfmPlusConfig) else "dgfm"
     record = RunRecord(metadata={
         "algo": algo, "seed": cfg.seed, "config": asdict(cfg), "dataset": objective.name,

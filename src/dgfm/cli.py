@@ -2,9 +2,10 @@
 
 Wires a dataset (LIBSVM file or builtin test function), a topology, and one
 of the four optimizers into a multi-seed benchmark run, then writes the
-trajectories as CSV or JSON. Flags mirror the config fields in kebab-case;
-an optional ``key=value`` config file supplies defaults that flags
-override. Exit codes: 0 success, 2 configuration error, 3 data error,
+trajectories as CSV or JSON. Each ``key = value`` line of an optional
+``--config`` file is the flag ``--key=value``, parsed in front of the
+command line, so flags override it. Exit codes: 0 success, 2 configuration
+error (bad flag, config key or value), 3 data error,
 4 numeric failure (non-finite loss aborts the run with the offending
 iteration in the message).
 
@@ -20,7 +21,6 @@ values are echoed in the output metadata.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,108 +55,50 @@ class DataError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    algo: str
-    dataset: str
-    out: str
-    subset: int | None = None
-    subset_seed: int | None = None
-    dim: int = 10
-    m: int = 1
-    topology: str = "ring"
-    eta: float | None = None
-    delta: float = 1e-3
-    iters: int = 1000
-    batch: int = 1
-    mega_batch: int | None = None
-    period: int | None = None
-    gossip: int = 1
-    seed: int = 0
-    repeats: int = 1
-    record_every: int = 1
-    format: str = "csv"
-    params: str = "manual"
-    lam: float | None = None
-    alpha: float = 2.0
-
-    def validate(self):
-        if self.algo not in ALGOS:
-            raise ConfigError(f"algo must be one of {ALGOS}, got {self.algo!r}")
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.iters < 1:
-            raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        if self.record_every < 1:
-            raise ConfigError(f"record-every must be >= 1, got {self.record_every}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if not self.delta > 0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
-        theorem = self.params.startswith("theorem:")
-        if self.params != "manual" and not theorem:
-            raise ConfigError(f"params must be 'manual' or 'theorem:<epsilon>', got {self.params!r}")
-        if theorem:
-            if self.eta is not None:
-                raise ConfigError("--eta conflicts with --params theorem:<epsilon>")
-            if self.algo not in ("dgfm", "dgfm-plus"):
-                raise ConfigError("theorem mode is defined for the decentralized algorithms only")
-            try:
-                eps = float(self.params.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"bad epsilon in {self.params!r}") from None
-            if not eps > 0:
-                raise ConfigError(f"epsilon must be positive, got {eps}")
-        else:
-            if self.eta is None:
-                raise ConfigError("--eta is required in manual parameter mode")
-            if not self.eta > 0:
-                raise ConfigError(f"eta must be positive, got {self.eta}")
-        if self.algo in ("dgfm-plus", "gfm-plus") and self.params == "manual":
-            if self.period is None:
-                raise ConfigError(f"--period is required for {self.algo}")
-            if self.mega_batch is None:
-                raise ConfigError(f"--mega-batch is required for {self.algo}")
-        if self.algo in ("dgfm", "dgfm-plus") and self.m < 3 and self.topology == "ring":
-            # ring needs >= 3 agents; fail here with a friendlier message
-            raise ConfigError("ring topology needs --m >= 3")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="dgfm",
         description="Benchmark gradient-free optimizers on a simulated agent network.",
+        allow_abbrev=False,
     )
     p.add_argument("--config", help="key=value file supplying defaults; flags override")
-    p.add_argument("--algo", choices=ALGOS)
-    p.add_argument("--dataset", help="LIBSVM path (.gz ok), builtin:quadratic, or builtin:abs")
+    p.add_argument("--algo", choices=ALGOS, required=True)
+    p.add_argument("--dataset", required=True,
+                   help="LIBSVM path (.gz ok), builtin:quadratic, or builtin:abs")
     p.add_argument("--subset", type=int, help="restrict to the first/sampled N rows")
     p.add_argument("--subset-seed", type=int, help="sample the subset with this seed instead of taking the first rows")
-    p.add_argument("--dim", type=int, help="dimension for builtin objectives (default 10)")
-    p.add_argument("--m", type=int, help="number of agents (decentralized algorithms)")
-    p.add_argument("--topology", help="ring | complete | metropolis:<adjacency file>")
+    p.add_argument("--dim", type=int, default=10,
+                   help="dimension for builtin objectives (default 10)")
+    p.add_argument("--m", type=int, default=1, help="number of agents (decentralized algorithms)")
+    p.add_argument("--topology", default="ring", help="ring | complete | metropolis:<adjacency file>")
     p.add_argument("--eta", type=float, help="step size (manual mode)")
-    p.add_argument("--delta", type=float, help="smoothing radius (default 1e-3)")
-    p.add_argument("--iters", type=int, help="iteration count per run")
-    p.add_argument("--batch", type=int, help="pairs per agent and iteration (all algorithms)")
+    p.add_argument("--delta", type=float, default=1e-3, help="smoothing radius (default 1e-3)")
+    p.add_argument("--iters", type=int, default=1000, help="iteration count per run")
+    p.add_argument("--batch", type=int, default=1,
+                   help="pairs per agent and iteration (all algorithms)")
     p.add_argument("--mega-batch", type=int, help="restart batch size (*-plus)")
     p.add_argument("--period", type=int, help="restart period (*-plus)")
-    p.add_argument("--gossip", type=int, help="gossip rounds at a restart (dgfm-plus)")
-    p.add_argument("--seed", type=int, help="base seed; repeats use seed, seed+1, ...")
-    p.add_argument("--repeats", type=int, help="number of seeds to run")
-    p.add_argument("--record-every", type=int, help="record metrics every k iterations")
-    p.add_argument("--out", help=f"output path (relative paths resolve under ${OUT_DIR_ENV})")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--params", help="manual | theorem:<epsilon>")
+    p.add_argument("--gossip", type=int, default=1, help="gossip rounds at a restart (dgfm-plus)")
+    p.add_argument("--seed", type=int, default=0, help="base seed; repeats use seed, seed+1, ...")
+    p.add_argument("--repeats", type=int, default=1, help="number of seeds to run")
+    p.add_argument("--record-every", type=int, default=1, help="record metrics every k iterations")
+    p.add_argument("--out", required=True,
+                   help=f"output path (relative paths resolve under ${OUT_DIR_ENV})")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--params", default="manual", help="manual | theorem:<epsilon>")
     p.add_argument("--lam", type=float, help="SVM penalty weight (default 1e-5/n)")
-    p.add_argument("--alpha", type=float, help="SVM penalty cap (default 2)")
+    p.add_argument("--alpha", type=float, default=2.0, help="SVM penalty cap (default 2)")
     return p
 
 
-def parse_config_file(path):
-    values = {}
+def _config_file_flags(path):
+    """Each ``key = value`` line of a config file as the flag ``--key=value``."""
+    flags = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -166,51 +108,68 @@ def parse_config_file(path):
                 key, sep, value = line.partition("=")
                 if not sep:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("_", "-")
+                if key == "config":
+                    raise ConfigError("unknown config key 'config'")
+                flags.append(f"--{key}={value.strip()}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
+    return flags
 
 
-_INT_FIELDS = frozenset(
-    "subset subset_seed dim m iters batch mega_batch period gossip seed repeats record_every".split()
-)
-_FLOAT_FIELDS = frozenset("eta delta lam alpha".split())
+def parse_args(argv):
+    """Parse argv, with the ``--config`` file's lines as flags in front of it, and validate."""
+    path = None
+    for i, arg in enumerate(argv):
+        if arg == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+        elif arg.startswith("--config="):
+            path = arg.split("=", 1)[1]
+    prefix = _config_file_flags(path) if path is not None else []
+    args = build_parser().parse_args(prefix + list(argv))
+    validate(args)
+    return args
 
 
-def resolve_config(args):
-    """Merge config-file defaults and flags into a validated ExperimentConfig."""
-    field_names = {f.name for f in fields(ExperimentConfig)}
-    merged = {}
-    if args.config:
-        for key, raw in parse_config_file(args.config).items():
-            if key not in field_names:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = raw
-    for key in field_names:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-
-    def convert(key, raw):
-        if not isinstance(raw, str):
-            return raw
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        return raw
-
-    for required in ("algo", "dataset", "out"):
-        if required not in merged:
-            raise ConfigError(f"--{required} is required")
-    try:
-        kwargs = {k: convert(k, v) for k, v in merged.items()}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+def validate(cfg):
+    """The checks argparse cannot express: value ranges and flags that depend on each other."""
+    if cfg.repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {cfg.repeats}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.iters < 1:
+        raise ConfigError(f"iters must be >= 1, got {cfg.iters}")
+    if cfg.record_every < 1:
+        raise ConfigError(f"record-every must be >= 1, got {cfg.record_every}")
+    if not cfg.delta > 0:
+        raise ConfigError(f"delta must be positive, got {cfg.delta}")
+    theorem = cfg.params.startswith("theorem:")
+    if cfg.params != "manual" and not theorem:
+        raise ConfigError(f"params must be 'manual' or 'theorem:<epsilon>', got {cfg.params!r}")
+    if theorem:
+        if cfg.eta is not None:
+            raise ConfigError("--eta conflicts with --params theorem:<epsilon>")
+        if cfg.algo not in ("dgfm", "dgfm-plus"):
+            raise ConfigError("theorem mode is defined for the decentralized algorithms only")
+        try:
+            eps = float(cfg.params.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"bad epsilon in {cfg.params!r}") from None
+        if not eps > 0:
+            raise ConfigError(f"epsilon must be positive, got {eps}")
+    else:
+        if cfg.eta is None:
+            raise ConfigError("--eta is required in manual parameter mode")
+        if not cfg.eta > 0:
+            raise ConfigError(f"eta must be positive, got {cfg.eta}")
+    if cfg.algo in ("dgfm-plus", "gfm-plus") and cfg.params == "manual":
+        if cfg.period is None:
+            raise ConfigError(f"--period is required for {cfg.algo}")
+        if cfg.mega_batch is None:
+            raise ConfigError(f"--mega-batch is required for {cfg.algo}")
+    if cfg.algo in ("dgfm", "dgfm-plus") and cfg.m < 3 and cfg.topology == "ring":
+        # ring needs >= 3 agents; fail here with a friendlier message
+        raise ConfigError("ring topology needs --m >= 3")
 
 
 def _load_objective(cfg):
@@ -334,14 +293,8 @@ def run_experiment(cfg):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return run_experiment(cfg)
+        return run_experiment(parse_args(sys.argv[1:] if argv is None else argv))
     except (ConfigError, InvalidParameter, InvalidTopology) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -354,7 +307,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -2,7 +2,9 @@
 
 A RunRecord collects one entry per recorded iteration: loss at the mean
 iterate, consensus error, the cumulative oracle-call and communication
-counters, and (periodically) a Monte Carlo stationarity proxy. Loss and
+counters, and (periodically) a stationarity proxy: the norm of the
+two-point estimate over fresh pairs at the mean iterate, the same estimate
+the optimizers form, drawn over the whole objective. Loss and
 stationarity evaluations are measurement, not optimization; they never
 touch the oracle-call counter, so plots against ``zo_calls`` use the
 algorithmic budget only.
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameter, ShapeError
-from .smoothing import SmoothingParams, fresh_estimates
+from .smoothing import SmoothingParams, sample_batch, two_point_estimate
 
 __all__ = [
     "RunEntry",
@@ -136,16 +138,22 @@ class StationarityEstimate(NamedTuple):
 def stationarity_estimate(obj, x, delta, n_samples, rng):
     """Norm of the Monte Carlo surrogate gradient, with its standard error.
 
-    The surrogate gradient is one member of the delta-ball subdifferential,
-    not the minimizer over it, so the reported norm is an upper-bound proxy
-    for the stationarity measure. ``stderr`` aggregates the componentwise
-    standard errors of the Monte Carlo mean.
+    The surrogate gradient is the mean of the optimizers' two-point
+    estimates over ``n_samples`` pairs drawn by `sample_batch` from the
+    whole objective: one member of the delta-ball subdifferential, not the
+    minimizer over it, so its norm is an upper-bound proxy for the
+    stationarity measure. ``stderr`` aggregates the componentwise standard
+    errors of the Monte Carlo mean.
     """
+    if n_samples < 1:
+        raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
     x = np.asarray(x, dtype=float)
     params = SmoothingParams(delta=delta, dim=x.shape[0])
+    batch = sample_batch(np.arange(obj.n_samples), n_samples, params.dim, rng)
     acc = np.zeros(x.shape[0])
     acc_sq = np.zeros(x.shape[0])
-    for g in fresh_estimates(obj, x, params, n_samples, rng):
+    for xi, w in zip(batch.xis, batch.ws):
+        g = two_point_estimate(obj, x, params, w, xi)
         acc += g
         acc_sq += g * g
     mean = acc / n_samples

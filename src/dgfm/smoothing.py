@@ -16,7 +16,10 @@ batch, which this module makes structurally impossible to get wrong: a
 :class:`SampleBatch` is sampled once and applied to both points.
 
 Both probes of one pair always share the same sample index xi; only the
-sign of the perturbation differs.
+sign of the perturbation differs. `sample_batch` is the one sampler and
+`minibatch_estimate` the one average: the optimizers draw their pairs
+from an agent's shard, and the stationarity proxy in :mod:`dgfm.metrics`
+draws them from the whole objective.
 """
 
 import math
@@ -30,13 +33,11 @@ __all__ = [
     "OracleCounter",
     "SampleBatch",
     "SmoothingParams",
-    "fresh_estimates",
     "minibatch_estimate",
     "sample_batch",
     "sample_sphere",
     "sigma_squared",
     "spider_difference",
-    "surrogate_grad_estimate",
     "surrogate_smoothness",
     "two_point_estimate",
 ]
@@ -104,10 +105,6 @@ class SampleBatch:
     def size(self):
         return self.xis.shape[0]
 
-    @property
-    def dim(self):
-        return self.ws.shape[1]
-
 
 def sample_sphere(d, rng):
     """Uniform draw from the unit sphere in R^d (normalized Gaussian)."""
@@ -156,8 +153,6 @@ def two_point_estimate(obj, x, params, w, xi, counter=None):
 
 def minibatch_estimate(obj, x, params, batch, counter=None):
     """Arithmetic mean of `two_point_estimate` over the batch (2b oracle calls)."""
-    if batch.size == 0:
-        raise EmptyBatch("cannot estimate from an empty batch")
     acc = two_point_estimate(obj, x, params, batch.ws[0], batch.xis[0], counter)
     for j in range(1, batch.size):
         acc += two_point_estimate(obj, x, params, batch.ws[j], batch.xis[j], counter)
@@ -179,28 +174,6 @@ def spider_difference(obj, x_new, x_old, params, batch, counter=None):
     return minibatch_estimate(obj, x_new, params, batch, counter) - minibatch_estimate(
         obj, x_old, params, batch, counter
     )
-
-
-def surrogate_grad_estimate(obj, x, params, n_samples, rng, counter=None):
-    """Monte Carlo estimate of the smoothed-surrogate gradient at x.
-
-    Averages ``n_samples`` independent two-point estimates with fresh
-    (xi, w) draws. The result estimates grad f_delta(x), which is a member
-    of the delta-ball subdifferential of f at x; its norm is the
-    stationarity proxy reported by the metrics module.
-    """
-    return sum(fresh_estimates(obj, x, params, n_samples, rng, counter)) / n_samples
-
-
-def fresh_estimates(obj, x, params, n_samples, rng, counter=None):
-    """Yield ``n_samples`` two-point estimates at x, each from a fresh draw
-    of a sample index over the whole objective and then a direction."""
-    if n_samples < 1:
-        raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
-    for _ in range(n_samples):
-        xi = int(rng.integers(obj.n_samples))
-        w = sample_sphere(params.dim, rng)
-        yield two_point_estimate(obj, x, params, w, xi, counter)
 
 
 def sigma_squared(d, lipschitz):

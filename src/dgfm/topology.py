@@ -6,7 +6,9 @@ A @ z. For a doubly stochastic A the row mean is preserved exactly, and the
 deviation from the mean contracts by the spectral gap
 rho = ||A - J||_2, where J = (1/m) 11^T is the plain averaging matrix.
 These two facts are what every algorithm in this package leans on, so the
-constructors here validate them aggressively and cache rho.
+constructors here validate them aggressively and cache rho: `validate`
+reports it for any square matrix (1 for a disconnected one), and
+``MixingMatrix.rho`` holds it for a validated one.
 
 Matrices are stored dense; the network sizes of interest are at most a few
 hundred agents. The Kronecker lift A (x) I_d is never materialized: `mix`
@@ -33,7 +35,6 @@ __all__ = [
     "averaging_matrix",
     "load_adjacency",
     "mix",
-    "spectral_gap",
     "validate",
 ]
 
@@ -126,24 +127,6 @@ def validate(weights):
         min_entry=min_entry,
         min_diagonal=min_diag,
     )
-
-
-def spectral_gap(weights):
-    """Largest singular value of (A - J) for a doubly stochastic A.
-
-    This is the per-gossip contraction factor of the consensus deviation.
-    Raises :class:`InvalidTopology` if the matrix is not doubly stochastic
-    with nonnegative entries. A disconnected but otherwise valid matrix
-    returns 1.0 rather than raising, so callers can report it.
-    """
-    w = np.asarray(weights, dtype=float)
-    report = validate(w)
-    if not (report.nonnegative and report.doubly_stochastic):
-        raise InvalidTopology(
-            "spectral gap requires a doubly stochastic matrix: "
-            + "; ".join(report.failures())
-        )
-    return report.rho
 
 
 @dataclass(frozen=True)

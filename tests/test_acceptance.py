@@ -251,6 +251,7 @@ def test_criterion_08_degeneration_equalities():
     report(8, "degeneration equalities", elapsed)
 
 
+@pytest.mark.slow
 class TestCriterion09Benchmark:
     """Desk-scale benchmark reproduction on the a9a-shaped corpus.
 

@@ -28,13 +28,27 @@ from dgfm import (
     theorem_params_dgfm,
     theorem_params_dgfm_plus,
 )
-from dgfm.errors import BudgetExceeded, EmptyTrajectory, InvalidParameter, NumericFailure
+from dgfm.errors import (
+    BudgetExceeded,
+    EmptyTrajectory,
+    InvalidParameter,
+    NumericFailure,
+    ShapeError,
+)
 from dgfm.metrics import RunRecord
 from dgfm.objectives import AbsTest
 
 
 def rel_err(a, ref):
     return np.linalg.norm(a - ref) / (1.0 + np.linalg.norm(ref))
+
+
+def run_briefly(run, obj, **kw):
+    """Three iterations of dgfm on a 4-ring, or of gfm, with the given run keywords."""
+    cfg = DgfmConfig(eta=0.01, delta=0.01, iters=3, seed=0)
+    if run == "gfm_run":
+        return gfm_run(obj, cfg, **kw)
+    return dgfm_run(build_ring(4), partition(obj.n_samples, 4, seed=0), obj, cfg, **kw)
 
 
 class TestDgfmStep:
@@ -127,6 +141,21 @@ class TestDgfmStep:
             step(state, build_ring(4), partition(8, 4, seed=0), obj, cfg)
         assert np.array_equal(state.x, x) and np.array_equal(state.y, y)
         assert np.array_equal(state.v, v) and state.k == 0
+        assert state.oracle_calls == 0 and state.comm_rounds == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_iterate_on_a_restart_keeps_state(self):
+        obj = QuadraticTest(3, n_samples=8)
+        cfg = DgfmPlusConfig(eta=1e300, delta=1e-3, iters=5, seed=1, period=5, batch=1,
+                             mega_batch=2, gossip_rounds=3)
+        state = NetworkState.initial(4, 1e10 * np.ones(3))
+        x, y, v = state.x.copy(), state.y.copy(), state.v.copy()
+        with pytest.raises(NumericFailure, match=r"iterate of agent \d+ at iteration 0"):
+            step(state, build_ring(4), partition(8, 4, seed=0), obj, cfg)
+        assert np.array_equal(state.x, x) and np.array_equal(state.y, y)
+        assert np.array_equal(state.v, v) and state.k == 0
+        assert state.oracle_calls == 0 and state.comm_rounds == 0
+        assert state.restart_log == []
 
     def test_single_agent_counts_no_comm_rounds(self):
         obj = QuadraticTest(2, n_samples=4)
@@ -299,6 +328,7 @@ class TestRuns:
         assert np.median(finals) < obj.full_loss(np.ones(10))
         assert np.median(finals) < 1.0
 
+    @pytest.mark.slow
     def test_gfm_plus_more_stable_than_gfm(self):
         # across-seed loss spread at matched oracle budget: the recursive
         # estimator should beat the single-pair baseline at >= 70% of points
@@ -327,6 +357,22 @@ class TestRuns:
             s_plus = np.std([r.loss_at_budget(g) for r in plus_recs])
             wins += s_plus <= s_plain
         assert wins / len(grid) >= 0.7
+
+    @pytest.mark.parametrize("run", ["dgfm_run", "gfm_run"])
+    def test_x0_of_the_wrong_length_is_rejected(self, run, small_svm_objective):
+        for obj in (QuadraticTest(dim=6, n_samples=4), small_svm_objective):
+            with pytest.raises(ShapeError, match="x0 must have shape"):
+                run_briefly(run, obj, x0=np.ones(obj.dim - 1))
+
+    @pytest.mark.parametrize("run", ["dgfm_run", "gfm_run"])
+    def test_record_every_below_one_is_rejected(self, run):
+        with pytest.raises(InvalidParameter, match="record_every"):
+            run_briefly(run, QuadraticTest(dim=3, n_samples=4), record_every=0)
+
+    @pytest.mark.parametrize("run", ["dgfm_run", "gfm_run"])
+    def test_negative_stationarity_every_is_rejected(self, run):
+        with pytest.raises(InvalidParameter, match="stationarity_every"):
+            run_briefly(run, QuadraticTest(dim=3, n_samples=4), stationarity_every=-2)
 
     def test_determinism_bit_identical(self):
         obj = QuadraticTest(3, n_samples=8)

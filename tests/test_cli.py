@@ -126,6 +126,12 @@ class TestExitCodes:
         assert code == 2
         assert "--m >= 3" in capsys.readouterr().err
 
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
+        code = run_cli("--algo", "gfm", "--dataset", "builtin:quadratic", "--iters", "x",
+                       "--eta", "0.1", "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_is_numeric_failure(self, tmp_path, capsys):
         # the quadratic squares its scale every step, so a huge step size
@@ -214,6 +220,22 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("algoz = gfm\n")
         assert run_cli("--config", str(cfg), "--out", "x.csv") == 2
+
+    @pytest.mark.parametrize("line", ["iters = x", "alg = gfm", "config = other.cfg"])
+    def test_bad_key_or_value_is_config_error(self, line, tmp_path, capsys):
+        # config lines parse like flags: typed, exact names, no nested files
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("algo = gfm\ndataset = builtin:quadratic\neta = 0.1\n" + line + "\n")
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_underscore_and_dash_keys_are_the_same_flag(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("algo = gfm\ndataset = builtin:quadratic\neta = 0.1\n"
+                       "iters = 20\nrecord_every = 10\n")
+        out = tmp_path / "r.csv"
+        assert run_cli("--config", str(cfg), "--out", str(out)) == 0
+        assert [r["iter"] for r in read_csv_rows(out)] == [10, 20]
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from dgfm import (
     substream,
     write_records,
 )
-from dgfm.errors import ShapeError
+from dgfm.errors import InvalidParameter, ShapeError
 
 
 class TestConsensusError:
@@ -79,6 +79,11 @@ class TestStationarity:
         # beyond the kink neighborhood the one-dimensional estimator is
         # deterministic, so stderr is 0 up to round-off
         assert abs(est.value - 1.0) <= 3 * est.stderr + 1e-12
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(InvalidParameter):
+            stationarity_estimate(AbsTest(2), np.zeros(2), delta=0.1, n_samples=0,
+                                  rng=substream(19, 1))
 
 
 def sample_record(algo="gfm", seed=5, n=3, with_stationarity=False):

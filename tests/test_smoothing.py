@@ -15,7 +15,6 @@ from dgfm import (
     sigma_squared,
     spider_difference,
     substream,
-    surrogate_grad_estimate,
     surrogate_smoothness,
     two_point_estimate,
 )
@@ -211,6 +210,12 @@ class TestSpiderDifference:
             spider_difference(obj, np.zeros(3), np.zeros(4), params, batch)
 
 
+def surrogate_grad(obj, x, params, n, rng):
+    """Mean of n two-point estimates over pairs drawn from the whole objective."""
+    batch = sample_batch(np.arange(obj.n_samples), n, params.dim, rng)
+    return minibatch_estimate(obj, x, params, batch)
+
+
 class TestSurrogateGradient:
     def test_quadratic_matches_exact_surrogate(self):
         obj = make_quadratic_test(4)
@@ -218,7 +223,7 @@ class TestSurrogateGradient:
         x = np.array([1.0, 0.0, -2.0, 0.5])
         n = 40_000
         rng = substream(16, 1)
-        est = surrogate_grad_estimate(obj, x, params, n, rng)
+        est = surrogate_grad(obj, x, params, n, rng)
         # componentwise variance of the single-pair estimator is bounded by
         # sigma^2; 3 * sqrt(sigma2/n) is a conservative componentwise band
         band = 3 * np.sqrt(sigma_squared(4, 2 * np.linalg.norm(x) + 1) / n)
@@ -227,21 +232,15 @@ class TestSurrogateGradient:
     def test_constant_objective(self):
         obj = LinearTest(np.zeros(3))
         params = SmoothingParams(delta=0.1, dim=3)
-        est = surrogate_grad_estimate(obj, np.ones(3), params, 100, substream(17, 1))
+        est = surrogate_grad(obj, np.ones(3), params, 100, substream(17, 1))
         assert np.array_equal(est, np.zeros(3))
 
     def test_abs_at_origin(self):
         obj = AbsTest(1)
         params = SmoothingParams(delta=0.1, dim=1)
         n = 20_000
-        est = surrogate_grad_estimate(obj, np.zeros(1), params, n, substream(18, 1))
+        est = surrogate_grad(obj, np.zeros(1), params, n, substream(18, 1))
         assert abs(est[0]) <= 3 * np.sqrt(sigma_squared(1, 1.0) / n)
-
-    def test_rejects_zero_samples(self):
-        obj = AbsTest(2)
-        params = SmoothingParams(delta=0.1, dim=2)
-        with pytest.raises(InvalidParameter):
-            surrogate_grad_estimate(obj, np.zeros(2), params, 0, substream(19, 1))
 
 
 class TestMomentConstants:

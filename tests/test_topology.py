@@ -8,7 +8,6 @@ from dgfm import (
     build_metropolis_hastings,
     build_ring,
     mix,
-    spectral_gap,
     validate,
 )
 from dgfm.errors import DisconnectedGraph, InvalidTopology, ShapeError
@@ -124,24 +123,20 @@ class TestValidate:
 class TestSpectralGap:
     def test_averaging_matrix_is_zero(self):
         for m in (2, 5, 11):
-            assert spectral_gap(averaging_matrix(m)) <= 1e-12
+            assert validate(averaging_matrix(m)).rho <= 1e-12
 
     def test_ring4(self):
-        assert abs(spectral_gap(build_ring(4).weights) - 1.0 / 3.0) <= 1e-12
+        assert abs(validate(build_ring(4).weights).rho - 1.0 / 3.0) <= 1e-12
 
     def test_two_block_disconnected_is_one(self):
         block = np.zeros((4, 4))
         block[:2, :2] = 0.5
         block[2:, 2:] = 0.5
-        assert abs(spectral_gap(block) - 1.0) <= 1e-12
-
-    def test_rejects_non_doubly_stochastic(self):
-        with pytest.raises(InvalidTopology):
-            spectral_gap(np.array([[0.9, 0.1], [0.5, 0.5]]))
+        assert abs(validate(block).rho - 1.0) <= 1e-12
 
     def test_matches_cached_rho(self):
         ring = build_ring(9)
-        assert abs(spectral_gap(ring.weights) - ring.rho) <= 1e-14
+        assert abs(validate(ring.weights).rho - ring.rho) <= 1e-14
 
 
 class TestMix:
