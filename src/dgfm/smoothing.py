@@ -16,10 +16,9 @@ batch, which this module makes structurally impossible to get wrong: a
 :class:`SampleBatch` is sampled once and applied to both points.
 
 Both probes of one pair always share the same sample index xi; only the
-sign of the perturbation differs. `sample_batch` is the one sampler and
-`minibatch_estimate` the one average: the optimizers draw their pairs
-from an agent's shard, and the stationarity proxy in :mod:`dgfm.metrics`
-draws them from the whole objective.
+sign of the perturbation differs. `sample_batch` is the one sampler of
+pairs: the optimizers draw from an agent's shard, and the stationarity
+proxy in :mod:`dgfm.metrics` draws from the whole objective.
 """
 
 import math
