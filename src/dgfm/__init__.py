@@ -58,6 +58,7 @@ from .smoothing import (
     SmoothingParams,
     minibatch_estimate,
     sample_batch,
+    sample_batches,
     sample_sphere,
     sigma_squared,
     spider_difference,

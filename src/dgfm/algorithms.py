@@ -18,15 +18,17 @@ equals the average estimate, and the iterates descend it,
   neighbours, so it counts no communication rounds.
 
 Every stochastic draw comes from a counter-based stream keyed by
-(seed, lane, agent, iteration); see :mod:`dgfm.rng`. Agent updates inside
-one iteration are independent and could run in any order or in parallel
-with identical results; the gossip applications are the synchronization
-barriers. Exact invariants (used heavily by the tests): the mean of the
-tracking variable after the step equals the mean of the current
-estimates, and the mean iterate moves by exactly -eta * mean(tracker),
-both up to round-off.
+(seed, lane, iteration); see :mod:`dgfm.rng`. An iteration draws every
+agent's pairs at once, and agent i's pairs are row i of that draw, so the
+agent updates inside one iteration are independent and could run in any
+order or in parallel with identical results; the gossip applications are
+the synchronization barriers. Exact invariants (used heavily by the
+tests): the mean of the tracking variable after the step equals the mean
+of the current estimates, and the mean iterate moves by exactly
+-eta * mean(tracker), both up to round-off.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -48,7 +50,8 @@ from .smoothing import (
     OracleCounter,
     SmoothingParams,
     minibatch_estimate,
-    sample_batch,
+    sample_batch,  # noqa: F401 -- unused, but perfbench's tracer patches it here
+    sample_batches,
     sigma_squared,
     spider_difference,
     surrogate_smoothness,
@@ -196,6 +199,12 @@ def _as_schedule(topology):
     return topology
 
 
+@functools.lru_cache(maxsize=16)
+def _smoothing_params(delta, d):
+    # frozen and validated on construction: build it once per (delta, d), not per step
+    return SmoothingParams(delta=delta, dim=d)
+
+
 def _require_finite(z, what, k):
     """Raise NumericFailure naming the first agent whose row of ``z`` is not finite."""
     finite = np.isfinite(z)
@@ -208,8 +217,8 @@ def step(state, topology, partition, objective, cfg):
     """One synchronous iteration of the tracked method.
 
     ``topology`` is a MixingMatrix or a TopologySchedule, and ``cfg`` picks
-    how each agent i, drawing from its own stream for (i, k), forms its new
-    estimate at its iterate:
+    how each agent i forms its new estimate at its iterate from its pairs,
+    row i of the iteration's one draw (see `sample_batches`):
 
     * a `DgfmConfig` averages the two-point estimates of ``batch`` pairs
       from the agent's shard (2 m b oracle calls);
@@ -234,7 +243,7 @@ def step(state, topology, partition, objective, cfg):
     if state.m != schedule.m:
         raise ShapeError(f"state has {state.m} agents, topology has {schedule.m}")
     m, d = state.x.shape
-    params = SmoothingParams(delta=cfg.delta, dim=d)
+    params = _smoothing_params(cfg.delta, d)
     k = state.k
     recursive = isinstance(cfg, DgfmPlusConfig)
     restart = recursive and k % cfg.period == 0
@@ -251,15 +260,15 @@ def step(state, topology, partition, objective, cfg):
         return mix(matrix, z)
 
     v_new = np.empty((m, d))
-    for i in range(m):
-        rng = substream(cfg.seed, _LANE_DRAW, i, k)
-        batch = sample_batch(partition.assignment[i], size, d, rng)
+    batches = sample_batches(partition.assignment, size, d, substream(cfg.seed, _LANE_DRAW, k))
+    for i, batch in enumerate(batches):
         if recursive and not restart:
             v_new[i] = state.v[i] + spider_difference(
                 objective, state.x[i], state.x_prev[i], params, batch, calls
             )
         else:
             v_new[i] = minibatch_estimate(objective, state.x[i], params, batch, calls)
+    del batch  # a view of the last chunk of directions: free it before the gossip
     _require_finite(v_new, "estimate", k)
     if restart:
         y_new = v_new.copy()

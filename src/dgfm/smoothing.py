@@ -16,9 +16,12 @@ batch, which this module makes structurally impossible to get wrong: a
 :class:`SampleBatch` is sampled once and applied to both points.
 
 Both probes of one pair always share the same sample index xi; only the
-sign of the perturbation differs. `sample_batch` is the one sampler of
-pairs: the optimizers draw from an agent's shard, and the stationarity
-proxy in :mod:`dgfm.metrics` draws from the whole objective.
+sign of the perturbation differs. `sample_batches` is the one sampler of
+pairs: it draws every agent's pairs of one iteration from one stream, all
+sample indices in one call and then all directions, so agent i's pairs
+are row i of that draw. `sample_batch` is its one-shard case, with which
+the stationarity proxy in :mod:`dgfm.metrics` draws from the whole
+objective.
 """
 
 import math
@@ -33,7 +36,9 @@ __all__ = [
     "SampleBatch",
     "SmoothingParams",
     "minibatch_estimate",
+    "require_unit_norm",
     "sample_batch",
+    "sample_batches",
     "sample_sphere",
     "sigma_squared",
     "spider_difference",
@@ -93,12 +98,17 @@ class SampleBatch:
             )
         if xis.shape[0] == 0:
             raise EmptyBatch("batch must contain at least one (sample, direction) pair")
-        norms = np.linalg.norm(ws, axis=1)
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > UNIT_NORM_TOL:
-            raise InvalidParameter(f"directions must be unit norm, worst error {worst:.3e}")
+        require_unit_norm(ws)
         object.__setattr__(self, "xis", xis)
         object.__setattr__(self, "ws", ws)
+
+    @classmethod
+    def _of_checked(cls, xis, ws):
+        """A batch whose directions `require_unit_norm` has already passed in bulk."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "xis", xis)
+        object.__setattr__(batch, "ws", ws)
+        return batch
 
     @property
     def size(self):
@@ -116,22 +126,55 @@ def sample_sphere(d, rng):
             return w / norm
 
 
-def sample_batch(indices, b, d, rng):
-    """Draw b (xi, w) pairs, xi uniform over ``indices``, w uniform on the sphere.
+def _norms(ws):
+    # Euclidean norms along the last axis, without a temporary the size of ws
+    return np.sqrt(np.einsum("...i,...i->...", ws, ws))
 
-    Draws are interleaved pair by pair (index then direction), so a batch of
-    size 1 consumes the stream exactly like a single-pair sampler. This is
-    what makes the single-agent/centralized degenerations bit-identical.
+
+def require_unit_norm(ws):
+    """Raise InvalidParameter unless every row along the last axis of ``ws`` has unit norm."""
+    worst = float(np.abs(_norms(ws) - 1.0).max())
+    if not worst <= UNIT_NORM_TOL:  # a NaN fails too
+        raise InvalidParameter(f"directions must be unit norm, worst error {worst:.3e}")
+
+
+def sample_batches(shards, b, d, rng):
+    """Yield one batch of b (xi, w) pairs per shard, drawn in bulk from ``rng``.
+
+    Agent i's xi are uniform over ``shards[i]`` and its w uniform on the
+    unit sphere in R^d. All sample indices come first, in one (m, b) draw;
+    then the directions, as one (m, b, d) standard normal block filled in
+    agent-order chunks of c = max(1, m // b) agents. Each chunk is drawn
+    only when its first batch is needed, normalized in place and checked
+    once, so the live directions never exceed m * d entries, or one
+    agent's b * d if that is more; the batches are row views of it. A
+    numpy Generator fills arrays in order, so the chunking never changes
+    the numbers: agent i's pairs are row i of the one draw.
     """
     if b < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {b}")
-    indices = np.asarray(indices)
-    xis = np.empty(b, dtype=indices.dtype)
-    ws = np.empty((b, d))
-    for j in range(b):
-        xis[j] = indices[rng.integers(indices.shape[0])]
-        ws[j] = sample_sphere(d, rng)
-    return SampleBatch(xis=xis, ws=ws)
+    m = len(shards)
+    sizes = [len(shard) for shard in shards]
+    # equal bounds draw the same numbers as a scalar one, which is faster
+    high = sizes[0] if min(sizes) == max(sizes) else np.array(sizes)[:, None]
+    positions = rng.integers(0, high, size=(m, b))
+    c = max(1, m // b)
+    for start in range(0, m, c):
+        ws = rng.standard_normal((min(c, m - start), b, d))
+        ws /= _norms(ws)[..., None]
+        require_unit_norm(ws)
+        for i, agent_ws in enumerate(ws, start):
+            yield SampleBatch._of_checked(np.asarray(shards[i])[positions[i]], agent_ws)
+        del ws, agent_ws  # free this chunk before the next is drawn
+
+
+def sample_batch(indices, b, d, rng):
+    """Draw b (xi, w) pairs, xi uniform over ``indices``, w uniform on the sphere.
+
+    The one-shard case of `sample_batches`: all b indices, then all b
+    directions.
+    """
+    return next(sample_batches([indices], b, d, rng))
 
 
 def two_point_estimate(obj, x, params, w, xi, counter=None):
