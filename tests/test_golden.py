@@ -93,11 +93,11 @@ def fingerprint(record):
 
 
 GOLDEN = {
-    "dgfm": "3ab66ff8600732be034d7a3c45173f45e583dfc9c09ab74ebfc298ba72154c08",
-    "dgfm-plus": "8da20fe0ec3c3945e322520477bbf90f64093b7b73bf70a0afdde68bd07e8a5f",
-    "dgfm-plus-schedule": "410ad4cf5aa75085999316f7f765c5923d7d1a7086632cc71a7f5a39c73835a3",
-    "gfm": "9e42194f052834155ffbdce70755a4f81f8ab2491854a29b1b28420787983d44",
-    "gfm-plus": "bce1dcbff883a52cfebe8ed16e0a0da1ac3cc089b58a4f35926955c622bc7896",
+    "dgfm": "faca26d40f2746360b3592aa6c42c0a5b321e3ebde222da239bdf8e139d42693",
+    "dgfm-plus": "638b37c53cc3521848301860af861f1f123121576a9aae952ef7a472658e657d",
+    "dgfm-plus-schedule": "5a52aad4b12175bfdc5dc902458cf8779281bdceaa1011808556897ae79c9afe",
+    "gfm": "8a081517a7dbffc6576941edbcc4202c172b7759fb6e3c29e01787cd0949cf5b",
+    "gfm-plus": "92a792b1fd997ef87c8f7749c26aa7f8d53e7703dd435e0759b8b19bae437649",
 }
 
 
