@@ -40,6 +40,7 @@ from .rng import substream
 from .topology import build_complete, build_metropolis_hastings, build_ring, load_adjacency
 
 ALGOS = ("dgfm", "dgfm-plus", "gfm", "gfm-plus")
+REQUIRED = ("algo", "dataset", "out")
 OUT_DIR_ENV = "DGFM_OUT_DIR"
 
 EXIT_CONFIG = 2
@@ -67,8 +68,10 @@ def build_parser():
         allow_abbrev=False,
     )
     p.add_argument("--config", help="key=value file supplying defaults; flags override")
-    p.add_argument("--algo", choices=ALGOS, required=True)
-    p.add_argument("--dataset", required=True,
+    # --algo, --dataset and --out are required; `validate` checks them, after
+    # argparse has reported any unrecognized flag, such as a misspelled one.
+    p.add_argument("--algo", choices=ALGOS)
+    p.add_argument("--dataset",
                    help="LIBSVM path (.gz ok), builtin:quadratic, or builtin:abs")
     p.add_argument("--subset", type=int, help="restrict to the first/sampled N rows")
     p.add_argument("--subset-seed", type=int, help="sample the subset with this seed instead of taking the first rows")
@@ -87,7 +90,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="base seed; repeats use seed, seed+1, ...")
     p.add_argument("--repeats", type=int, default=1, help="number of seeds to run")
     p.add_argument("--record-every", type=int, default=1, help="record metrics every k iterations")
-    p.add_argument("--out", required=True,
+    p.add_argument("--out",
                    help=f"output path (relative paths resolve under ${OUT_DIR_ENV})")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--params", default="manual", help="manual | theorem:<epsilon>")
@@ -132,7 +135,11 @@ def parse_args(argv):
 
 
 def validate(cfg):
-    """The checks argparse cannot express: value ranges and flags that depend on each other."""
+    """The checks argparse cannot express: required flags after unknown ones, value
+    ranges and flags that depend on each other."""
+    missing = [f"--{name}" for name in REQUIRED if getattr(cfg, name) is None]
+    if missing:
+        raise ConfigError(f"the following arguments are required: {', '.join(missing)}")
     if cfg.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {cfg.repeats}")
     if cfg.seed < 0:

@@ -132,6 +132,19 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_misspelled_required_flag_is_named_as_unknown(self, tmp_path, capsys):
+        code = run_cli("--alg", "gfm", "--dataset", "builtin:quadratic", "--eta", "0.1",
+                       "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --alg gfm" in err
+        assert "required" not in err
+
+    def test_missing_required_flags_are_named(self, tmp_path, capsys):
+        code = run_cli("--dataset", "builtin:quadratic", "--eta", "0.1")
+        assert code == 2
+        assert "the following arguments are required: --algo, --out" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_is_numeric_failure(self, tmp_path, capsys):
         # the quadratic squares its scale every step, so a huge step size
