@@ -7,8 +7,10 @@ Metropolis-Hastings weights on a random connected graph. After every
 mean iterate must move by exactly -eta times the tracker mean, and the
 oracle and communication counters must equal the closed form of
 acceptance criterion 07. At every restart the tracker's consensus error
-must shrink by at least rho^2 per gossip round. Records, LIBSVM text and
-partitions round-trip or cover exactly.
+must shrink by at least rho^2 per gossip round. An iteration's bulk draw
+of every agent's pairs keeps each agent in its own shard, gives unit
+directions, is fixed by (seed, iteration) and equals one unchunked draw.
+Records, LIBSVM text and partitions round-trip or cover exactly.
 """
 
 import math
@@ -17,6 +19,7 @@ import struct
 import tempfile
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,10 +38,14 @@ from dgfm import (
     parse_libsvm,
     partition,
     read_csv_rows,
+    sample_batches,
     step,
+    substream,
     to_libsvm,
     write_records,
 )
+from dgfm.errors import InvalidParameter
+from dgfm.smoothing import UNIT_NORM_TOL, require_unit_norm
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -139,6 +146,98 @@ def test_restart_gossip_contracts_by_rho_squared(topology, d, seed, period, goss
         for before, after in zip(trace, trace[1:]):
             assert after <= topology.rho**2 * before + slack
     assert len(state.restart_log) == 2
+
+
+# The stream key of iteration k's draw: (seed, draw lane 0, k), as `step` opens it.
+DRAW_LANE = 0
+
+
+@st.composite
+def draws(draw):
+    """Random shards of a shuffled index range, and a (b, d, seed, k) to draw with."""
+    m = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    perm = np.random.default_rng(draw(st.integers(0, 2**16))).permutation(sum(sizes))
+    shards = np.split(perm, np.cumsum(sizes)[:-1])
+    return (shards, draw(st.integers(1, 6)), draw(st.integers(1, 8)),
+            draw(st.integers(0, 2**32)), draw(st.integers(0, 10_000)))
+
+
+def step_draw(shards, b, d, seed, k):
+    return list(sample_batches(shards, b, d, substream(seed, DRAW_LANE, k)))
+
+
+@PROPERTY
+@given(case=draws())
+def test_each_agent_draws_from_its_own_shard(case):
+    shards, b, d, seed, k = case
+    batches = step_draw(*case)
+    assert len(batches) == len(shards)
+    for shard, batch in zip(shards, batches):
+        assert batch.xis.shape == (b,) and batch.ws.shape == (b, d)
+        assert np.isin(batch.xis, shard).all()
+
+
+@PROPERTY
+@given(case=draws())
+def test_every_direction_has_unit_norm(case):
+    for batch in step_draw(*case):
+        assert np.max(np.abs(np.linalg.norm(batch.ws, axis=1) - 1.0)) <= UNIT_NORM_TOL
+
+
+@PROPERTY
+@given(case=draws())
+def test_draw_is_deterministic_in_seed_and_iteration(case):
+    for a, b in zip(step_draw(*case), step_draw(*case)):
+        assert np.array_equal(a.xis, b.xis)
+        assert a.ws.tobytes() == b.ws.tobytes()
+
+
+@PROPERTY
+@given(case=draws())
+def test_chunked_draw_equals_one_block(case):
+    # indices first, in one (m, b) draw; then one (m, b, d) normal block
+    shards, b, d, seed, k = case
+    m = len(shards)
+    rng = substream(seed, DRAW_LANE, k)
+    positions = rng.integers(0, np.array([len(s) for s in shards])[:, None], size=(m, b))
+    block = rng.standard_normal((m, b, d))
+    block /= np.sqrt(np.einsum("...i,...i->...", block, block))[..., None]
+    batches = step_draw(*case)
+    for shard, pos, batch in zip(shards, positions, batches):
+        assert np.array_equal(batch.xis, shard[pos])
+    assert np.stack([batch.ws for batch in batches]).tobytes() == block.tobytes()
+
+
+@PROPERTY
+@given(case=draws(), agent=st.integers(0, 7), pair=st.integers(0, 5),
+       scale=st.sampled_from([0.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, math.nan]))
+def test_chunk_with_a_non_unit_row_is_rejected(case, agent, pair, scale):
+    shards, b, d, _, _ = case
+    chunk = np.stack([batch.ws for batch in step_draw(*case)])
+    require_unit_norm(chunk)
+    chunk[agent % len(shards), pair % b] *= scale
+    with pytest.raises(InvalidParameter, match="unit norm"):
+        require_unit_norm(chunk)
+
+
+class ZeroNormals:
+    """A stream whose normal draws are all zero, so no row can be normalized."""
+
+    def __init__(self, rng):
+        self.integers = rng.integers
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+@PROPERTY
+@given(case=draws())
+def test_sampler_checks_every_chunk(case):
+    shards, b, d, seed, k = case
+    batches = sample_batches(shards, b, d, ZeroNormals(substream(seed, DRAW_LANE, k)))
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidParameter, match="unit norm"):
+        next(batches)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
