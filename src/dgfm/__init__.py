@@ -14,15 +14,12 @@ from .algorithms import (
     DgfmConfig,
     DgfmPlusConfig,
     NetworkState,
-    TheoremParams,
     dgfm_plus_run,
     dgfm_run,
     gfm_plus_run,
     gfm_run,
     select_output,
     step,
-    theorem_params_dgfm,
-    theorem_params_dgfm_plus,
 )
 from .data import (
     Partition,
@@ -51,6 +48,7 @@ from .objectives import (
     estimate_lipschitz,
     make_quadratic_test,
 )
+from .params import TheoremParams, theorem_params_dgfm, theorem_params_dgfm_plus
 from .rng import substream
 from .smoothing import (
     OracleCounter,

@@ -14,8 +14,9 @@ iteration in the message).
 
 Builtin objectives (``builtin:quadratic``, ``builtin:abs``) need no data
 file. ``--params theorem:<epsilon>`` resolves the step size and batch
-schedule from the prescribed settings instead of ``--eta``; the resolved
-values are echoed in the output metadata.
+schedule from the prescribed settings of :mod:`dgfm.params` instead of
+``--eta`` and the schedule flags; the resolved values are echoed in the
+output metadata.
 """
 
 import argparse
@@ -25,22 +26,18 @@ import sys
 import numpy as np
 
 from . import data as data_mod
-from .algorithms import (
-    DgfmConfig,
-    DgfmPlusConfig,
-    dgfm_run,
-    gfm_run,
-    theorem_params_dgfm,
-    theorem_params_dgfm_plus,
-)
+from .algorithms import DgfmConfig, DgfmPlusConfig, dgfm_run, gfm_run
 from .errors import InvalidParameter, InvalidTopology, NumericFailure, ParseError
 from .metrics import write_records
 from .objectives import AbsTest, CappedL1Svm, QuadraticTest, estimate_lipschitz
+from .params import RHO_FLOOR, theorem_params_dgfm, theorem_params_dgfm_plus
 from .rng import substream
 from .topology import build_complete, build_metropolis_hastings, build_ring, load_adjacency
 
 ALGOS = ("dgfm", "dgfm-plus", "gfm", "gfm-plus")
 REQUIRED = ("algo", "dataset", "out")
+# prescribed in theorem mode; --batch and --gossip default to 1 in manual mode
+SCHEDULE_FLAGS = ("batch", "mega-batch", "period", "gossip")
 OUT_DIR_ENV = "DGFM_OUT_DIR"
 
 EXIT_CONFIG = 2
@@ -82,11 +79,11 @@ def build_parser():
     p.add_argument("--eta", type=float, help="step size (manual mode)")
     p.add_argument("--delta", type=float, default=1e-3, help="smoothing radius (default 1e-3)")
     p.add_argument("--iters", type=int, default=1000, help="iteration count per run")
-    p.add_argument("--batch", type=int, default=1,
+    p.add_argument("--batch", type=int,
                    help="pairs per agent and iteration (all algorithms)")
     p.add_argument("--mega-batch", type=int, help="restart batch size (*-plus)")
     p.add_argument("--period", type=int, help="restart period (*-plus)")
-    p.add_argument("--gossip", type=int, default=1, help="gossip rounds at a restart (dgfm-plus)")
+    p.add_argument("--gossip", type=int, help="gossip rounds at a restart (dgfm-plus)")
     p.add_argument("--seed", type=int, default=0, help="base seed; repeats use seed, seed+1, ...")
     p.add_argument("--repeats", type=int, default=1, help="number of seeds to run")
     p.add_argument("--record-every", type=int, default=1, help="record metrics every k iterations")
@@ -131,6 +128,10 @@ def parse_args(argv):
     prefix = _config_file_flags(path) if path is not None else []
     args = build_parser().parse_args(prefix + list(argv))
     validate(args)
+    # None until validated, so that theorem mode can tell them given
+    for name in ("batch", "gossip"):
+        if getattr(args, name) is None:
+            setattr(args, name, 1)
     return args
 
 
@@ -144,6 +145,8 @@ def validate(cfg):
         raise ConfigError(f"repeats must be >= 1, got {cfg.repeats}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.subset is not None and cfg.subset < 1:
+        raise ConfigError(f"subset must be >= 1, got {cfg.subset}")
     if cfg.iters < 1:
         raise ConfigError(f"iters must be >= 1, got {cfg.iters}")
     if cfg.record_every < 1:
@@ -158,6 +161,11 @@ def validate(cfg):
             raise ConfigError("--eta conflicts with --params theorem:<epsilon>")
         if cfg.algo not in ("dgfm", "dgfm-plus"):
             raise ConfigError("theorem mode is defined for the decentralized algorithms only")
+        given = [f"--{flag}" for flag in SCHEDULE_FLAGS
+                 if getattr(cfg, flag.replace("-", "_")) is not None]
+        if given:
+            raise ConfigError("--params theorem:<epsilon> prescribes the schedule; "
+                              f"drop {', '.join(given)}")
         try:
             eps = float(cfg.params.split(":", 1)[1])
         except ValueError:
@@ -259,7 +267,8 @@ def run_experiment(cfg):
             )
         matrix, topology_id = _build_topology(cfg)
         if cfg.params.startswith("theorem:"):
-            theorem_echo = _resolve_theorem(cfg, objective, matrix.rho).echo()
+            # a complete graph mixes in one round (rho = 0), outside the analysis' (0, 1)
+            theorem_echo = _resolve_theorem(cfg, objective, max(matrix.rho, RHO_FLOOR)).echo()
 
     # Builtin test functions are minimized at the origin, so start them at
     # ones; dataset runs start at zero per the benchmark protocol.

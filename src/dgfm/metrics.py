@@ -9,19 +9,19 @@ stationarity evaluations are measurement, not optimization; they never
 touch the oracle-call counter, so plots against ``zo_calls`` use the
 algorithmic budget only.
 
-Records serialize to CSV with the fixed column order
-
-    algo,seed,iter,zo_calls,comm_rounds,loss,consensus_err,stationarity,wall_ms
-
-(stationarity left empty when not sampled) or to JSON with a metadata
-header per record. Doubles are printed in shortest round-trip form, so a
+Records serialize to CSV, one row per entry: the record's algo and seed,
+then the entry columns of `ENTRY_COLUMNS` (stationarity left empty when
+not sampled), or to JSON with a metadata header per record and the same
+entry columns. Doubles are printed in shortest round-trip form, so a
 written file parses back to bit-equal values.
 """
 
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -39,17 +39,33 @@ __all__ = [
     "write_records",
 ]
 
-CSV_COLUMNS = (
-    "algo",
-    "seed",
-    "iter",
-    "zo_calls",
-    "comm_rounds",
-    "loss",
-    "consensus_err",
-    "stationarity",
-    "wall_ms",
+
+# Per column type: how a column of values is written, as a list of cells,
+# and how one cell is read back; only the optional type admits an empty
+# cell. The repr of a Python float is the shortest string that round-trips.
+_CODECS = {
+    int: (lambda values: list(map(str, values)), int),
+    float: (lambda values: list(map(repr, map(float, values))), float),
+    float | None: (lambda values: ["" if v is None else repr(float(v)) for v in values],
+                   lambda text: float(text) if text else None),
+}
+
+# The one statement of the entry columns, as (file column, RunEntry field,
+# type): the CSV header and rows, the JSON entries and `read_csv_rows` all
+# follow it.
+ENTRY_COLUMNS = (
+    ("iter", "iteration", int),
+    ("zo_calls", "zo_calls", int),
+    ("comm_rounds", "comm_rounds", int),
+    ("loss", "loss", float),
+    ("consensus_err", "consensus_err", float),
+    ("stationarity", "stationarity", float | None),
+    ("wall_ms", "wall_ms", float),
 )
+_ENTRY_NAMES = tuple(column for column, _, _ in ENTRY_COLUMNS)
+CSV_COLUMNS = ("algo", "seed", *_ENTRY_NAMES)
+_entry_values = operator.attrgetter(*(name for _, name, _ in ENTRY_COLUMNS))
+_WRITE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -102,18 +118,7 @@ class RunRecord:
     def to_json_obj(self):
         return {
             "metadata": self.metadata,
-            "entries": [
-                {
-                    "iter": e.iteration,
-                    "zo_calls": e.zo_calls,
-                    "comm_rounds": e.comm_rounds,
-                    "loss": e.loss,
-                    "consensus_err": e.consensus_err,
-                    "stationarity": e.stationarity,
-                    "wall_ms": e.wall_ms,
-                }
-                for e in self.entries
-            ],
+            "entries": [dict(zip(_ENTRY_NAMES, _entry_values(e))) for e in self.entries],
             "restarts": self.restarts,
         }
 
@@ -164,11 +169,6 @@ def stationarity_estimate(obj, x, delta, n_samples, rng):
     return StationarityEstimate(float(np.linalg.norm(mean)), stderr)
 
 
-def _fmt(value):
-    # repr of a Python float is the shortest string that round-trips.
-    return repr(float(value))
-
-
 def write_records(records, path, format="csv"):
     """Write run records to ``path`` as CSV or JSON (LF newlines).
 
@@ -182,22 +182,15 @@ def write_records(records, path, format="csv"):
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(CSV_COLUMNS)
                 for record in records:
-                    algo = record.metadata.get("algo", "")
-                    seed = record.metadata.get("seed", "")
-                    for e in record.entries:
-                        writer.writerow(
-                            [
-                                algo,
-                                seed,
-                                e.iteration,
-                                e.zo_calls,
-                                e.comm_rounds,
-                                _fmt(e.loss),
-                                _fmt(e.consensus_err),
-                                "" if e.stationarity is None else _fmt(e.stationarity),
-                                _fmt(e.wall_ms),
-                            ]
-                        )
+                    algo, seed = (repeat(record.metadata.get(name, "")) for name in ("algo", "seed"))
+                    # a column at a time is faster than a cell at a time; the
+                    # chunks keep the transposed copy small
+                    for start in range(0, len(record.entries), _WRITE_CHUNK):
+                        chunk = record.entries[start:start + _WRITE_CHUNK]
+                        columns = zip(*map(_entry_values, chunk))
+                        cells = [_CODECS[kind][0](column)
+                                 for (_, _, kind), column in zip(ENTRY_COLUMNS, columns)]
+                        writer.writerows(zip(algo, seed, *cells))
         elif format == "json":
             with open(path, "w", newline="") as fh:
                 json.dump([r.to_json_obj() for r in records], fh, indent=1)
@@ -210,20 +203,10 @@ def write_records(records, path, format="csv"):
 
 def read_csv_rows(path):
     """Read back a CSV written by `write_records` with typed fields."""
-    rows = []
+    reads = [(column, _CODECS[kind][1]) for column, _, kind in ENTRY_COLUMNS]
     with open(path, newline="") as fh:
-        for raw in csv.DictReader(fh):
-            rows.append(
-                {
-                    "algo": raw["algo"],
-                    "seed": int(raw["seed"]) if raw["seed"] else None,
-                    "iter": int(raw["iter"]),
-                    "zo_calls": int(raw["zo_calls"]),
-                    "comm_rounds": int(raw["comm_rounds"]),
-                    "loss": float(raw["loss"]),
-                    "consensus_err": float(raw["consensus_err"]),
-                    "stationarity": float(raw["stationarity"]) if raw["stationarity"] else None,
-                    "wall_ms": float(raw["wall_ms"]),
-                }
-            )
-    return rows
+        return [
+            {"algo": raw["algo"], "seed": int(raw["seed"]) if raw["seed"] else None,
+             **{column: read(raw[column]) for column, read in reads}}
+            for raw in csv.DictReader(fh)
+        ]

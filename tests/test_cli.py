@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import synthetic_svm_text
 from dgfm import read_csv_rows, theorem_params_dgfm_plus
 from dgfm import cli
 from dgfm.cli import main
+from dgfm.params import RHO_FLOOR
 
 
 def run_cli(*args):
@@ -119,6 +121,16 @@ class TestExitCodes:
                        "--out", str(tmp_path / "r.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("subset", [["0"], ["-2", "--subset-seed", "1"]],
+                             ids=["first-rows", "sampled"])
+    def test_subset_below_one_is_config_error(self, subset, tmp_path, capsys):
+        data = tmp_path / "tiny.libsvm"
+        data.write_text(synthetic_svm_text(n=16, d=4, nnz=2, seed=1))
+        code = run_cli("--algo", "gfm", "--dataset", str(data), "--subset", *subset,
+                       "--iters", "5", "--eta", "0.1", "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "subset must be >= 1" in capsys.readouterr().err
+
     def test_ring_below_three_agents_is_config_error(self, tmp_path, capsys):
         code = run_cli("--algo", "dgfm", "--dataset", "builtin:quadratic",
                        "--m", "2", "--topology", "ring", "--iters", "10",
@@ -178,6 +190,45 @@ class TestTheoremMode:
         cfg_echo = blob[0]["metadata"]["config"]
         assert cfg_echo["eta"] == params.eta
         assert cfg_echo["mega_batch"] == params.mega_batch
+
+    THEOREM_RUN = ("--algo", "dgfm-plus", "--dataset", "builtin:quadratic", "--m", "4",
+                   "--iters", "5", "--params", "theorem:0.5")
+
+    @pytest.mark.parametrize("flag", ["--batch", "--mega-batch", "--period", "--gossip"])
+    def test_schedule_flags_conflict(self, flag, tmp_path, capsys):
+        # the prescription sets the whole schedule, so a given flag could only be overridden
+        code = run_cli(*self.THEOREM_RUN, flag, "7", "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert f"drop {flag}" in capsys.readouterr().err
+
+    def test_schedule_flag_in_config_file_conflicts(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("mega_batch = 4\n")
+        code = run_cli("--config", str(cfg), *self.THEOREM_RUN, "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "drop --mega-batch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus"])
+    def test_complete_topology_is_floored(self, algo, tmp_path):
+        # a complete graph has rho = 0, outside the analysis' range; the CLI floors it
+        out = tmp_path / "r.json"
+        code = run_cli("--algo", algo, "--dataset", "builtin:quadratic", "--m", "4",
+                       "--topology", "complete", "--iters", "5", "--params", "theorem:0.5",
+                       "--out", str(out), "--format", "json")
+        assert code == 0
+        metadata = json.loads(out.read_text())[0]["metadata"]
+        assert metadata["rho"] < RHO_FLOOR
+        eta = metadata["theorem_params"]["eta"]
+        assert math.isfinite(eta) and eta > 0
+
+    def test_manual_schedule_defaults(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run_cli("--algo", "dgfm-plus", "--dataset", "builtin:quadratic", "--m", "4",
+                       "--iters", "5", "--eta", "0.01", "--period", "2", "--mega-batch", "3",
+                       "--out", str(out), "--format", "json")
+        assert code == 0
+        config = json.loads(out.read_text())[0]["metadata"]["config"]
+        assert (config["batch"], config["gossip_rounds"]) == (1, 1)
 
 
 class TestReproducibility:

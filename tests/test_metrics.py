@@ -129,6 +129,20 @@ class TestWriteRecords:
             assert row["wall_ms"] == entry.wall_ms
             assert row["algo"] == "gfm" and row["seed"] == 5
 
+    def test_long_records_come_back_whole_and_in_order(self, tmp_path):
+        # the writer formats entries in chunks; rows must not be lost or reordered across them
+        records = [RunRecord(metadata={"algo": "dgfm", "seed": s}) for s in (1, 2)]
+        for n, record in zip((700, 257), records):
+            for k in range(1, n + 1):
+                record.append(RunEntry(iteration=k, zo_calls=2 * k, comm_rounds=k, loss=1.0 / k,
+                                       consensus_err=0.5 / k,
+                                       stationarity=None if k % 7 else 0.25, wall_ms=0.1 * k))
+        path = tmp_path / "r.csv"
+        write_records(records, path)
+        assert [(r["seed"], r["iter"], r["loss"], r["stationarity"]) for r in read_csv_rows(path)] == [
+            (record.metadata["seed"], e.iteration, e.loss, e.stationarity)
+            for record in records for e in record.entries]
+
     def test_lf_newlines(self, tmp_path):
         path = tmp_path / "r.csv"
         write_records([sample_record()], path)

@@ -13,6 +13,7 @@ directions, is fixed by (seed, iteration) and equals one unchunked draw.
 Records, LIBSVM text and partitions round-trip or cover exactly.
 """
 
+import json
 import math
 import os
 import struct
@@ -266,6 +267,9 @@ def test_csv_round_trip_is_bit_equal(recs):
         path = os.path.join(tmp, "r.csv")
         write_records(recs, path)
         rows = read_csv_rows(path)
+        write_records(recs, path, format="json")
+        with open(path) as fh:
+            json_entries = [entry for r in json.load(fh) for entry in r["entries"]]
     entries = [(r.metadata, e) for r in recs for e in r.entries]
     assert len(rows) == len(entries)
     for row, (meta, e) in zip(rows, entries):
@@ -279,6 +283,9 @@ def test_csv_round_trip_is_bit_equal(recs):
             assert row["stationarity"] is None
         else:
             assert same_bits(row["stationarity"], e.stationarity)
+    # JSON entries hold the CSV's entry columns in its order; equal reprs are equal bits
+    assert [[(k, repr(v)) for k, v in entry.items()] for entry in json_entries] == [
+        [(k, repr(v)) for k, v in row.items()][2:] for row in rows]
 
 
 @st.composite
