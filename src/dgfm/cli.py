@@ -38,6 +38,8 @@ ALGOS = ("dgfm", "dgfm-plus", "gfm", "gfm-plus")
 REQUIRED = ("algo", "dataset", "out")
 # prescribed in theorem mode; --batch and --gossip default to 1 in manual mode
 SCHEDULE_FLAGS = ("batch", "mega-batch", "period", "gossip")
+# read from a data file only; a builtin objective rejects them
+DATA_FLAGS = ("subset", "subset-seed", "lam")
 OUT_DIR_ENV = "DGFM_OUT_DIR"
 
 EXIT_CONFIG = 2
@@ -147,6 +149,14 @@ def validate(cfg):
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.subset is not None and cfg.subset < 1:
         raise ConfigError(f"subset must be >= 1, got {cfg.subset}")
+    if cfg.dataset.startswith("builtin:"):
+        given = [f"--{flag}" for flag in DATA_FLAGS
+                 if getattr(cfg, flag.replace("-", "_")) is not None]
+        if given:
+            raise ConfigError(f"a builtin objective has no data rows or SVM penalty; "
+                              f"drop {', '.join(given)}")
+    if cfg.subset_seed is not None and cfg.subset is None:
+        raise ConfigError("--subset-seed needs --subset")
     if cfg.iters < 1:
         raise ConfigError(f"iters must be >= 1, got {cfg.iters}")
     if cfg.record_every < 1:

@@ -4,10 +4,11 @@ A RunRecord collects one entry per recorded iteration: loss at the mean
 iterate, consensus error, the cumulative oracle-call and communication
 counters, and (periodically) a stationarity proxy: the norm of the
 two-point estimate over fresh pairs at the mean iterate, the same estimate
-the optimizers form, drawn over the whole objective. Loss and
-stationarity evaluations are measurement, not optimization; they never
-touch the oracle-call counter, so plots against ``zo_calls`` use the
-algorithmic budget only.
+the optimizers form, drawn over the whole objective and evaluated in one
+``eval_batch`` call. Loss and stationarity evaluations are measurement,
+not optimization; they never touch the oracle-call counter (nor the
+scalar ``eval`` that counted oracle calls go through), so plots against
+``zo_calls`` use the algorithmic budget only.
 
 Records serialize to CSV, one row per entry: the record's algo and seed,
 then the entry columns of `ENTRY_COLUMNS` (stationarity left empty when
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameter, ShapeError
-from .smoothing import SmoothingParams, sample_batch, two_point_estimate
+from .smoothing import SmoothingParams, sample_batch
 
 __all__ = [
     "RunEntry",
@@ -149,18 +150,25 @@ def stationarity_estimate(obj, x, delta, n_samples, rng):
     minimizer over it, so its norm is an upper-bound proxy for the
     stationarity measure. ``stderr`` aggregates the componentwise standard
     errors of the Monte Carlo mean.
+
+    All 2 * n_samples probes, the plus points stacked over the minus
+    points, go to ``obj.eval_batch`` in one call; with the base class's
+    loop of ``eval`` the result is bit-equal to summing
+    `two_point_estimate` pair by pair.
     """
     if n_samples < 1:
         raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
     x = np.asarray(x, dtype=float)
-    params = SmoothingParams(delta=delta, dim=x.shape[0])
+    params = SmoothingParams(delta=delta, dim=obj.dim)
+    if x.shape != (params.dim,):
+        raise ShapeError(f"x must have shape ({params.dim},), got {x.shape}")
     batch = sample_batch(np.arange(obj.n_samples), n_samples, params.dim, rng)
-    acc = np.zeros(x.shape[0])
-    acc_sq = np.zeros(x.shape[0])
-    for xi, w in zip(batch.xis, batch.ws):
-        g = two_point_estimate(obj, x, params, w, xi)
-        acc += g
-        acc_sq += g * g
+    steps = delta * batch.ws
+    values = obj.eval_batch(np.concatenate([x + steps, x - steps]), np.tile(batch.xis, 2))
+    diffs = values[:n_samples] - values[n_samples:]
+    g = (params.dim / (2.0 * delta)) * diffs[:, None] * batch.ws
+    acc = g.sum(axis=0)
+    acc_sq = (g * g).sum(axis=0)
     mean = acc / n_samples
     if n_samples == 1:
         return StationarityEstimate(float(np.linalg.norm(mean)), math.inf)

@@ -2,10 +2,15 @@
 
 No objective in this package ever exposes a gradient; optimizers see a
 single method ``eval(x, xi)`` returning the value of the xi-th summand at
-x. The concrete objectives are the capped-L1 hinge-loss SVM used in the
-benchmark experiments and a few synthetic test functions whose smoothed
-surrogates are known in closed form (those are the unbiasedness oracles of
-the test suite).
+x, one call per counted oracle call. Measurement (the stationarity proxy
+of :mod:`dgfm.metrics`) calls its batched form ``eval_batch(P, xis)``,
+the value of summand ``xis[r]`` at row ``P[r]`` for every r; the base
+class forms it from ``eval``, and an objective that overrides it must
+agree with ``eval`` row by row (the SVM's CSR kernel agrees up to
+summation order). The concrete objectives are the capped-L1 hinge-loss
+SVM used in the benchmark experiments and a few synthetic test functions
+whose smoothed surrogates are known in closed form (those are the
+unbiasedness oracles of the test suite).
 
 Objectives are immutable after construction and ``eval`` is pure, so they
 are safe to share across concurrently simulated agents.
@@ -64,9 +69,32 @@ class StochasticObjective:
             )
         return xi
 
+    def _check_batch(self, P, xis):
+        xis = np.asarray(xis, dtype=np.intp)
+        P = np.asarray(P, dtype=float)
+        if xis.ndim != 1 or P.shape != (xis.shape[0], self.dim):
+            raise ShapeError(
+                f"need xis (r,) and P (r, {self.dim}), got {xis.shape} and {P.shape}"
+            )
+        if xis.size and not (0 <= xis.min() and xis.max() < self.n_samples):
+            bad = xis[(xis < 0) | (xis >= self.n_samples)][0]
+            raise SampleIndexError(
+                f"sample index {bad} out of range [0, {self.n_samples})"
+            )
+        return P, xis
+
     def eval(self, x, xi):
         """Value of the xi-th summand at x. Deterministic in (x, xi)."""
         raise NotImplementedError
+
+    def eval_batch(self, P, xis):
+        """Values of summand ``xis[r]`` at row ``P[r]``, shape (r,).
+
+        ``P`` has shape (len(xis), dim). Equal to ``eval`` row by row; this
+        base form is that loop.
+        """
+        P, xis = self._check_batch(P, xis)
+        return np.array([self.eval(p, xi) for p, xi in zip(P, xis)], dtype=float)
 
     def full_loss(self, x):
         """Average of all summands at x (reporting only, not an oracle call)."""
@@ -139,6 +167,22 @@ class CappedL1Svm(StochasticObjective):
         lo, hi = self._indptr[xi], self._indptr[xi + 1]
         margin = self.labels[xi] * float(np.dot(self._data[lo:hi], x[self._indices[lo:hi]]))
         return max(1.0 - margin, 0.0) + self._penalty(x)
+
+    def eval_batch(self, P, xis):
+        """One CSR kernel for all rows; equal to ``eval`` up to summation order."""
+        P, xis = self._check_batch(P, xis)
+        r = xis.shape[0]
+        lo = self._indptr[xis]
+        counts = self._indptr[xis + 1] - lo
+        rows = np.repeat(np.arange(r), counts)
+        # the k-th gathered nonzero sits at its row's start plus its offset in the row
+        offsets = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+        nz = np.repeat(lo, counts) + offsets
+        # bincount, not add.reduceat: a row with no nonzeros sums to 0
+        dots = np.bincount(rows, weights=self._data[nz] * P[rows, self._indices[nz]],
+                           minlength=r)
+        hinge = np.maximum(1.0 - self.labels[xis] * dots, 0.0)
+        return hinge + self.lam * np.minimum(np.abs(P), self.alpha).sum(axis=1)
 
     def full_loss(self, x):
         x = np.asarray(x, dtype=float)

@@ -131,6 +131,22 @@ class TestExitCodes:
         assert code == 2
         assert "subset must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--subset", "3"], ["--subset-seed", "2"], ["--lam", "5"]],
+                             ids=["subset", "subset-seed", "lam"])
+    def test_data_flag_with_builtin_is_config_error(self, flag, tmp_path, capsys):
+        code = run_cli("--algo", "gfm", "--dataset", "builtin:quadratic", *flag,
+                       "--iters", "3", "--eta", "0.01", "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert f"drop {flag[0]}" in capsys.readouterr().err
+
+    def test_subset_seed_without_subset_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "tiny.libsvm"
+        data.write_text(synthetic_svm_text(n=16, d=4, nnz=2, seed=1))
+        code = run_cli("--algo", "gfm", "--dataset", str(data), "--subset-seed", "1",
+                       "--iters", "5", "--eta", "0.1", "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "--subset-seed needs --subset" in capsys.readouterr().err
+
     def test_ring_below_three_agents_is_config_error(self, tmp_path, capsys):
         code = run_cli("--algo", "dgfm", "--dataset", "builtin:quadratic",
                        "--m", "2", "--topology", "ring", "--iters", "10",

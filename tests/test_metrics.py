@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dgfm import (
     AbsTest,
+    QuadraticTest,
     RunEntry,
     RunRecord,
     build_ring,
@@ -12,11 +14,14 @@ from dgfm import (
     make_quadratic_test,
     mix,
     read_csv_rows,
+    sample_batch,
     stationarity_estimate,
     substream,
+    two_point_estimate,
     write_records,
 )
 from dgfm.errors import InvalidParameter, ShapeError
+from dgfm.smoothing import SmoothingParams
 
 
 class TestConsensusError:
@@ -84,6 +89,40 @@ class TestStationarity:
         with pytest.raises(InvalidParameter):
             stationarity_estimate(AbsTest(2), np.zeros(2), delta=0.1, n_samples=0,
                                   rng=substream(19, 1))
+
+    @pytest.mark.parametrize("make", [AbsTest, QuadraticTest], ids=["abs", "quadratic"])
+    @pytest.mark.parametrize("n_samples", [1, 2, 7, 32])
+    def test_batched_proxy_is_the_per_pair_loop(self, make, n_samples):
+        obj = make(4, n_samples=3)
+        for k in range(20):
+            x = substream(20, 7, k).standard_normal(4) * 10.0 ** (k % 4 - 2)
+            got = stationarity_estimate(obj, x, 0.05, n_samples, substream(21, 7, k))
+            want = per_pair_reference(obj, x, 0.05, n_samples, substream(21, 7, k))
+            assert tuple(got) == want
+
+    def test_batched_proxy_matches_the_per_pair_loop_on_svm(self, svm_objective):
+        for k in range(50):
+            x = 0.5 * substream(22, 7, k).standard_normal(svm_objective.dim)
+            got = stationarity_estimate(svm_objective, x, 1e-3, 32, substream(23, 7, k))
+            want = per_pair_reference(svm_objective, x, 1e-3, 32, substream(23, 7, k))
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def per_pair_reference(obj, x, delta, n_samples, rng):
+    """The proxy as one `two_point_estimate` per pair, the same draw, accumulated in order."""
+    params = SmoothingParams(delta=delta, dim=x.shape[0])
+    batch = sample_batch(np.arange(obj.n_samples), n_samples, params.dim, rng)
+    acc = np.zeros(x.shape[0])
+    acc_sq = np.zeros(x.shape[0])
+    for xi, w in zip(batch.xis, batch.ws):
+        g = two_point_estimate(obj, x, params, w, xi)
+        acc += g
+        acc_sq += g * g
+    mean = acc / n_samples
+    if n_samples == 1:
+        return float(np.linalg.norm(mean)), math.inf
+    var = np.maximum(acc_sq / n_samples - mean**2, 0.0) * n_samples / (n_samples - 1)
+    return float(np.linalg.norm(mean)), math.sqrt(float(var.sum()) / n_samples)
 
 
 def sample_record(algo="gfm", seed=5, n=3, with_stationarity=False):

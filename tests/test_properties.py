@@ -10,7 +10,10 @@ acceptance criterion 07. At every restart the tracker's consensus error
 must shrink by at least rho^2 per gossip round. An iteration's bulk draw
 of every agent's pairs keeps each agent in its own shard, gives unit
 directions, is fixed by (seed, iteration) and equals one unchunked draw.
-Records, LIBSVM text and partitions round-trip or cover exactly.
+Records, LIBSVM text and partitions round-trip or cover exactly. The
+batched oracle agrees with scalar ``eval`` row by row: the SVM's CSR
+kernel to round-off, on rows with no nonzeros too, and the base class's
+loop bit for bit; both reject what scalar ``eval`` rejects.
 """
 
 import json
@@ -27,9 +30,12 @@ from hypothesis import strategies as st
 
 from dgfm import (
     AbsTest,
+    CappedL1Svm,
     DgfmConfig,
     DgfmPlusConfig,
+    LinearTest,
     NetworkState,
+    QuadraticTest,
     RunEntry,
     RunRecord,
     SparseDataset,
@@ -45,7 +51,7 @@ from dgfm import (
     to_libsvm,
     write_records,
 )
-from dgfm.errors import InvalidParameter
+from dgfm.errors import InvalidParameter, SampleIndexError, ShapeError
 from dgfm.smoothing import UNIT_NORM_TOL, require_unit_norm
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -320,3 +326,61 @@ def test_partition_covers_each_index_once(n, m, seed):
     assert max(part.sizes) - min(part.sizes) <= 1
     again = partition(n, m, seed)
     assert all(np.array_equal(a, b) for a, b in zip(part.assignment, again.assignment))
+
+
+@st.composite
+def svm_batches(draw):
+    """A random CSR objective and a batch of (row of P, sample index) to evaluate.
+
+    A third of the rows have no nonzeros; up to 3n indices force repeats;
+    each row of P has its own scale in [1e-3, 10].
+    """
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    keep = rng.uniform(size=(n, d)) < rng.choice([0.0, 0.3, 1.0], size=(n, 1))
+    features = sp.csr_matrix(np.where(keep, rng.uniform(-1.0, 1.0, (n, d)), 0.0))
+    obj = CappedL1Svm(features, rng.choice([-1.0, 1.0], n), lam=draw(st.floats(0.0, 1.0)),
+                      alpha=draw(st.floats(0.01, 10.0)))
+    r = draw(st.integers(0, 3 * n))
+    P = 10.0 ** rng.uniform(-3.0, 1.0, (r, 1)) * rng.standard_normal((r, d))
+    return obj, P, rng.integers(0, n, r)
+
+
+def scalar_evals(obj, P, xis):
+    return np.array([obj.eval(p, xi) for p, xi in zip(P, xis)], dtype=float)
+
+
+@PROPERTY
+@given(case=svm_batches())
+def test_csr_kernel_equals_scalar_eval(case):
+    obj, P, xis = case
+    np.testing.assert_allclose(obj.eval_batch(P, xis), scalar_evals(obj, P, xis),
+                               rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(d=st.integers(1, 6), n=st.integers(1, 5), r=st.integers(0, 8),
+       seed=st.integers(0, 2**32))
+def test_base_batch_is_the_scalar_loop(d, n, r, seed):
+    rng = np.random.default_rng(seed)
+    P = 10.0 ** rng.uniform(-3.0, 1.0, (r, 1)) * rng.standard_normal((r, d))
+    xis = rng.integers(0, n, r)
+    for obj in (QuadraticTest(d, n), AbsTest(d, n), LinearTest(rng.standard_normal(d), n)):
+        assert obj.eval_batch(P, xis).tobytes() == scalar_evals(obj, P, xis).tobytes()
+
+
+@PROPERTY
+@given(case=svm_batches(), at=st.integers(0, 2**16), below=st.booleans())
+def test_batch_rejects_what_eval_rejects(case, at, below):
+    svm, P, xis = case
+    abs_obj = AbsTest(svm.dim, svm.n_samples)
+    for obj in (svm, abs_obj):
+        with pytest.raises(ShapeError):
+            obj.eval_batch(P[:, :-1], xis)
+        with pytest.raises(ShapeError):
+            obj.eval_batch(np.vstack([P, np.zeros((1, svm.dim))]), xis)
+        if len(xis):
+            bad = xis.copy()
+            bad[at % len(bad)] = -1 if below else svm.n_samples
+            with pytest.raises(SampleIndexError):
+                obj.eval_batch(P, bad)

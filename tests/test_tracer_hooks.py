@@ -5,7 +5,9 @@ functions named in its ``LOOP_CALLS`` where `dgfm.algorithms` looks them
 up, and it counts oracle calls by wrapping the objective's ``eval``. A
 traced run fails if one of those names is gone, or if the optimizers form
 an estimate without one ``eval`` per counted oracle call. These tests
-catch both from the package's own suite.
+catch both from the package's own suite. The stationarity proxy is
+measurement and evaluates through ``eval_batch``, so the count holds with
+it switched on too.
 """
 
 import ast
@@ -76,3 +78,19 @@ def test_each_counted_oracle_call_is_one_eval(algo, small_svm_objective):
         calls = gfm_run(obj, cfg, **opts).entries[-1].zo_calls
     assert calls > 0
     assert obj.calls == calls
+
+
+@pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus", "gfm", "gfm-plus"])
+def test_the_stationarity_proxy_makes_no_scalar_eval(algo, small_svm_objective):
+    obj = EvalCounter(small_svm_objective)
+    plus = algo.endswith("-plus")
+    cfg = (DgfmPlusConfig(eta=0.01, delta=1e-3, iters=8, seed=3, **PLUS) if plus
+           else DgfmConfig(eta=0.01, delta=1e-3, iters=8, seed=3, batch=2))
+    opts = dict(stationarity_every=1, keep_iterates=False)
+    if algo.startswith("dgfm"):
+        part = partition(obj.n_samples, M, seed=3)
+        record = dgfm_run(build_ring(M), part, obj, cfg, **opts)[1]
+    else:
+        record = gfm_run(obj, cfg, **opts)
+    assert all(e.stationarity is not None for e in record.entries)
+    assert obj.calls == record.entries[-1].zo_calls
