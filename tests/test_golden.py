@@ -97,7 +97,7 @@ GOLDEN = {
     "dgfm-plus": "638b37c53cc3521848301860af861f1f123121576a9aae952ef7a472658e657d",
     "dgfm-plus-schedule": "5a52aad4b12175bfdc5dc902458cf8779281bdceaa1011808556897ae79c9afe",
     "gfm": "8a081517a7dbffc6576941edbcc4202c172b7759fb6e3c29e01787cd0949cf5b",
-    "gfm-plus": "92a792b1fd997ef87c8f7749c26aa7f8d53e7703dd435e0759b8b19bae437649",
+    "gfm-plus": "89a2b8506d4dbfc2bed2a1d9e4921fe1733e79a9d3a3344adc9b0f97587e8c60",
 }
 
 
