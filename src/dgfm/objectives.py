@@ -175,9 +175,8 @@ class CappedL1Svm(StochasticObjective):
         lo = self._indptr[xis]
         counts = self._indptr[xis + 1] - lo
         rows = np.repeat(np.arange(r), counts)
-        # the k-th gathered nonzero sits at its row's start plus its offset in the row
-        offsets = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
-        nz = np.repeat(lo, counts) + offsets
+        # the k-th gathered nonzero is its row's indptr start plus its offset in the row
+        nz = np.arange(rows.shape[0]) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
         # bincount, not add.reduceat: a row with no nonzeros sums to 0
         dots = np.bincount(rows, weights=self._data[nz] * P[rows, self._indices[nz]],
                            minlength=r)

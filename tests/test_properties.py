@@ -332,7 +332,7 @@ def test_partition_covers_each_index_once(n, m, seed):
 def svm_batches(draw):
     """A random CSR objective and a batch of (row of P, sample index) to evaluate.
 
-    A third of the rows have no nonzeros; up to 3n indices force repeats;
+    About a third of the rows have no nonzeros; up to 3n indices force repeats;
     each row of P has its own scale in [1e-3, 10].
     """
     n, d = draw(st.integers(1, 12)), draw(st.integers(1, 10))
@@ -373,8 +373,7 @@ def test_base_batch_is_the_scalar_loop(d, n, r, seed):
 @given(case=svm_batches(), at=st.integers(0, 2**16), below=st.booleans())
 def test_batch_rejects_what_eval_rejects(case, at, below):
     svm, P, xis = case
-    abs_obj = AbsTest(svm.dim, svm.n_samples)
-    for obj in (svm, abs_obj):
+    for obj in (svm, AbsTest(svm.dim, svm.n_samples)):
         with pytest.raises(ShapeError):
             obj.eval_batch(P[:, :-1], xis)
         with pytest.raises(ShapeError):
