@@ -29,7 +29,6 @@ from dgfm import (
     partition,
     select_output,
     step,
-    substream,
 )
 
 m, d = 8, 6
@@ -63,14 +62,23 @@ print("restart gossip squeezes the tracker deviation:",
 print("\n=== single-agent degeneration is exact ===")
 obj1 = make_quadratic_test(d)
 cfg1 = DgfmConfig(eta=0.05, delta=0.01, iters=40, seed=5, batch=1)
+# the network's one agent against the centralized run's (gfm_run's partition)
+net = NetworkState.initial(1, np.ones(d))
+central = NetworkState.initial(1, np.ones(d))
+same = True
+for _ in range(cfg1.iters):
+    step(net, build_complete(1), partition(1, 1, seed=5), obj1, cfg1)
+    step(central, build_complete(1), partition(obj1.n_samples, 1, seed=cfg1.seed), obj1, cfg1)
+    same = same and np.array_equal(net.x, central.x)
 _, rec_net = dgfm_run(build_complete(1), partition(1, 1, seed=5), obj1, cfg1,
                       x0=np.ones(d))
 rec_central = gfm_run(obj1, cfg1, x0=np.ones(d))
-same = all(np.array_equal(a[1][0], b[1][0])
-           for a, b in zip(rec_net.snapshots, rec_central.snapshots))
+same = same and np.array_equal(select_output(rec_net), select_output(rec_central))
 print("network run with m=1 bit-equals the centralized baseline:", same)
 print("comm rounds with one agent (no neighbours):", rec_net.entries[-1].comm_rounds)
 
 print("\n=== uniform output selection over the recorded trajectory ===")
-out = select_output(record, substream(7, 2))
-print("selected iterate with loss", f"{obj.full_loss(out):.4f}")
+# drawn before the run from the config's seed, so only that iterate is kept
+out = select_output(record)
+k, _ = record.snapshots[0]
+print(f"selected iterate of iteration {k} with loss {obj.full_loss(out):.4f}")

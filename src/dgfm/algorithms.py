@@ -309,6 +309,14 @@ def _observe(record, objective, state, cfg, t0, stationarity_every, stationarity
     )
 
 
+def _draw_output(seed, candidates):
+    """Index of the output iterate, uniform over ``candidates``, from the seed's selection lane.
+
+    A run draws it before its first step, so it keeps only the drawn iterate.
+    """
+    return int(substream(seed, _LANE_SELECT).integers(candidates))
+
+
 def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
              metadata=None, stationarity_every=10, stationarity_samples=32,
              keep_iterates=True):
@@ -319,10 +327,13 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
     dgfm-plus. All agents start from the common point ``x0`` (zero by
     default). Metrics are recorded every ``record_every`` iterations; the
     Monte Carlo stationarity proxy every ``stationarity_every``-th recorded
-    entry (0 disables it). Unless ``keep_iterates`` is off, the iterates of
-    every recorded iteration are kept as snapshots for output selection.
-    Identical (config, seed) give bit-identical records apart from
-    wall-clock times.
+    entry (0 disables it). Unless ``keep_iterates`` is off, the record
+    keeps the output of `select_output`: one of the m * (iters //
+    record_every) recorded (iteration, agent) iterates, ordered iteration
+    first, drawn uniformly from the seed's selection stream before the
+    first step, so only that one (1, d) row is ever copied. Identical
+    (config, seed) give bit-identical records, the output included, apart
+    from wall-clock times.
 
     For dgfm-plus, restarts fire at every iteration k with
     k mod period == 0, so a final partial cycle simply runs short when
@@ -347,13 +358,18 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
         "algo": algo, "seed": cfg.seed, "config": asdict(cfg), "dataset": objective.name,
         "topology": f"m={schedule.m}", "rho": schedule.base.rho, **(metadata or {}),
     })
+    recorded = cfg.iters // record_every
+    output_k = None
+    if keep_iterates and recorded:
+        pick = _draw_output(cfg.seed, schedule.m * recorded)
+        output_k, output_agent = (pick // schedule.m + 1) * record_every, pick % schedule.m
     t0 = perf_counter()
     for _ in range(cfg.iters):
         step(state, schedule, partition, objective, cfg)
         if state.k % record_every == 0:
             _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples)
-            if keep_iterates:
-                record.snapshots.append((state.k, state.x.copy()))
+        if state.k == output_k:
+            record.snapshots.append((state.k, state.x[output_agent:output_agent + 1].copy()))
     record.restarts = list(state.restart_log)
     return state, record
 
@@ -370,7 +386,9 @@ def gfm_run(objective, cfg, record_every=1, x0=None, metadata=None,
     1 it coincides bit-for-bit with gfm at batch ``mega_batch``. Restarts
     are logged into the record with all-zero consensus traces. One agent
     has no neighbours, so no communication round is counted. The keywords
-    are those of `dgfm_run`.
+    are those of `dgfm_run`; unless ``keep_iterates`` is off, the record
+    keeps the iterate of a recorded iteration drawn uniformly before the
+    run, for `select_output`.
 
     Returns
     -------
@@ -388,22 +406,20 @@ dgfm_plus_run = dgfm_run
 gfm_plus_run = gfm_run
 
 
-def select_output(record, rng):
-    """Uniform draw over all recorded (agent, iteration) iterates.
+def select_output(record):
+    """The run's output iterate: uniform over its recorded (agent, iteration) iterates.
 
-    The draw is over the subsampled trajectory the record actually kept
-    (every ``record_every``-th iteration), not over all m * K iterates;
-    run with ``record_every=1`` when the full trajectory matters. ``rng``
-    may be a Generator or a bare seed.
+    This is the randomized output rule the (delta, epsilon)-Goldstein
+    guarantee applies to. The draw was made before the run, from the
+    selection stream of the config's seed (see `dgfm_run`), so the output
+    is a function of (config, seed) like the rest of the record. It is
+    over the subsampled trajectory (every ``record_every``-th iteration),
+    not over all m * K iterates; run with ``record_every=1`` when the full
+    trajectory matters. Raises `EmptyTrajectory` when the run kept no
+    iterate: with ``keep_iterates`` off, or with fewer than
+    ``record_every`` iterations.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(rng, _LANE_SELECT)
-    total = sum(x.shape[0] for _, x in record.snapshots)
-    if total == 0:
-        raise EmptyTrajectory("record holds no iterate snapshots")
-    idx = int(rng.integers(total))
-    for _, x in record.snapshots:
-        if idx < x.shape[0]:
-            return x[idx].copy()
-        idx -= x.shape[0]
-    raise AssertionError("unreachable")
+    if not record.snapshots:
+        raise EmptyTrajectory("record kept no output iterate")
+    [(_, x)] = record.snapshots
+    return x[0].copy()

@@ -39,7 +39,17 @@ REQUIRED = ("algo", "dataset", "out")
 # prescribed in theorem mode; --batch and --gossip default to 1 in manual mode
 SCHEDULE_FLAGS = ("batch", "mega-batch", "period", "gossip")
 # read from a data file only; a builtin objective rejects them
-DATA_FLAGS = ("subset", "subset-seed", "lam")
+DATA_FLAGS = ("subset", "subset-seed", "lam", "alpha")
+# flags only some algorithms use; the others reject them
+ALGO_FLAGS = {
+    "m": ("dgfm", "dgfm-plus"),
+    "topology": ("dgfm", "dgfm-plus"),
+    "period": ("dgfm-plus", "gfm-plus"),
+    "mega-batch": ("dgfm-plus", "gfm-plus"),
+    "gossip": ("dgfm-plus",),
+}
+# None until validated, so that a run can tell them given
+DEFAULTS = {"m": 1, "topology": "ring", "batch": 1, "gossip": 1, "alpha": 2.0}
 OUT_DIR_ENV = "DGFM_OUT_DIR"
 
 EXIT_CONFIG = 2
@@ -76,8 +86,8 @@ def build_parser():
     p.add_argument("--subset-seed", type=int, help="sample the subset with this seed instead of taking the first rows")
     p.add_argument("--dim", type=int, default=10,
                    help="dimension for builtin objectives (default 10)")
-    p.add_argument("--m", type=int, default=1, help="number of agents (decentralized algorithms)")
-    p.add_argument("--topology", default="ring", help="ring | complete | metropolis:<adjacency file>")
+    p.add_argument("--m", type=int, help="number of agents (decentralized algorithms)")
+    p.add_argument("--topology", help="ring | complete | metropolis:<adjacency file>")
     p.add_argument("--eta", type=float, help="step size (manual mode)")
     p.add_argument("--delta", type=float, default=1e-3, help="smoothing radius (default 1e-3)")
     p.add_argument("--iters", type=int, default=1000, help="iteration count per run")
@@ -94,7 +104,7 @@ def build_parser():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--params", default="manual", help="manual | theorem:<epsilon>")
     p.add_argument("--lam", type=float, help="SVM penalty weight (default 1e-5/n)")
-    p.add_argument("--alpha", type=float, default=2.0, help="SVM penalty cap (default 2)")
+    p.add_argument("--alpha", type=float, help="SVM penalty cap (default 2)")
     return p
 
 
@@ -130,11 +140,19 @@ def parse_args(argv):
     prefix = _config_file_flags(path) if path is not None else []
     args = build_parser().parse_args(prefix + list(argv))
     validate(args)
-    # None until validated, so that theorem mode can tell them given
-    for name in ("batch", "gossip"):
+    for name, value in DEFAULTS.items():
         if getattr(args, name) is None:
-            setattr(args, name, 1)
+            setattr(args, name, value)
     return args
+
+
+def _given(cfg, flags):
+    return [f"--{flag}" for flag in flags if getattr(cfg, flag.replace("-", "_")) is not None]
+
+
+def _effective(cfg, name):
+    value = getattr(cfg, name)
+    return DEFAULTS[name] if value is None else value
 
 
 def validate(cfg):
@@ -150,11 +168,13 @@ def validate(cfg):
     if cfg.subset is not None and cfg.subset < 1:
         raise ConfigError(f"subset must be >= 1, got {cfg.subset}")
     if cfg.dataset.startswith("builtin:"):
-        given = [f"--{flag}" for flag in DATA_FLAGS
-                 if getattr(cfg, flag.replace("-", "_")) is not None]
+        given = _given(cfg, DATA_FLAGS)
         if given:
             raise ConfigError(f"a builtin objective has no data rows or SVM penalty; "
                               f"drop {', '.join(given)}")
+    unused = _given(cfg, [flag for flag, algos in ALGO_FLAGS.items() if cfg.algo not in algos])
+    if unused:
+        raise ConfigError(f"{cfg.algo} has no use for them; drop {', '.join(unused)}")
     if cfg.subset_seed is not None and cfg.subset is None:
         raise ConfigError("--subset-seed needs --subset")
     if cfg.iters < 1:
@@ -171,8 +191,7 @@ def validate(cfg):
             raise ConfigError("--eta conflicts with --params theorem:<epsilon>")
         if cfg.algo not in ("dgfm", "dgfm-plus"):
             raise ConfigError("theorem mode is defined for the decentralized algorithms only")
-        given = [f"--{flag}" for flag in SCHEDULE_FLAGS
-                 if getattr(cfg, flag.replace("-", "_")) is not None]
+        given = _given(cfg, SCHEDULE_FLAGS)
         if given:
             raise ConfigError("--params theorem:<epsilon> prescribes the schedule; "
                               f"drop {', '.join(given)}")
@@ -192,7 +211,8 @@ def validate(cfg):
             raise ConfigError(f"--period is required for {cfg.algo}")
         if cfg.mega_batch is None:
             raise ConfigError(f"--mega-batch is required for {cfg.algo}")
-    if cfg.algo in ("dgfm", "dgfm-plus") and cfg.m < 3 and cfg.topology == "ring":
+    if (cfg.algo in ("dgfm", "dgfm-plus") and _effective(cfg, "m") < 3
+            and _effective(cfg, "topology") == "ring"):
         # ring needs >= 3 agents; fail here with a friendlier message
         raise ConfigError("ring topology needs --m >= 3")
 

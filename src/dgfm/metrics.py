@@ -69,9 +69,12 @@ _entry_values = operator.attrgetter(*(name for _, name, _ in ENTRY_COLUMNS))
 _WRITE_CHUNK = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunEntry:
-    """Metrics snapshot after a recorded iteration."""
+    """Metrics snapshot after a recorded iteration.
+
+    Slotted: a long run holds one per recorded iteration, with no ``__dict__`` each.
+    """
 
     iteration: int
     zo_calls: int
@@ -84,13 +87,14 @@ class RunEntry:
 
 @dataclass
 class RunRecord:
-    """Per-run trajectory: metadata header, entries, optional iterate snapshots.
+    """Per-run trajectory: metadata header, entries, the kept output iterate.
 
-    ``snapshots`` holds (iteration, stacked iterates) pairs at recorded
-    steps so the uniform output-selection rule has something to draw from;
-    ``restarts`` holds per-restart gossip diagnostics for the
-    variance-reduced methods (the consensus error of the tracking variable
-    after each extra gossip round).
+    ``snapshots`` holds at most one (iteration, iterate of shape (1, d))
+    pair: the recorded (agent, iteration) candidate the run drew for the
+    uniform output-selection rule (see `dgfm.select_output`), or nothing
+    when the run kept no iterate. ``restarts`` holds per-restart gossip
+    diagnostics for the variance-reduced methods (the consensus error of
+    the tracking variable after each extra gossip round).
     """
 
     metadata: dict = field(default_factory=dict)

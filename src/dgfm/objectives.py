@@ -160,7 +160,8 @@ class CappedL1Svm(StochasticObjective):
         )
 
     def _penalty(self, x):
-        return self.lam * float(np.minimum(np.abs(x), self.alpha).sum())
+        # the ufunc reduction itself: ndarray.sum without its Python wrapper
+        return self.lam * float(np.add.reduce(np.minimum(np.abs(x), self.alpha)))
 
     def eval(self, x, xi):
         xi = self._check_index(xi)

@@ -187,7 +187,8 @@ def two_point_estimate(obj, x, params, w, xi, counter=None):
     if x.shape != (params.dim,):
         raise ShapeError(f"x must have shape ({params.dim},), got {x.shape}")
     delta = params.delta
-    diff = obj.eval(x + delta * w, xi) - obj.eval(x - delta * w, xi)
+    step = delta * w
+    diff = obj.eval(x + step, xi) - obj.eval(x - step, xi)
     if counter is not None:
         counter.add(2)
     return (params.dim / (2.0 * delta)) * diff * w

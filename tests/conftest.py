@@ -58,3 +58,31 @@ def records_match(r1, r2):
         ka == kb and np.array_equal(xa, xb)
         for (ka, xa), (kb, xb) in zip(r1.snapshots, r2.snapshots)
     )
+
+
+def step_trajectory(matrix, part, obj, cfg, x0):
+    """state.x after each of the cfg.iters calls of the public `step` from x0, as copies."""
+    state = dgfm.NetworkState.initial(part.m, x0)
+    trajectory = []
+    for _ in range(cfg.iters):
+        dgfm.step(state, matrix, part, obj, cfg)
+        trajectory.append(state.x.copy())
+    return trajectory
+
+
+def centralized_trajectory(obj, cfg, x0):
+    """`step_trajectory` of the centralized run: gfm_run's one agent and partition."""
+    return step_trajectory(dgfm.build_complete(1), dgfm.partition(obj.n_samples, 1, cfg.seed),
+                           obj, cfg, x0)
+
+
+def output_candidate(record, trajectory, record_every=1):
+    """Row ``pick % m`` of the trajectory at the record's kept iteration k*,
+    as a (1, d) array, after checking that k* is a recorded iteration."""
+    (k, _), = record.snapshots
+    assert k % record_every == 0
+    m = trajectory[0].shape[0]
+    pick = dgfm.algorithms._draw_output(record.metadata["seed"],
+                                        m * (len(trajectory) // record_every))
+    assert k == (pick // m + 1) * record_every
+    return trajectory[k - 1][pick % m:pick % m + 1]

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 import dgfm
-from conftest import synthetic_svm_text
+from conftest import (
+    centralized_trajectory,
+    output_candidate,
+    step_trajectory,
+    synthetic_svm_text,
+)
 from dgfm import (
     DgfmConfig,
     DgfmPlusConfig,
@@ -32,6 +37,7 @@ from dgfm import (
     partition,
     sample_batch,
     sample_sphere,
+    select_output,
     sigma_squared,
     step,
     substream,
@@ -232,21 +238,31 @@ def test_criterion_08_degeneration_equalities():
     obj = make_quadratic_test(5)
     cfg = DgfmConfig(eta=0.05, delta=0.01, iters=80, seed=8, batch=1)
     part = partition(1, 1, seed=8)
+    # every iterate, through the public step: the network's one agent and
+    # the centralized run's (gfm_run's partition of its own seed)
+    traj_d = step_trajectory(build_complete(1), part, obj, cfg, np.ones(5))
+    traj_g = centralized_trajectory(obj, cfg, np.ones(5))
+    assert len(traj_d) == len(traj_g) == 80
+    assert all(np.array_equal(xa, xb) for xa, xb in zip(traj_d, traj_g))
     _, rec_d = dgfm_run(build_complete(1), part, obj, cfg, x0=np.ones(5),
                         stationarity_every=0)
     rec_g = gfm_run(obj, cfg, x0=np.ones(5), stationarity_every=0)
-    for (ka, xa), (kb, xb) in zip(rec_d.snapshots, rec_g.snapshots):
-        assert ka == kb and np.array_equal(xa[0], xb[0])
+    assert np.array_equal(select_output(rec_d), select_output(rec_g))
+    assert np.array_equal(rec_g.snapshots[0][1], output_candidate(rec_g, traj_g))
     assert [e.loss for e in rec_d.entries] == [e.loss for e in rec_g.entries]
 
     obj2 = dgfm.QuadraticTest(4, n_samples=12)
     cfg_plus = DgfmPlusConfig(eta=0.03, delta=0.01, iters=60, seed=81,
                               period=1, batch=3, mega_batch=9)
     cfg_plain = DgfmConfig(eta=0.03, delta=0.01, iters=60, seed=81, batch=9)
+    traj_p = centralized_trajectory(obj2, cfg_plus, np.ones(4))
+    traj_q = centralized_trajectory(obj2, cfg_plain, np.ones(4))
+    assert len(traj_p) == len(traj_q) == 60
+    assert all(np.array_equal(xa, xb) for xa, xb in zip(traj_p, traj_q))
     rec_p = gfm_plus_run(obj2, cfg_plus, x0=np.ones(4), stationarity_every=0)
     rec_q = gfm_run(obj2, cfg_plain, x0=np.ones(4), stationarity_every=0)
-    for (_, xa), (_, xb) in zip(rec_p.snapshots, rec_q.snapshots):
-        assert np.array_equal(xa, xb)
+    assert np.array_equal(select_output(rec_p), select_output(rec_q))
+    assert np.array_equal(rec_p.snapshots[0][1], output_candidate(rec_p, traj_p))
     elapsed = time.time() - t0
     report(8, "degeneration equalities", elapsed)
 

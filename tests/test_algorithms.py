@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import records_match
+from conftest import (
+    centralized_trajectory,
+    output_candidate,
+    records_match,
+    step_trajectory,
+)
 from dgfm import (
     DgfmConfig,
     DgfmPlusConfig,
@@ -35,6 +40,7 @@ from dgfm.errors import (
     NumericFailure,
     ShapeError,
 )
+from dgfm.algorithms import _draw_output
 from dgfm.metrics import RunRecord
 from dgfm.objectives import AbsTest
 
@@ -274,37 +280,51 @@ class TestDgfmPlusStep:
 
 
 class TestDegenerations:
+    # gfm_run is the step on one agent with partition(n_samples, 1, seed):
+    # `centralized_trajectory` drives that step directly, and each test also
+    # checks that both runs keep the same output, the trajectories' row at k*
     def test_single_agent_equals_centralized_on_quadratic(self):
         obj = make_quadratic_test(5)
         cfg = DgfmConfig(eta=0.05, delta=0.01, iters=60, seed=7, batch=1)
         part = partition(obj.n_samples, 1, seed=7)
+        traj_d = step_trajectory(build_complete(1), part, obj, cfg, np.ones(5))
+        traj_g = centralized_trajectory(obj, cfg, np.ones(5))
+        assert len(traj_d) == len(traj_g) == 60
+        assert all(np.array_equal(xa, xb) for xa, xb in zip(traj_d, traj_g))
         _, rec_d = dgfm_run(build_complete(1), part, obj, cfg, x0=np.ones(5),
                             stationarity_every=0)
         rec_g = gfm_run(obj, cfg, x0=np.ones(5), stationarity_every=0)
-        assert len(rec_d.snapshots) == len(rec_g.snapshots) == 60
-        for (ka, xa), (kb, xb) in zip(rec_d.snapshots, rec_g.snapshots):
-            assert ka == kb
-            assert np.array_equal(xa[0], xb[0])
+        assert np.array_equal(select_output(rec_d), select_output(rec_g))
+        assert np.array_equal(rec_d.snapshots[0][1], output_candidate(rec_d, traj_d))
         assert [e.loss for e in rec_d.entries] == [e.loss for e in rec_g.entries]
 
     def test_single_agent_equals_centralized_on_svm(self, small_svm_objective):
         obj = small_svm_objective
         cfg = DgfmConfig(eta=0.01, delta=0.001, iters=40, seed=13, batch=1)
         part = partition(obj.n_samples, 1, seed=13)
+        x0 = np.zeros(obj.dim)
+        traj_d = step_trajectory(build_complete(1), part, obj, cfg, x0)
+        traj_g = centralized_trajectory(obj, cfg, x0)
+        assert len(traj_d) == len(traj_g) == 40
+        assert all(np.array_equal(xa, xb) for xa, xb in zip(traj_d, traj_g))
         _, rec_d = dgfm_run(build_complete(1), part, obj, cfg, stationarity_every=0)
         rec_g = gfm_run(obj, cfg, stationarity_every=0)
-        for (_, xa), (_, xb) in zip(rec_d.snapshots, rec_g.snapshots):
-            assert np.array_equal(xa[0], xb[0])
+        assert np.array_equal(select_output(rec_d), select_output(rec_g))
+        assert np.array_equal(rec_g.snapshots[0][1], output_candidate(rec_g, traj_g))
 
     def test_plus_with_period_one_equals_plain_at_mega_batch(self):
         obj = QuadraticTest(4, n_samples=10)
         cfg_plus = DgfmPlusConfig(eta=0.05, delta=0.01, iters=30, seed=3,
                                   period=1, batch=2, mega_batch=8)
         cfg_plain = DgfmConfig(eta=0.05, delta=0.01, iters=30, seed=3, batch=8)
+        traj_p = centralized_trajectory(obj, cfg_plus, np.ones(4))
+        traj_g = centralized_trajectory(obj, cfg_plain, np.ones(4))
+        assert len(traj_p) == len(traj_g) == 30
+        assert all(np.array_equal(xa, xb) for xa, xb in zip(traj_p, traj_g))
         rec_p = gfm_plus_run(obj, cfg_plus, x0=np.ones(4), stationarity_every=0)
         rec_g = gfm_run(obj, cfg_plain, x0=np.ones(4), stationarity_every=0)
-        for (_, xa), (_, xb) in zip(rec_p.snapshots, rec_g.snapshots):
-            assert np.array_equal(xa, xb)
+        assert np.array_equal(select_output(rec_p), select_output(rec_g))
+        assert np.array_equal(rec_p.snapshots[0][1], output_candidate(rec_p, traj_p))
 
 
 class TestRuns:
@@ -385,28 +405,39 @@ class TestRuns:
 
 
 class TestSelectOutput:
-    def make_record(self, n_snapshots, m=1, d=2):
-        record = RunRecord()
-        for k in range(n_snapshots):
-            record.snapshots.append((k + 1, np.full((m, d), float(k))))
-        return record
+    @staticmethod
+    def ring_run(iters, seed=0, record_every=1, keep_iterates=True, d=3):
+        obj = QuadraticTest(d, n_samples=8)
+        cfg = DgfmConfig(eta=0.02, delta=0.01, iters=iters, seed=seed)
+        return dgfm_run(build_ring(4), partition(8, 4, seed=seed), obj, cfg, x0=np.ones(d),
+                        record_every=record_every, stationarity_every=0,
+                        keep_iterates=keep_iterates)[1]
 
     def test_single_iterate(self):
-        record = self.make_record(1)
-        out = select_output(record, substream(0, 6))
-        assert np.array_equal(out, np.zeros(2))
+        # one agent, one recorded iteration: the one candidate, returned as a copy
+        obj = make_quadratic_test(3)
+        cfg = DgfmConfig(eta=0.05, delta=0.01, iters=1, seed=0)
+        record = gfm_run(obj, cfg, x0=np.ones(3), stationarity_every=0)
+        out = select_output(record)
+        assert out.tobytes() == centralized_trajectory(obj, cfg, np.ones(3))[0][0].tobytes()
+        out += 1.0
+        assert not np.array_equal(out, select_output(record))
 
     def test_uniform_frequencies(self):
-        record = self.make_record(10)
-        rng = substream(1, 6)
         counts = np.zeros(10)
-        for _ in range(10_000):
-            counts[int(select_output(record, rng)[0])] += 1
+        for seed in range(10_000):
+            counts[_draw_output(seed, 10)] += 1
         assert np.all(np.abs(counts - 1000) <= 150)
 
     def test_deterministic_in_seed(self):
-        record = self.make_record(5, m=3)
-        assert np.array_equal(select_output(record, 99), select_output(record, 99))
+        assert np.array_equal(select_output(self.ring_run(12, seed=99)),
+                              select_output(self.ring_run(12, seed=99)))
+
+    @pytest.mark.parametrize("iters", [10, 1000])
+    def test_keeps_one_iterate(self, iters):
+        d = 5
+        record = self.ring_run(iters, d=d)
+        assert sum(x.nbytes for _, x in record.snapshots) == 8 * d
 
     def test_full_trajectory_snapshots(self):
         obj = make_quadratic_test(3)
@@ -414,12 +445,27 @@ class TestSelectOutput:
         part = partition(1, 1, seed=2)
         _, sparse = dgfm_run(build_complete(1), part, obj, cfg, x0=np.ones(3),
                              record_every=10, stationarity_every=0)
-        assert len(sparse.snapshots) == 3
         assert len(sparse.entries) == 3
+        # the kept iterate is the step-driven trajectory's at a recorded iteration
+        traj = step_trajectory(build_complete(1), part, obj, cfg, np.ones(3))
+        assert sparse.snapshots[0][0] in (10, 20, 30)
+        assert np.array_equal(sparse.snapshots[0][1], output_candidate(sparse, traj, 10))
+
+    def test_keep_iterates_off_keeps_nothing(self):
+        record = self.ring_run(10, keep_iterates=False)
+        assert record.snapshots == []
+        with pytest.raises(EmptyTrajectory):
+            select_output(record)
+
+    def test_fewer_iterations_than_record_every(self):
+        record = self.ring_run(4, record_every=5)
+        assert record.entries == [] and record.snapshots == []
+        with pytest.raises(EmptyTrajectory):
+            select_output(record)
 
     def test_empty_trajectory(self):
         with pytest.raises(EmptyTrajectory):
-            select_output(RunRecord(), substream(0, 6))
+            select_output(RunRecord())
 
 
 class TestTheoremParams:

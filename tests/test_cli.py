@@ -131,13 +131,42 @@ class TestExitCodes:
         assert code == 2
         assert "subset must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--subset", "3"], ["--subset-seed", "2"], ["--lam", "5"]],
-                             ids=["subset", "subset-seed", "lam"])
+    @pytest.mark.parametrize("flag", [["--subset", "3"], ["--subset-seed", "2"], ["--lam", "5"],
+                                      ["--alpha", "5"]],
+                             ids=["subset", "subset-seed", "lam", "alpha"])
     def test_data_flag_with_builtin_is_config_error(self, flag, tmp_path, capsys):
         code = run_cli("--algo", "gfm", "--dataset", "builtin:quadratic", *flag,
                        "--iters", "3", "--eta", "0.01", "--out", str(tmp_path / "r.csv"))
         assert code == 2
         assert f"drop {flag[0]}" in capsys.readouterr().err
+
+    DROPPED = [("dgfm", "--period", "3"), ("dgfm", "--mega-batch", "9"),
+               ("dgfm", "--gossip", "5"), ("gfm", "--period", "3"), ("gfm", "--mega-batch", "9"),
+               ("gfm", "--gossip", "5"), ("gfm-plus", "--gossip", "5"), ("gfm", "--m", "4"),
+               ("gfm", "--topology", "complete"), ("gfm-plus", "--m", "4"),
+               ("gfm-plus", "--topology", "metropolis:nofile")]
+
+    @pytest.mark.parametrize("algo, flag, value", DROPPED,
+                             ids=[f"{algo}{flag}" for algo, flag, _ in DROPPED])
+    def test_flag_the_algorithm_drops_is_config_error(self, algo, flag, value, tmp_path, capsys):
+        code = run_cli("--algo", algo, "--dataset", "builtin:quadratic", *ALGO_ARGS[algo],
+                       flag, value, "--iters", "3", "--eta", "0.01",
+                       "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert f"drop {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_alpha_reaches_a_data_file_objective(self, tmp_path, monkeypatch):
+        data = tmp_path / "tiny.libsvm"
+        data.write_text(synthetic_svm_text(n=16, d=4, nnz=2, seed=1))
+        built = []
+        build = cli.CappedL1Svm.from_dataset
+        monkeypatch.setattr(cli.CappedL1Svm, "from_dataset",
+                            lambda *a, **kw: built.append(kw["alpha"]) or build(*a, **kw))
+        for alpha in ([], ["--alpha", "5"]):
+            assert run_cli("--algo", "gfm", "--dataset", str(data), *alpha, "--iters", "3",
+                           "--eta", "0.01", "--out", str(tmp_path / "r.csv")) == 0
+        assert built == [2.0, 5.0]
 
     def test_subset_seed_without_subset_is_config_error(self, tmp_path, capsys):
         data = tmp_path / "tiny.libsvm"
@@ -327,14 +356,23 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "nested.csv").exists()
 
 
+# the flags each algorithm uses beyond the common ones
+ALGO_ARGS = {
+    "dgfm": ("--m", "4"),
+    "dgfm-plus": ("--m", "4", "--period", "5", "--mega-batch", "4"),
+    "gfm": (),
+    "gfm-plus": ("--period", "5", "--mega-batch", "4"),
+}
+
+
 @pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus", "gfm", "gfm-plus"])
 def test_runs_keep_no_snapshots(algo, tmp_path, monkeypatch):
     # the CLI never selects an output iterate, so its runs hold no snapshots
     written = []
     monkeypatch.setattr(cli, "write_records", lambda records, *a, **kw: written.extend(records))
-    code = run_cli("--algo", algo, "--dataset", "builtin:quadratic", "--m", "4",
-                   "--iters", "20", "--eta", "0.05", "--delta", "0.01", "--period", "5",
-                   "--mega-batch", "4", "--repeats", "2", "--out", str(tmp_path / "r.csv"))
+    code = run_cli("--algo", algo, "--dataset", "builtin:quadratic", *ALGO_ARGS[algo],
+                   "--iters", "20", "--eta", "0.05", "--delta", "0.01",
+                   "--repeats", "2", "--out", str(tmp_path / "r.csv"))
     assert code == 0
     assert len(written) == 2
     assert all(len(r.entries) == 20 and r.snapshots == [] for r in written)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -140,6 +141,14 @@ def sample_record(algo="gfm", seed=5, n=3, with_stationarity=False):
             )
         )
     return record
+
+
+def test_entry_has_slots_and_is_frozen():
+    # a long CLI run holds one entry per recorded iteration: no per-entry dict
+    entry = sample_record(n=1).entries[0]
+    assert not hasattr(entry, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.loss = 0.0
 
 
 class TestWriteRecords:

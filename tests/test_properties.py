@@ -7,7 +7,9 @@ Metropolis-Hastings weights on a random connected graph. After every
 mean iterate must move by exactly -eta times the tracker mean, and the
 oracle and communication counters must equal the closed form of
 acceptance criterion 07. At every restart the tracker's consensus error
-must shrink by at least rho^2 per gossip round. An iteration's bulk draw
+must shrink by at least rho^2 per gossip round. A run keeps exactly the
+output candidate it drew before its first step, bit-equal to the
+step-driven trajectory there. An iteration's bulk draw
 of every agent's pairs keeps each agent in its own shard, gives unit
 directions, is fixed by (seed, iteration) and equals one unchunked draw.
 Records, LIBSVM text and partitions round-trip or cover exactly. The
@@ -16,6 +18,7 @@ kernel to round-off, on rows with no nonzeros too, and the base class's
 loop bit for bit; both reject what scalar ``eval`` rejects.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -28,6 +31,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import centralized_trajectory, step_trajectory
 from dgfm import (
     AbsTest,
     CappedL1Svm,
@@ -41,16 +45,20 @@ from dgfm import (
     SparseDataset,
     build_complete,
     build_metropolis_hastings,
+    dgfm_run,
+    gfm_run,
     mix,
     parse_libsvm,
     partition,
     read_csv_rows,
     sample_batches,
+    select_output,
     step,
     substream,
     to_libsvm,
     write_records,
 )
+from dgfm.algorithms import _draw_output
 from dgfm.errors import InvalidParameter, SampleIndexError, ShapeError
 from dgfm.smoothing import UNIT_NORM_TOL, require_unit_norm
 
@@ -58,8 +66,8 @@ PROPERTY = settings(derandomize=True, deadline=None)
 
 
 @st.composite
-def topologies(draw):
-    m = draw(st.integers(1, 8))
+def topologies(draw, max_m=8):
+    m = draw(st.integers(1, max_m))
     if draw(st.booleans()):
         return build_complete(m)
     adj = np.eye(m, dtype=bool)
@@ -118,6 +126,35 @@ def test_identities_and_counters_hold_after_every_step(topology, cfg, d, x0_seed
         assert close(ybar, state.v.mean(axis=0))
         assert close(state.mean_x, xbar_before - cfg.eta * ybar)
         assert (state.oracle_calls, state.comm_rounds) == closed_form_counts(cfg, m, k)
+
+
+@PROPERTY
+@given(topology=topologies(max_m=6), cfg=configs(), iters=st.integers(0, 16),
+       record_every=st.integers(1, 5), d=st.integers(1, 4))
+def test_run_keeps_the_candidate_drawn_before_it(topology, cfg, iters, record_every, d):
+    # candidates are the recorded iterations first, agents second: pick is
+    # agent pick % m at iteration k* = (pick // m + 1) * record_every
+    m = topology.m
+    cfg = dataclasses.replace(cfg, iters=iters)
+    obj = AbsTest(dim=d, n_samples=2 * m)
+    x0 = np.linspace(-1.0, 1.0, d)
+    opts = dict(x0=x0, record_every=record_every, stationarity_every=0)
+    if m == 1:  # the centralized run
+        record = gfm_run(obj, cfg, **opts)
+        trajectory = centralized_trajectory(obj, cfg, x0)
+    else:
+        part = partition(obj.n_samples, m, seed=cfg.seed)
+        record = dgfm_run(topology, part, obj, cfg, **opts)[1]
+        trajectory = step_trajectory(topology, part, obj, cfg, x0)
+    recorded = iters // record_every
+    if recorded == 0:
+        assert record.snapshots == []
+        return
+    pick = _draw_output(cfg.seed, m * recorded)
+    [(k, x)] = record.snapshots
+    assert k == (pick // m + 1) * record_every
+    assert x.tobytes() == trajectory[k - 1][pick % m:pick % m + 1].tobytes()
+    assert select_output(record).tobytes() == trajectory[k - 1][pick % m].tobytes()
 
 
 @PROPERTY
