@@ -48,7 +48,8 @@ ALGO_FLAGS = {
     "mega-batch": ("dgfm-plus", "gfm-plus"),
     "gossip": ("dgfm-plus",),
 }
-# None until validated, so that a run can tell them given
+# argparse leaves these None, so that `validate` can tell them given;
+# `parse_args` fills them in after it
 DEFAULTS = {"m": 1, "topology": "ring", "batch": 1, "gossip": 1, "alpha": 2.0}
 OUT_DIR_ENV = "DGFM_OUT_DIR"
 
@@ -174,7 +175,7 @@ def validate(cfg):
                               f"drop {', '.join(given)}")
     unused = _given(cfg, [flag for flag, algos in ALGO_FLAGS.items() if cfg.algo not in algos])
     if unused:
-        raise ConfigError(f"{cfg.algo} has no use for them; drop {', '.join(unused)}")
+        raise ConfigError(f"not used by {cfg.algo}; drop {', '.join(unused)}")
     if cfg.subset_seed is not None and cfg.subset is None:
         raise ConfigError("--subset-seed needs --subset")
     if cfg.iters < 1:

@@ -77,10 +77,9 @@ def centralized_trajectory(obj, cfg, x0):
 
 
 def output_candidate(record, trajectory, record_every=1):
-    """Row ``pick % m`` of the trajectory at the record's kept iteration k*,
-    as a (1, d) array, after checking that k* is a recorded iteration."""
-    (k, _), = record.snapshots
-    assert k % record_every == 0
+    """Row ``pick % m`` of the trajectory at the record's kept iteration k*, as a
+    (1, d) array, after checking that k* = (pick // m + 1) * record_every."""
+    [(k, _)] = record.snapshots
     m = trajectory[0].shape[0]
     pick = dgfm.algorithms._draw_output(record.metadata["seed"],
                                         m * (len(trajectory) // record_every))

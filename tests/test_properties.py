@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import centralized_trajectory, step_trajectory
+from conftest import centralized_trajectory, output_candidate, step_trajectory
 from dgfm import (
     AbsTest,
     CappedL1Svm,
@@ -58,7 +58,6 @@ from dgfm import (
     to_libsvm,
     write_records,
 )
-from dgfm.algorithms import _draw_output
 from dgfm.errors import InvalidParameter, SampleIndexError, ShapeError
 from dgfm.smoothing import UNIT_NORM_TOL, require_unit_norm
 
@@ -132,8 +131,8 @@ def test_identities_and_counters_hold_after_every_step(topology, cfg, d, x0_seed
 @given(topology=topologies(max_m=6), cfg=configs(), iters=st.integers(0, 16),
        record_every=st.integers(1, 5), d=st.integers(1, 4))
 def test_run_keeps_the_candidate_drawn_before_it(topology, cfg, iters, record_every, d):
-    # candidates are the recorded iterations first, agents second: pick is
-    # agent pick % m at iteration k* = (pick // m + 1) * record_every
+    # candidates are the recorded iterations first, agents second: the run
+    # keeps agent pick % m at iteration k* = (pick // m + 1) * record_every
     m = topology.m
     cfg = dataclasses.replace(cfg, iters=iters)
     obj = AbsTest(dim=d, n_samples=2 * m)
@@ -146,15 +145,12 @@ def test_run_keeps_the_candidate_drawn_before_it(topology, cfg, iters, record_ev
         part = partition(obj.n_samples, m, seed=cfg.seed)
         record = dgfm_run(topology, part, obj, cfg, **opts)[1]
         trajectory = step_trajectory(topology, part, obj, cfg, x0)
-    recorded = iters // record_every
-    if recorded == 0:
+    if iters < record_every:
         assert record.snapshots == []
         return
-    pick = _draw_output(cfg.seed, m * recorded)
-    [(k, x)] = record.snapshots
-    assert k == (pick // m + 1) * record_every
-    assert x.tobytes() == trajectory[k - 1][pick % m:pick % m + 1].tobytes()
-    assert select_output(record).tobytes() == trajectory[k - 1][pick % m].tobytes()
+    expected = output_candidate(record, trajectory, record_every)
+    assert record.snapshots[0][1].tobytes() == expected.tobytes()
+    assert select_output(record).tobytes() == expected[0].tobytes()
 
 
 @PROPERTY
