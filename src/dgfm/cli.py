@@ -13,10 +13,12 @@ iteration in the message).
          --eta 0.001 --delta 0.001 --iters 5000 --repeats 5 --out runs.csv
 
 Builtin objectives (``builtin:quadratic``, ``builtin:abs``) need no data
-file. ``--params theorem:<epsilon>`` resolves the step size and batch
+file; ``--dim`` sets their dimension, and a data file sets its own.
+``--params theorem:<epsilon>`` resolves the step size and batch
 schedule from the prescribed settings of :mod:`dgfm.params` instead of
 ``--eta`` and the schedule flags; the resolved values are echoed in the
-output metadata.
+output metadata. `FLAG_RULES` states which runs have no use for which
+flags; such a flag is a configuration error, never silently dropped.
 """
 
 import argparse
@@ -36,21 +38,25 @@ from .topology import build_complete, build_metropolis_hastings, build_ring, loa
 
 ALGOS = ("dgfm", "dgfm-plus", "gfm", "gfm-plus")
 REQUIRED = ("algo", "dataset", "out")
-# prescribed in theorem mode; --batch and --gossip default to 1 in manual mode
-SCHEDULE_FLAGS = ("batch", "mega-batch", "period", "gossip")
-# read from a data file only; a builtin objective rejects them
-DATA_FLAGS = ("subset", "subset-seed", "lam", "alpha")
-# flags only some algorithms use; the others reject them
-ALGO_FLAGS = {
-    "m": ("dgfm", "dgfm-plus"),
-    "topology": ("dgfm", "dgfm-plus"),
-    "period": ("dgfm-plus", "gfm-plus"),
-    "mega-batch": ("dgfm-plus", "gfm-plus"),
-    "gossip": ("dgfm-plus",),
-}
-# argparse leaves these None, so that `validate` can tell them given;
-# `parse_args` fills them in after it
-DEFAULTS = {"m": 1, "topology": "ring", "batch": 1, "gossip": 1, "alpha": 2.0}
+# The flag rules, in the order `validate` applies them: (why, which runs, flags).
+# A run that `which runs` selects has no use for the flags, so `validate`
+# rejects each one given, as "<why>; drop --flag, ...".
+FLAG_RULES = (
+    ("a builtin objective has no data rows or SVM penalty",
+     lambda cfg: cfg.dataset.startswith("builtin:"), ("subset", "subset-seed", "lam", "alpha")),
+    ("a data file sets the dimension",
+     lambda cfg: not cfg.dataset.startswith("builtin:"), ("dim",)),
+    ("--subset-seed needs --subset", lambda cfg: cfg.subset is None, ("subset-seed",)),
+    ("not used by {algo}", lambda cfg: cfg.algo.startswith("gfm"), ("m", "topology")),
+    ("not used by {algo}", lambda cfg: not cfg.algo.endswith("-plus"), ("period", "mega-batch")),
+    ("not used by {algo}", lambda cfg: cfg.algo != "dgfm-plus", ("gossip",)),
+    ("--params theorem:<epsilon> prescribes the step size and schedule",
+     lambda cfg: cfg.params.startswith("theorem:"),
+     ("eta", "batch", "mega-batch", "period", "gossip")),
+)
+# argparse leaves these None, so that `validate` can tell them given; it fills
+# them in at its end
+DEFAULTS = {"dim": 10, "m": 1, "topology": "ring", "batch": 1, "gossip": 1, "alpha": 2.0}
 OUT_DIR_ENV = "DGFM_OUT_DIR"
 
 EXIT_CONFIG = 2
@@ -85,7 +91,7 @@ def build_parser():
                    help="LIBSVM path (.gz ok), builtin:quadratic, or builtin:abs")
     p.add_argument("--subset", type=int, help="restrict to the first/sampled N rows")
     p.add_argument("--subset-seed", type=int, help="sample the subset with this seed instead of taking the first rows")
-    p.add_argument("--dim", type=int, default=10,
+    p.add_argument("--dim", type=int,
                    help="dimension for builtin objectives (default 10)")
     p.add_argument("--m", type=int, help="number of agents (decentralized algorithms)")
     p.add_argument("--topology", help="ring | complete | metropolis:<adjacency file>")
@@ -141,24 +147,12 @@ def parse_args(argv):
     prefix = _config_file_flags(path) if path is not None else []
     args = build_parser().parse_args(prefix + list(argv))
     validate(args)
-    for name, value in DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
     return args
-
-
-def _given(cfg, flags):
-    return [f"--{flag}" for flag in flags if getattr(cfg, flag.replace("-", "_")) is not None]
-
-
-def _effective(cfg, name):
-    value = getattr(cfg, name)
-    return DEFAULTS[name] if value is None else value
 
 
 def validate(cfg):
     """The checks argparse cannot express: required flags after unknown ones, value
-    ranges and flags that depend on each other."""
+    ranges and flags that depend on each other. Fills `DEFAULTS` in after them."""
     missing = [f"--{name}" for name in REQUIRED if getattr(cfg, name) is None]
     if missing:
         raise ConfigError(f"the following arguments are required: {', '.join(missing)}")
@@ -168,66 +162,56 @@ def validate(cfg):
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.subset is not None and cfg.subset < 1:
         raise ConfigError(f"subset must be >= 1, got {cfg.subset}")
-    if cfg.dataset.startswith("builtin:"):
-        given = _given(cfg, DATA_FLAGS)
-        if given:
-            raise ConfigError(f"a builtin objective has no data rows or SVM penalty; "
-                              f"drop {', '.join(given)}")
-    unused = _given(cfg, [flag for flag, algos in ALGO_FLAGS.items() if cfg.algo not in algos])
-    if unused:
-        raise ConfigError(f"not used by {cfg.algo}; drop {', '.join(unused)}")
-    if cfg.subset_seed is not None and cfg.subset is None:
-        raise ConfigError("--subset-seed needs --subset")
     if cfg.iters < 1:
         raise ConfigError(f"iters must be >= 1, got {cfg.iters}")
-    if cfg.record_every < 1:
-        raise ConfigError(f"record-every must be >= 1, got {cfg.record_every}")
+    if not 1 <= cfg.record_every <= cfg.iters:
+        # a longer interval records nothing
+        raise ConfigError(f"record-every must be in [1, iters] = [1, {cfg.iters}], "
+                          f"got {cfg.record_every}")
     if not cfg.delta > 0:
         raise ConfigError(f"delta must be positive, got {cfg.delta}")
-    theorem = cfg.params.startswith("theorem:")
-    if cfg.params != "manual" and not theorem:
-        raise ConfigError(f"params must be 'manual' or 'theorem:<epsilon>', got {cfg.params!r}")
-    if theorem:
-        if cfg.eta is not None:
-            raise ConfigError("--eta conflicts with --params theorem:<epsilon>")
+    for why, applies, flags in FLAG_RULES:
+        given = [f"--{flag}" for flag in flags
+                 if getattr(cfg, flag.replace("-", "_")) is not None]
+        if given and applies(cfg):
+            raise ConfigError(f"{why.format(algo=cfg.algo)}; drop {', '.join(given)}")
+    if cfg.params.startswith("theorem:"):
         if cfg.algo not in ("dgfm", "dgfm-plus"):
             raise ConfigError("theorem mode is defined for the decentralized algorithms only")
-        given = _given(cfg, SCHEDULE_FLAGS)
-        if given:
-            raise ConfigError("--params theorem:<epsilon> prescribes the schedule; "
-                              f"drop {', '.join(given)}")
         try:
             eps = float(cfg.params.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad epsilon in {cfg.params!r}") from None
         if not eps > 0:
             raise ConfigError(f"epsilon must be positive, got {eps}")
+    elif cfg.params != "manual":
+        raise ConfigError(f"params must be 'manual' or 'theorem:<epsilon>', got {cfg.params!r}")
     else:
         if cfg.eta is None:
             raise ConfigError("--eta is required in manual parameter mode")
         if not cfg.eta > 0:
             raise ConfigError(f"eta must be positive, got {cfg.eta}")
-    if cfg.algo in ("dgfm-plus", "gfm-plus") and cfg.params == "manual":
-        if cfg.period is None:
-            raise ConfigError(f"--period is required for {cfg.algo}")
-        if cfg.mega_batch is None:
-            raise ConfigError(f"--mega-batch is required for {cfg.algo}")
-    if (cfg.algo in ("dgfm", "dgfm-plus") and _effective(cfg, "m") < 3
-            and _effective(cfg, "topology") == "ring"):
+        if cfg.algo in ("dgfm-plus", "gfm-plus"):
+            if cfg.period is None:
+                raise ConfigError(f"--period is required for {cfg.algo}")
+            if cfg.mega_batch is None:
+                raise ConfigError(f"--mega-batch is required for {cfg.algo}")
+    for name, value in DEFAULTS.items():
+        if getattr(cfg, name) is None:
+            setattr(cfg, name, value)
+    if cfg.algo in ("dgfm", "dgfm-plus") and cfg.m < 3 and cfg.topology == "ring":
         # ring needs >= 3 agents; fail here with a friendlier message
         raise ConfigError("ring topology needs --m >= 3")
 
 
 def _load_objective(cfg):
     """Dataset/builtin -> (objective, dataset id string)."""
-    n_agents = cfg.m if cfg.algo.startswith("dgfm") else 1
     if cfg.dataset.startswith("builtin:"):
         name = cfg.dataset.split(":", 1)[1]
-        n = max(n_agents, 1)
         if name == "quadratic":
-            return QuadraticTest(dim=cfg.dim, n_samples=n), cfg.dataset
+            return QuadraticTest(dim=cfg.dim, n_samples=cfg.m), cfg.dataset
         if name == "abs":
-            return AbsTest(dim=cfg.dim, n_samples=n), cfg.dataset
+            return AbsTest(dim=cfg.dim, n_samples=cfg.m), cfg.dataset
         raise ConfigError(f"unknown builtin objective {name!r}")
     if not os.path.exists(cfg.dataset):
         raise DataError(f"dataset not found: {cfg.dataset}")

@@ -69,6 +69,12 @@ class StochasticObjective:
             )
         return xi
 
+    def _check_point(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ShapeError(f"need x of shape ({self.dim},), got {x.shape}")
+        return x
+
     def _check_batch(self, P, xis):
         xis = np.asarray(xis, dtype=np.intp)
         P = np.asarray(P, dtype=float)
@@ -98,7 +104,7 @@ class StochasticObjective:
 
     def full_loss(self, x):
         """Average of all summands at x (reporting only, not an oracle call)."""
-        x = np.asarray(x, dtype=float)
+        x = self._check_point(x)
         return sum(self.eval(x, xi) for xi in range(self.n_samples)) / self.n_samples
 
 
@@ -165,6 +171,7 @@ class CappedL1Svm(StochasticObjective):
 
     def eval(self, x, xi):
         xi = self._check_index(xi)
+        x = self._check_point(x)
         lo, hi = self._indptr[xi], self._indptr[xi + 1]
         margin = self.labels[xi] * float(np.dot(self._data[lo:hi], x[self._indices[lo:hi]]))
         return max(1.0 - margin, 0.0) + self._penalty(x)
@@ -185,7 +192,7 @@ class CappedL1Svm(StochasticObjective):
         return hinge + self.lam * np.minimum(np.abs(P), self.alpha).sum(axis=1)
 
     def full_loss(self, x):
-        x = np.asarray(x, dtype=float)
+        x = self._check_point(x)
         margins = self.labels * self._matrix.dot(x)
         return float(np.maximum(1.0 - margins, 0.0).mean()) + self._penalty(x)
 
@@ -204,11 +211,11 @@ class QuadraticTest(StochasticObjective):
 
     def eval(self, x, xi):
         self._check_index(xi)
-        x = np.asarray(x, dtype=float)
+        x = self._check_point(x)
         return float(x @ x)
 
     def full_loss(self, x):
-        x = np.asarray(x, dtype=float)
+        x = self._check_point(x)
         return float(x @ x)
 
     def smoothed_value(self, x, delta):
@@ -228,10 +235,10 @@ class AbsTest(StochasticObjective):
 
     def eval(self, x, xi):
         self._check_index(xi)
-        return float(np.abs(x).sum())
+        return float(np.abs(self._check_point(x)).sum())
 
     def full_loss(self, x):
-        return float(np.abs(x).sum())
+        return float(np.abs(self._check_point(x)).sum())
 
 
 class LinearTest(StochasticObjective):
@@ -250,10 +257,10 @@ class LinearTest(StochasticObjective):
 
     def eval(self, x, xi):
         self._check_index(xi)
-        return float(self.c @ x)
+        return float(self.c @ self._check_point(x))
 
     def full_loss(self, x):
-        return float(self.c @ x)
+        return float(self.c @ self._check_point(x))
 
 
 def make_quadratic_test(d):

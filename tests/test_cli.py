@@ -176,6 +176,23 @@ class TestExitCodes:
         assert code == 2
         assert "--subset-seed needs --subset" in capsys.readouterr().err
 
+    def test_dim_with_a_data_file_is_config_error(self, tmp_path, capsys):
+        # the file's width sets the dimension
+        data = tmp_path / "tiny.libsvm"
+        data.write_text(synthetic_svm_text(n=16, d=4, nnz=2, seed=1))
+        code = run_cli("--algo", "gfm", "--dataset", str(data), "--dim", "7", "--iters", "3",
+                       "--eta", "0.01", "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "drop --dim" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_record_every_above_iters_is_config_error(self, tmp_path, capsys):
+        # such a run would record nothing
+        code = run_cli("--algo", "gfm", "--dataset", "builtin:quadratic", "--iters", "3",
+                       "--record-every", "5", "--eta", "0.1", "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "record-every must be in [1, iters]" in capsys.readouterr().err
+
     def test_ring_below_three_agents_is_config_error(self, tmp_path, capsys):
         code = run_cli("--algo", "dgfm", "--dataset", "builtin:quadratic",
                        "--m", "2", "--topology", "ring", "--iters", "10",
@@ -239,7 +256,7 @@ class TestTheoremMode:
     THEOREM_RUN = ("--algo", "dgfm-plus", "--dataset", "builtin:quadratic", "--m", "4",
                    "--iters", "5", "--params", "theorem:0.5")
 
-    @pytest.mark.parametrize("flag", ["--batch", "--mega-batch", "--period", "--gossip"])
+    @pytest.mark.parametrize("flag", ["--batch", "--mega-batch", "--period", "--gossip", "--eta"])
     def test_schedule_flags_conflict(self, flag, tmp_path, capsys):
         # the prescription sets the whole schedule, so a given flag could only be overridden
         code = run_cli(*self.THEOREM_RUN, flag, "7", "--out", str(tmp_path / "r.csv"))

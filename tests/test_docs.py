@@ -1,7 +1,8 @@
-"""The README quick start runs, and every name a demo imports from dgfm exists.
+"""The README quick start runs, every name a demo imports from dgfm exists, and
+the README's CLI paragraph names every flag the CLI's rule table rejects.
 
-Both catch documentation left behind when the package drops or renames a
-name.
+All three catch documentation left behind when the package drops, renames or
+adds a name.
 """
 
 import ast
@@ -10,6 +11,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from dgfm import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,3 +31,11 @@ def test_demo_imports_from_dgfm_exist(demo):
             module = importlib.import_module(node.module)
             missing = [alias.name for alias in node.names if not hasattr(module, alias.name)]
             assert not missing, f"{demo.name} imports missing names {missing} from {node.module}"
+
+
+def test_readme_cli_paragraph_names_every_ruled_flag():
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.DOTALL)
+    flags = {flag for _, _, flags in cli.FLAG_RULES for flag in flags}
+    missing = sorted(flag for flag in flags if f"`--{flag}`" not in prose)
+    assert not missing, f"README's CLI paragraph does not name {missing}"

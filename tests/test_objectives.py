@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from dgfm import (
+    AbsTest,
     CappedL1Svm,
     LinearTest,
     QuadraticTest,
@@ -10,7 +11,7 @@ from dgfm import (
     make_quadratic_test,
     substream,
 )
-from dgfm.errors import InvalidParameter, SampleIndexError
+from dgfm.errors import InvalidParameter, SampleIndexError, ShapeError
 
 
 def tiny_svm(lam=1e-3, alpha=2.0):
@@ -104,6 +105,18 @@ class TestSyntheticObjectives:
     def test_constant_full_loss(self):
         obj = LinearTest(np.zeros(3), n_samples=5)
         assert obj.full_loss(np.ones(3)) == 0.0
+
+
+@pytest.mark.parametrize("make", [tiny_svm, lambda: QuadraticTest(2), lambda: AbsTest(2),
+                                  lambda: LinearTest([1.0, -2.0])],
+                         ids=["svm", "quadratic", "abs", "linear"])
+def test_point_of_the_wrong_shape_is_rejected(make):
+    obj = make()
+    for x in (np.ones(1), np.ones(3), np.ones((1, 2)), np.ones((2, 2))):
+        with pytest.raises(ShapeError):
+            obj.eval(x, 0)
+        with pytest.raises(ShapeError):
+            obj.full_loss(x)
 
 
 class TestEstimateLipschitz:
