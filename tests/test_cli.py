@@ -102,6 +102,14 @@ class TestExitCodes:
                        "--iters", "10", "--eta", "0.1", "--out", str(tmp_path / "r.csv"))
         assert code == 3
 
+    def test_dataset_that_is_not_text_is_data_error(self, tmp_path, capsys):
+        utf16 = tmp_path / "utf16.libsvm"
+        utf16.write_bytes(b"\xff\xfe" + "1 1:1\n".encode("utf-16-le"))
+        code = run_cli("--algo", "gfm", "--dataset", str(utf16), "--eta", "0.01",
+                       "--iters", "3", "--out", str(tmp_path / "r.csv"))
+        assert code == 3
+        assert "line 1: byte 0xff is not text" in capsys.readouterr().err
+
     def test_plus_requires_schedule_flags(self, tmp_path):
         code = run_cli("--algo", "dgfm-plus", "--dataset", "builtin:quadratic",
                        "--m", "4", "--iters", "10", "--eta", "0.1",
