@@ -73,6 +73,10 @@ def run_case(name, obj):
         })
         cfg = DgfmPlusConfig(eta=0.01, delta=DELTA, iters=30, seed=SEED, **DGFM_PLUS)
         return dgfm_plus_run(sched, part, obj, cfg, **RECORDING)[1]
+    if name == "dgfm-plus-metropolis":
+        # a non-ring Metropolis-Hastings matrix, gossiped 5 times at each restart
+        cfg = DgfmPlusConfig(eta=0.01, delta=DELTA, iters=30, seed=SEED, **DGFM_PLUS)
+        return dgfm_plus_run(chorded_ring(M), part, obj, cfg, **RECORDING)[1]
     if name == "gfm":
         cfg = DgfmConfig(eta=0.01, delta=DELTA, iters=60, seed=SEED, batch=GFM_BATCH)
         return gfm_run(obj, cfg, **RECORDING)
@@ -95,6 +99,7 @@ def fingerprint(record):
 GOLDEN = {
     "dgfm": "faca26d40f2746360b3592aa6c42c0a5b321e3ebde222da239bdf8e139d42693",
     "dgfm-plus": "638b37c53cc3521848301860af861f1f123121576a9aae952ef7a472658e657d",
+    "dgfm-plus-metropolis": "875c31a13bac15dbd6490dd291bee7837af8651f9a1c941fea8984cdef1f780f",
     "dgfm-plus-schedule": "5a52aad4b12175bfdc5dc902458cf8779281bdceaa1011808556897ae79c9afe",
     "gfm": "8a081517a7dbffc6576941edbcc4202c172b7759fb6e3c29e01787cd0949cf5b",
     "gfm-plus": "89a2b8506d4dbfc2bed2a1d9e4921fe1733e79a9d3a3344adc9b0f97587e8c60",
