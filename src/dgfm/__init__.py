@@ -65,7 +65,6 @@ from .smoothing import (
 )
 from .topology import (
     MixingMatrix,
-    TopologySchedule,
     build_complete,
     build_metropolis_hastings,
     build_ring,

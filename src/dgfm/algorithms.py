@@ -57,7 +57,7 @@ from .smoothing import (
     spider_difference,
     two_point_estimate,  # noqa: F401 -- unused, but perfbench's tracer patches it here
 )
-from .topology import MixingMatrix, TopologySchedule, build_complete, mix
+from .topology import build_complete, mix
 
 __all__ = [
     "DgfmConfig",
@@ -188,12 +188,6 @@ class NetworkState:
         return self.x.mean(axis=0)
 
 
-def _as_schedule(topology):
-    if isinstance(topology, MixingMatrix):
-        return TopologySchedule.static(topology)
-    return topology
-
-
 @functools.lru_cache(maxsize=16)
 def _smoothing_params(delta, d):
     # frozen and validated on construction: build it once per (delta, d), not per step
@@ -208,12 +202,13 @@ def _require_finite(z, what, k):
         raise NumericFailure(f"non-finite {what} of agent {agent} at iteration {k}", iteration=k)
 
 
-def step(state, topology, partition, objective, cfg):
+def step(state, matrix, partition, objective, cfg):
     """One synchronous iteration of the tracked method.
 
-    ``topology`` is a MixingMatrix or a TopologySchedule, and ``cfg`` picks
-    how each agent i forms its new estimate at its iterate from its pairs,
-    row i of the iteration's one draw (see `sample_batches`):
+    Every gossip round applies the one `MixingMatrix` ``matrix``, and
+    ``cfg`` picks how each agent i forms its new estimate at its iterate
+    from its pairs, row i of the iteration's one draw (see
+    `sample_batches`):
 
     * a `DgfmConfig` averages the two-point estimates of ``batch`` pairs
       from the agent's shard (2 m b oracle calls);
@@ -232,11 +227,10 @@ def step(state, topology, partition, objective, cfg):
     agent and iteration and leaves ``state`` as it was, counters and
     restart log included.
     """
-    schedule = _as_schedule(topology)
     if state.k >= cfg.iters:
         raise BudgetExceeded(f"iteration {state.k} outside the configured budget of {cfg.iters}")
-    if state.m != schedule.m:
-        raise ShapeError(f"state has {state.m} agents, topology has {schedule.m}")
+    if state.m != matrix.m:
+        raise ShapeError(f"state has {state.m} agents, topology has {matrix.m}")
     m, d = state.x.shape
     params = _smoothing_params(cfg.delta, d)
     k = state.k
@@ -246,7 +240,7 @@ def step(state, topology, partition, objective, cfg):
     calls = OracleCounter()
     rounds = 0
 
-    def gossip(matrix, z):
+    def gossip(z):
         # one communication round; a single agent has no neighbours and counts none
         nonlocal rounds
         if m == 1:
@@ -268,13 +262,13 @@ def step(state, topology, partition, objective, cfg):
     if restart:
         y_new = v_new.copy()
         trace = [consensus_error(y_new)]
-        for tau in range(1, cfg.gossip_rounds + 1):
-            y_new = gossip(schedule.matrix_at(k, tau), y_new)
+        for _ in range(cfg.gossip_rounds):
+            y_new = gossip(y_new)
             trace.append(consensus_error(y_new))
     else:
         # (y - v) + v_new keeps the m = 1 path bit-equal to plain descent.
-        y_new = gossip(schedule.matrix_at(k), (state.y - state.v) + v_new)
-    x_new = gossip(schedule.matrix_at(k), state.x - cfg.eta * y_new)
+        y_new = gossip((state.y - state.v) + v_new)
+    x_new = gossip(state.x - cfg.eta * y_new)
     _require_finite(x_new, "iterate", k)
     # commit the iteration as a whole: a failure above leaves the state untouched
     if restart:
@@ -322,7 +316,8 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
              keep_iterates=True):
     """Run the tracked method, plain or variance-reduced, for ``cfg.iters`` iterations.
 
-    ``matrix`` is a MixingMatrix or a TopologySchedule; ``cfg`` picks the
+    Every gossip round applies the one `MixingMatrix` ``matrix``, whose
+    spectral gap the record's metadata carries as ``rho``; ``cfg`` picks the
     estimate (see `step`): a `DgfmConfig` runs dgfm, a `DgfmPlusConfig`
     dgfm-plus. All agents start from the common point ``x0`` (zero by
     default). Metrics are recorded every ``record_every`` iterations; the
@@ -344,28 +339,28 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
     -------
     (NetworkState, RunRecord)
     """
-    schedule = _as_schedule(matrix)
-    if partition.m != schedule.m:
-        raise ShapeError(f"partition has {partition.m} agents, topology has {schedule.m}")
+    m = matrix.m
+    if partition.m != m:
+        raise ShapeError(f"partition has {partition.m} agents, topology has {m}")
     x0 = np.zeros(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (objective.dim,):
         raise ShapeError(f"x0 must have shape ({objective.dim},), got {x0.shape}")
     _require_positive(record_every=record_every)
     _require_nonnegative(stationarity_every=stationarity_every)
-    state = NetworkState.initial(schedule.m, x0)
+    state = NetworkState.initial(m, x0)
     algo = "dgfm-plus" if isinstance(cfg, DgfmPlusConfig) else "dgfm"
     record = RunRecord(metadata={
         "algo": algo, "seed": cfg.seed, "config": asdict(cfg), "dataset": objective.name,
-        "topology": f"m={schedule.m}", "rho": schedule.base.rho, **(metadata or {}),
+        "topology": f"m={m}", "rho": matrix.rho, **(metadata or {}),
     })
     recorded = cfg.iters // record_every
     output_k = None
     if keep_iterates and recorded:
-        pick = _draw_output(cfg.seed, schedule.m * recorded)
-        output_k, output_agent = (pick // schedule.m + 1) * record_every, pick % schedule.m
+        pick = _draw_output(cfg.seed, m * recorded)
+        output_k, output_agent = (pick // m + 1) * record_every, pick % m
     t0 = perf_counter()
     for _ in range(cfg.iters):
-        step(state, schedule, partition, objective, cfg)
+        step(state, matrix, partition, objective, cfg)
         if state.k % record_every == 0:
             _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples)
         if state.k == output_k:

@@ -27,7 +27,6 @@ from .errors import DisconnectedGraph, InvalidTopology, ShapeError
 
 __all__ = [
     "MixingMatrix",
-    "TopologySchedule",
     "ValidationReport",
     "build_complete",
     "build_metropolis_hastings",
@@ -240,48 +239,6 @@ def mix(matrix, stacked):
             f"stacked state must have shape ({matrix.m}, d), got {z.shape}"
         )
     return matrix.weights @ z
-
-
-@dataclass(frozen=True)
-class TopologySchedule:
-    """Mixing matrix per iteration (and per gossip repetition).
-
-    The default is a single static matrix for the whole run. A schedule
-    maps an iteration index ``k`` -- or a pair ``(k, tau)`` for the tau-th
-    gossip repetition inside iteration k -- to an alternative matrix of the
-    same size. Lookups fall back from (k, tau) to k to the base matrix.
-    """
-
-    base: MixingMatrix
-    schedule: dict | None = None
-
-    def __post_init__(self):
-        if self.schedule:
-            for key, mat in self.schedule.items():
-                if not isinstance(mat, MixingMatrix):
-                    raise InvalidTopology(
-                        f"schedule entry {key!r} is not a MixingMatrix"
-                    )
-                if mat.m != self.base.m:
-                    raise InvalidTopology(
-                        f"schedule entry {key!r} has m={mat.m}, base has m={self.base.m}"
-                    )
-
-    @classmethod
-    def static(cls, matrix):
-        return cls(base=matrix)
-
-    @property
-    def m(self):
-        return self.base.m
-
-    def matrix_at(self, k, tau=None):
-        if self.schedule:
-            if tau is not None and (k, tau) in self.schedule:
-                return self.schedule[(k, tau)]
-            if k in self.schedule:
-                return self.schedule[k]
-        return self.base
 
 
 def load_adjacency(path):

@@ -24,7 +24,6 @@ from dgfm import (
     LinearTest,
     NetworkState,
     SmoothingParams,
-    TopologySchedule,
     build_complete,
     build_ring,
     dgfm_plus_run,
@@ -144,10 +143,9 @@ def test_criterion_04_exact_mean_identities():
     cfgp = DgfmPlusConfig(eta=0.02, delta=0.01, iters=200, seed=42,
                           period=10, batch=2, mega_batch=16, gossip_rounds=3)
     state = NetworkState.initial(8, np.ones(4))
-    sched = TopologySchedule.static(ring)
     for _ in range(200):
         xbar_before = state.mean_x.copy()
-        step(state, sched, part, obj, cfgp)
+        step(state, ring, part, obj, cfgp)
         assert rel_err(state.y.mean(axis=0), state.v.mean(axis=0)) <= 1e-10
         assert rel_err(state.mean_x, xbar_before - cfgp.eta * state.y.mean(axis=0)) <= 1e-10
     elapsed = time.time() - t0

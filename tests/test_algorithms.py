@@ -15,7 +15,6 @@ from dgfm import (
     LinearTest,
     NetworkState,
     QuadraticTest,
-    TopologySchedule,
     build_complete,
     build_ring,
     dgfm_plus_run,
@@ -186,10 +185,9 @@ class TestDgfmPlusStep:
     def test_mean_identity_every_step_including_restarts(self):
         obj, ring, part, cfg = self.make()
         state = NetworkState.initial(4, np.ones(3))
-        sched = TopologySchedule.static(ring)
         for _ in range(25):
             xbar_before = state.mean_x.copy()
-            step(state, sched, part, obj, cfg)
+            step(state, ring, part, obj, cfg)
             assert rel_err(state.y.mean(axis=0), state.v.mean(axis=0)) <= 1e-10
             assert rel_err(state.mean_x, xbar_before - cfg.eta * state.y.mean(axis=0)) <= 1e-10
 
@@ -211,18 +209,6 @@ class TestDgfmPlusStep:
         assert [r["iter"] for r in record.restarts] == [0, 10, 20]
         assert all(r["tracking_consensus"] == [0.0, 0.0, 0.0] for r in record.restarts)
         assert record.entries[-1].comm_rounds == 0
-
-    # dgfm_plus_run is dgfm_run; the config picks the method
-    @pytest.mark.parametrize("plus", [False, True], ids=["dgfm_run", "dgfm_plus_run"])
-    def test_matrix_or_schedule_runs_alike(self, plus):
-        obj, ring, part, cfg = self.make()
-        run = dgfm_plus_run if plus else dgfm_run
-        if not plus:
-            cfg = DgfmConfig(eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=cfg.seed)
-        state_m, rec_m = run(ring, part, obj, cfg)
-        state_s, rec_s = run(TopologySchedule.static(ring), part, obj, cfg)
-        assert records_match(rec_m, rec_s)
-        assert np.array_equal(state_m.y, state_s.y)
 
     def test_period_one_restarts_every_step(self):
         obj, ring, part, cfg = self.make(period=1, iters=10)
@@ -251,10 +237,9 @@ class TestDgfmPlusStep:
         cfg = DgfmPlusConfig(eta=1e-300, delta=0.05, iters=12, seed=9,
                              period=6, batch=2, mega_batch=8)
         state = NetworkState.initial(1, np.ones(3))
-        sched = TopologySchedule.static(mat)
         v_restart = None
         for k in range(12):
-            step(state, sched, part, obj, cfg)
+            step(state, mat, part, obj, cfg)
             if k % 6 == 0:
                 v_restart = state.v.copy()
             else:

@@ -24,8 +24,6 @@ import pytest
 from dgfm import (
     DgfmConfig,
     DgfmPlusConfig,
-    TopologySchedule,
-    build_complete,
     build_metropolis_hastings,
     build_ring,
     dgfm_plus_run,
@@ -64,15 +62,6 @@ def run_case(name, obj):
     if name == "dgfm-plus":
         cfg = DgfmPlusConfig(eta=0.01, delta=DELTA, iters=40, seed=SEED, **DGFM_PLUS)
         return dgfm_plus_run(ring, part, obj, cfg, **RECORDING)[1]
-    if name == "dgfm-plus-schedule":
-        # overrides on a plain iteration (k), on a restart iteration (k), and
-        # on single gossip repetitions inside restarts ((k, tau))
-        complete, chords = build_complete(M), chorded_ring(M)
-        sched = TopologySchedule(base=ring, schedule={
-            3: complete, 10: chords, (10, 2): complete, (20, 4): chords, 27: chords,
-        })
-        cfg = DgfmPlusConfig(eta=0.01, delta=DELTA, iters=30, seed=SEED, **DGFM_PLUS)
-        return dgfm_plus_run(sched, part, obj, cfg, **RECORDING)[1]
     if name == "dgfm-plus-metropolis":
         # a non-ring Metropolis-Hastings matrix, gossiped 5 times at each restart
         cfg = DgfmPlusConfig(eta=0.01, delta=DELTA, iters=30, seed=SEED, **DGFM_PLUS)
@@ -100,7 +89,6 @@ GOLDEN = {
     "dgfm": "faca26d40f2746360b3592aa6c42c0a5b321e3ebde222da239bdf8e139d42693",
     "dgfm-plus": "638b37c53cc3521848301860af861f1f123121576a9aae952ef7a472658e657d",
     "dgfm-plus-metropolis": "875c31a13bac15dbd6490dd291bee7837af8651f9a1c941fea8984cdef1f780f",
-    "dgfm-plus-schedule": "5a52aad4b12175bfdc5dc902458cf8779281bdceaa1011808556897ae79c9afe",
     "gfm": "8a081517a7dbffc6576941edbcc4202c172b7759fb6e3c29e01787cd0949cf5b",
     "gfm-plus": "89a2b8506d4dbfc2bed2a1d9e4921fe1733e79a9d3a3344adc9b0f97587e8c60",
 }

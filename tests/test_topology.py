@@ -3,8 +3,6 @@ import pytest
 
 from dgfm import (
     MixingMatrix,
-    TopologySchedule,
-    build_complete,
     build_metropolis_hastings,
     build_ring,
     mix,
@@ -184,27 +182,6 @@ class TestMix:
             mix(ring, np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             mix(ring, np.zeros(4))
-
-
-class TestSchedule:
-    def test_static_reuse(self):
-        ring = build_ring(4)
-        sched = TopologySchedule.static(ring)
-        assert sched.matrix_at(0) is ring
-        assert sched.matrix_at(17, tau=3) is ring
-
-    def test_per_iteration_and_per_round_overrides(self):
-        ring = build_ring(4)
-        complete = build_complete(4)
-        sched = TopologySchedule(base=ring, schedule={2: complete, (5, 1): complete})
-        assert sched.matrix_at(0) is ring
-        assert sched.matrix_at(2) is complete
-        assert sched.matrix_at(5, tau=1) is complete
-        assert sched.matrix_at(5, tau=2) is ring
-
-    def test_rejects_mismatched_size(self):
-        with pytest.raises(InvalidTopology):
-            TopologySchedule(base=build_ring(4), schedule={0: build_ring(5)})
 
 
 def test_weights_are_immutable():
