@@ -43,6 +43,7 @@ from .errors import (
     BudgetExceeded,
     EmptyTrajectory,
     InvalidParameter,
+    InvalidTopology,
     NumericFailure,
     ShapeError,
 )
@@ -57,7 +58,7 @@ from .smoothing import (
     spider_difference,
     two_point_estimate,  # noqa: F401 -- unused, but perfbench's tracer patches it here
 )
-from .topology import build_complete, mix
+from .topology import MixingMatrix, build_complete, mix
 
 __all__ = [
     "DgfmConfig",
@@ -194,6 +195,14 @@ def _smoothing_params(delta, d):
     return SmoothingParams(delta=delta, dim=d)
 
 
+def _require_matrix(matrix):
+    if not isinstance(matrix, MixingMatrix):
+        raise InvalidTopology(
+            f"topology must be a MixingMatrix, got {type(matrix).__name__}; build one with "
+            "build_ring, build_complete, build_metropolis_hastings or MixingMatrix.from_weights"
+        )
+
+
 def _require_finite(z, what, k):
     """Raise NumericFailure naming the first agent whose row of ``z`` is not finite."""
     finite = np.isfinite(z)
@@ -227,6 +236,7 @@ def step(state, matrix, partition, objective, cfg):
     agent and iteration and leaves ``state`` as it was, counters and
     restart log included.
     """
+    _require_matrix(matrix)
     if state.k >= cfg.iters:
         raise BudgetExceeded(f"iteration {state.k} outside the configured budget of {cfg.iters}")
     if state.m != matrix.m:
@@ -339,6 +349,7 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
     -------
     (NetworkState, RunRecord)
     """
+    _require_matrix(matrix)
     m = matrix.m
     if partition.m != m:
         raise ShapeError(f"partition has {partition.m} agents, topology has {m}")

@@ -19,6 +19,7 @@ Metropolis-Hastings constructors, the last one fed by a 0/1 adjacency file
 through `load_adjacency`.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,8 +243,23 @@ def mix(matrix, stacked):
 
 
 def load_adjacency(path):
-    """Load a plain-text 0/1 adjacency matrix for `build_metropolis_hastings`."""
-    a = np.loadtxt(path, ndmin=2)
+    """Load a plain-text 0/1 adjacency matrix for `build_metropolis_hastings`.
+
+    Raises `InvalidTopology` naming the file when its text is not a
+    non-empty square numeric matrix of 0/1 entries.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below
+        try:
+            a = np.loadtxt(path, ndmin=2)
+        except ValueError as exc:
+            raise InvalidTopology(f"adjacency file {path} is not a numeric matrix: {exc}") from None
+    if a.size == 0:
+        raise InvalidTopology(f"adjacency file {path} is empty")
+    if a.shape[0] != a.shape[1]:
+        raise InvalidTopology(
+            f"adjacency file {path} must hold a square matrix, got {a.shape[0]} rows of {a.shape[1]}"
+        )
     if not np.all((a == 0) | (a == 1)):
         raise InvalidTopology(f"adjacency file {path} must contain only 0/1 entries")
     return a.astype(bool)

@@ -36,6 +36,7 @@ from dgfm.errors import (
     BudgetExceeded,
     EmptyTrajectory,
     InvalidParameter,
+    InvalidTopology,
     NumericFailure,
     ShapeError,
 )
@@ -378,6 +379,17 @@ class TestRuns:
     def test_negative_stationarity_every_is_rejected(self, run):
         with pytest.raises(InvalidParameter, match="stationarity_every"):
             run_briefly(run, QuadraticTest(dim=3, n_samples=4), stationarity_every=-2)
+
+    @pytest.mark.parametrize("topology", [build_ring(4).weights, None], ids=["ndarray", "None"])
+    def test_topology_that_is_not_a_mixing_matrix_is_rejected(self, topology):
+        obj = QuadraticTest(dim=3, n_samples=4)
+        part = partition(4, 4, seed=0)
+        cfg = DgfmConfig(eta=0.01, delta=0.01, iters=3, seed=0)
+        name = type(topology).__name__
+        with pytest.raises(InvalidTopology, match=f"MixingMatrix, got {name}; build one with"):
+            dgfm_run(topology, part, obj, cfg)
+        with pytest.raises(InvalidTopology, match=f"got {name}"):
+            step(NetworkState.initial(4, np.zeros(3)), topology, part, obj, cfg)
 
     def test_determinism_bit_identical(self):
         obj = QuadraticTest(3, n_samples=8)

@@ -208,6 +208,24 @@ class TestExitCodes:
         assert code == 2
         assert "--m >= 3" in capsys.readouterr().err
 
+    MALFORMED_ADJACENCY = {"not-numeric": ("0 1\n1 x\n", "not a numeric matrix"),
+                           "ragged": ("1 1 0\n1 1\n0 1 1\n", "not a numeric matrix"),
+                           "empty": ("", "is empty"),
+                           "not-square": ("1 1 0\n", "square matrix, got 1 rows of 3")}
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_ADJACENCY))
+    def test_malformed_adjacency_file_is_config_error(self, kind, tmp_path, capsys):
+        text, message = self.MALFORMED_ADJACENCY[kind]
+        adj_path = tmp_path / f"{kind}.adj"
+        adj_path.write_text(text)
+        code = run_cli("--algo", "dgfm", "--dataset", "builtin:quadratic", "--m", "3",
+                       "--topology", f"metropolis:{adj_path}", "--iters", "3",
+                       "--eta", "0.1", "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"adjacency file {adj_path}" in err and message in err
+
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
         code = run_cli("--algo", "gfm", "--dataset", "builtin:quadratic", "--iters", "x",
                        "--eta", "0.1", "--out", str(tmp_path / "r.csv"))
