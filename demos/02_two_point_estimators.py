@@ -10,8 +10,8 @@ f_delta(x) = ||x||^2 + delta^2 exactly, so the surrogate gradient is 2x.
 import numpy as np
 
 from dgfm import (
+    QuadraticTest,
     SmoothingParams,
-    make_quadratic_test,
     minibatch_estimate,
     sample_batch,
     sample_sphere,
@@ -21,7 +21,7 @@ from dgfm import (
 )
 
 d, delta = 5, 0.05
-obj = make_quadratic_test(d)
+obj = QuadraticTest(dim=d)
 params = SmoothingParams(delta=delta, dim=d)
 x = np.array([1.0, 0.0, -0.5, 0.0, 2.0])
 rng = substream(0, 0)

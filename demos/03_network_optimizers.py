@@ -25,7 +25,6 @@ from dgfm import (
     dgfm_plus_run,
     dgfm_run,
     gfm_run,
-    make_quadratic_test,
     partition,
     select_output,
     step,
@@ -60,7 +59,7 @@ print("restart gossip squeezes the tracker deviation:",
       " -> ".join(f"{v:.2e}" for v in first))
 
 print("\n=== single-agent degeneration is exact ===")
-obj1 = make_quadratic_test(d)
+obj1 = QuadraticTest(dim=d)
 cfg1 = DgfmConfig(eta=0.05, delta=0.01, iters=40, seed=5, batch=1)
 # the network's one agent against the centralized run's (gfm_run's partition)
 net = NetworkState.initial(1, np.ones(d))

@@ -46,7 +46,6 @@ from .objectives import (
     QuadraticTest,
     StochasticObjective,
     estimate_lipschitz,
-    make_quadratic_test,
 )
 from .params import TheoremParams, theorem_params_dgfm, theorem_params_dgfm_plus
 from .rng import substream

@@ -20,9 +20,16 @@ non-ASCII digits, other whitespace, a CR not followed by LF), ``nan``,
 ``inf`` or a number that overflows to it, and a signed index.
 
 Indices are converted to 0-based at the parse boundary and nowhere else.
-Labels written as {0, 1}, {1, 2} or {-1, +1} are normalized to {-1, +1}
-with the smaller raw label mapped to -1. Files ending in ``.gz`` are
-decompressed transparently.
+Labels are normalized to {-1, +1} by one rule over the file's label set:
+
+* a set inside {-1, +1} is kept, so one class written -1 or +1 loads;
+* any other set of exactly two values, such as {0, 1}, {1, 2} or {3, 7},
+  maps the smaller value to -1 and the larger to +1;
+* anything else raises :class:`ParseError`: one value alone carries no
+  class information unless it is written -1 or +1, and three or more
+  values are not a binary problem.
+
+Files ending in ``.gz`` are decompressed transparently.
 """
 
 import gzip
@@ -86,12 +93,14 @@ class SparseDataset:
 
 
 def _normalize_labels(raw):
+    """Labels in {-1, +1} by the rule of the module docstring."""
     values = np.unique(raw)
     if np.isin(values, (-1.0, 1.0)).all():
         return raw
     if values.shape[0] != 2:
         raise ParseError(
-            f"cannot map labels {values.tolist()} to -1/+1 (need exactly two classes)"
+            f"cannot map labels {values.tolist()} to -1/+1: need exactly two classes,"
+            " and a single class must be written -1 or +1"
         )
     return np.where(raw == values[0], -1.0, 1.0)
 

@@ -31,7 +31,6 @@ __all__ = [
     "AbsTest",
     "LinearTest",
     "estimate_lipschitz",
-    "make_quadratic_test",
 ]
 
 
@@ -261,11 +260,6 @@ class LinearTest(StochasticObjective):
 
     def full_loss(self, x):
         return float(self.c @ self._check_point(x))
-
-
-def make_quadratic_test(d):
-    """Single-sample ||x||^2 objective (see :class:`QuadraticTest`)."""
-    return QuadraticTest(dim=d)
 
 
 def estimate_lipschitz(obj, probes, radius, rng):

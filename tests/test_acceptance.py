@@ -23,6 +23,7 @@ from dgfm import (
     DgfmPlusConfig,
     LinearTest,
     NetworkState,
+    QuadraticTest,
     SmoothingParams,
     build_complete,
     build_ring,
@@ -30,7 +31,6 @@ from dgfm import (
     dgfm_run,
     gfm_plus_run,
     gfm_run,
-    make_quadratic_test,
     minibatch_estimate,
     mix,
     partition,
@@ -58,7 +58,7 @@ def rel_err(a, ref):
 def test_criterion_01_estimator_unbiasedness():
     t0 = time.time()
     d, delta = 5, 0.05
-    obj = make_quadratic_test(d)
+    obj = QuadraticTest(dim=d)
     params = SmoothingParams(delta=delta, dim=d)
     x = np.zeros(d)
     x[0] = 1.0
@@ -233,7 +233,7 @@ def test_criterion_07_oracle_and_comm_accounting():
 
 def test_criterion_08_degeneration_equalities():
     t0 = time.time()
-    obj = make_quadratic_test(5)
+    obj = QuadraticTest(dim=5)
     cfg = DgfmConfig(eta=0.05, delta=0.01, iters=80, seed=8, batch=1)
     part = partition(1, 1, seed=8)
     # every iterate, through the public step: the network's one agent and

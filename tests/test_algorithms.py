@@ -22,7 +22,6 @@ from dgfm import (
     estimate_lipschitz,
     gfm_plus_run,
     gfm_run,
-    make_quadratic_test,
     partition,
     select_output,
     sigma_squared,
@@ -97,7 +96,7 @@ class TestDgfmStep:
             assert np.allclose(state.x, 2.0, atol=1e-12)
 
     def test_budget_exceeded(self):
-        obj = make_quadratic_test(2)
+        obj = QuadraticTest(dim=2)
         mat = build_complete(1)
         part = partition(1, 1, seed=0)
         cfg = DgfmConfig(eta=0.1, delta=0.1, iters=1, seed=0)
@@ -270,7 +269,7 @@ class TestDegenerations:
     # `centralized_trajectory` drives that step directly, and each test also
     # checks that both runs keep the same output, the trajectories' row at k*
     def test_single_agent_equals_centralized_on_quadratic(self):
-        obj = make_quadratic_test(5)
+        obj = QuadraticTest(dim=5)
         cfg = DgfmConfig(eta=0.05, delta=0.01, iters=60, seed=7, batch=1)
         part = partition(obj.n_samples, 1, seed=7)
         traj_d = step_trajectory(build_complete(1), part, obj, cfg, np.ones(5))
@@ -315,7 +314,7 @@ class TestDegenerations:
 
 class TestRuns:
     def test_zero_iterations_returns_initial(self):
-        obj = make_quadratic_test(3)
+        obj = QuadraticTest(dim=3)
         cfg = DgfmConfig(eta=0.1, delta=0.1, iters=0, seed=0)
         part = partition(1, 1, seed=0)
         state, record = dgfm_run(build_complete(1), part, obj, cfg, x0=np.ones(3))
@@ -324,7 +323,7 @@ class TestRuns:
         assert record.entries == []
 
     def test_gfm_quadratic_descends(self):
-        obj = make_quadratic_test(10)
+        obj = QuadraticTest(dim=10)
         finals = []
         for seed in range(5):
             cfg = DgfmConfig(eta=0.1, delta=0.01, iters=200, seed=seed, batch=64)
@@ -412,7 +411,7 @@ class TestSelectOutput:
 
     def test_single_iterate(self):
         # one agent, one recorded iteration: the one candidate, returned as a copy
-        obj = make_quadratic_test(3)
+        obj = QuadraticTest(dim=3)
         cfg = DgfmConfig(eta=0.05, delta=0.01, iters=1, seed=0)
         record = gfm_run(obj, cfg, x0=np.ones(3), stationarity_every=0)
         out = select_output(record)
@@ -437,7 +436,7 @@ class TestSelectOutput:
         assert sum(x.nbytes for _, x in record.snapshots) == 8 * d
 
     def test_full_trajectory_snapshots(self):
-        obj = make_quadratic_test(3)
+        obj = QuadraticTest(dim=3)
         cfg = DgfmConfig(eta=0.05, delta=0.01, iters=30, seed=2)
         part = partition(1, 1, seed=2)
         _, sparse = dgfm_run(build_complete(1), part, obj, cfg, x0=np.ones(3),

@@ -31,6 +31,20 @@ class TestParse:
         ds = parse_libsvm("-1 1:1\n+1 1:1\n")
         assert list(ds.labels) == [-1.0, 1.0]
 
+    @pytest.mark.parametrize("raw, want", [(["+1"], [1.0]), (["-1"], [-1.0]),
+                                           (["2", "1", "2"], [1.0, -1.0, 1.0]),
+                                           (["7", "3"], [1.0, -1.0])],
+                             ids=["+1", "-1", "1-2", "3-7"])
+    def test_label_set_accepted(self, raw, want):
+        ds = parse_libsvm("".join(f"{label} 1:1\n" for label in raw))
+        assert list(ds.labels) == want
+
+    @pytest.mark.parametrize("raw", [["0", "0"], ["2"], ["3"], ["0", "1", "2"]],
+                             ids=["0", "2", "3", "0-1-2"])
+    def test_label_set_rejected(self, raw):
+        with pytest.raises(ParseError, match="a single class must be written -1 or \\+1"):
+            parse_libsvm("".join(f"{label} 1:1\n" for label in raw))
+
     def test_blank_lines_and_whitespace(self):
         ds = parse_libsvm("+1 1:1\n\n  \n-1 2:1   \n")
         assert ds.n == 2
@@ -191,7 +205,8 @@ def reference_parse(text):
     if set(values) <= {-1.0, 1.0}:
         labels = np.asarray(raw_labels, dtype=float)
     elif len(values) != 2:
-        raise ParseError(f"cannot map labels {values} to -1/+1 (need exactly two classes)")
+        raise ParseError(f"cannot map labels {values} to -1/+1: need exactly two classes,"
+                         " and a single class must be written -1 or +1")
     else:
         labels = np.where(np.asarray(raw_labels) == values[0], -1.0, 1.0)
     features = sp.csr_matrix(

@@ -12,7 +12,6 @@ from dgfm import (
     RunRecord,
     build_ring,
     consensus_error,
-    make_quadratic_test,
     mix,
     read_csv_rows,
     sample_batch,
@@ -65,13 +64,13 @@ class TestConsensusError:
 
 class TestStationarity:
     def test_quadratic_at_origin(self):
-        obj = make_quadratic_test(3)
+        obj = QuadraticTest(dim=3)
         est = stationarity_estimate(obj, np.zeros(3), delta=0.05, n_samples=2000,
                                     rng=substream(3, 7))
         assert est.value <= 3 * est.stderr + 1e-12
 
     def test_quadratic_at_unit_point(self):
-        obj = make_quadratic_test(3)
+        obj = QuadraticTest(dim=3)
         x = np.array([1.0, 0.0, 0.0])
         est = stationarity_estimate(obj, x, delta=0.05, n_samples=4000,
                                     rng=substream(4, 7))

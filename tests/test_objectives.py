@@ -8,7 +8,6 @@ from dgfm import (
     LinearTest,
     QuadraticTest,
     estimate_lipschitz,
-    make_quadratic_test,
     substream,
 )
 from dgfm.errors import InvalidParameter, SampleIndexError, ShapeError
@@ -78,14 +77,14 @@ class TestCappedL1Svm:
 
 class TestSyntheticObjectives:
     def test_quadratic_values(self):
-        obj = make_quadratic_test(3)
+        obj = QuadraticTest(dim=3)
         assert obj.eval(np.zeros(3), 0) == 0.0
         e1 = np.array([1.0, 0.0, 0.0])
         assert obj.eval(e1, 0) == 1.0
         assert obj.n_samples == 1
 
     def test_quadratic_surrogate_documented(self):
-        obj = make_quadratic_test(3)
+        obj = QuadraticTest(dim=3)
         assert obj.smoothed_value(np.zeros(3), 0.1) == 0.1**2
         x = np.array([0.5, -1.0, 2.0])
         assert np.array_equal(obj.smoothed_grad(x), 2 * x)

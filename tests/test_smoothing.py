@@ -8,7 +8,6 @@ from dgfm import (
     QuadraticTest,
     SampleBatch,
     SmoothingParams,
-    make_quadratic_test,
     minibatch_estimate,
     sample_batch,
     sample_sphere,
@@ -94,7 +93,7 @@ class TestTwoPoint:
         assert np.array_equal(g, np.zeros(4))
 
     def test_quadratic_at_origin_is_exactly_zero(self):
-        obj = make_quadratic_test(6)
+        obj = QuadraticTest(dim=6)
         params = SmoothingParams(delta=0.2, dim=6)
         # f(delta w) and f(-delta w) are the same float, so the difference is 0.0
         g = two_point_estimate(obj, np.zeros(6), params, sample_sphere(6, substream(6, 1)), 0)
@@ -218,7 +217,7 @@ def surrogate_grad(obj, x, params, n, rng):
 
 class TestSurrogateGradient:
     def test_quadratic_matches_exact_surrogate(self):
-        obj = make_quadratic_test(4)
+        obj = QuadraticTest(dim=4)
         params = SmoothingParams(delta=0.05, dim=4)
         x = np.array([1.0, 0.0, -2.0, 0.5])
         n = 40_000
