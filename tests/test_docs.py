@@ -1,7 +1,8 @@
-"""The README quick start runs, every name a demo imports from dgfm exists, and
-the README's CLI paragraph names every flag the CLI's rule table rejects.
+"""The README quick start runs, every name a demo imports from dgfm exists,
+every backticked ``dgfm.<name>`` in the README resolves, and the README's CLI
+paragraph names every flag the CLI's rule table rejects.
 
-All three catch documentation left behind when the package drops, renames or
+All four catch documentation left behind when the package drops, renames or
 adds a name.
 """
 
@@ -31,6 +32,30 @@ def test_demo_imports_from_dgfm_exist(demo):
             module = importlib.import_module(node.module)
             missing = [alias.name for alias in node.names if not hasattr(module, alias.name)]
             assert not missing, f"{demo.name} imports missing names {missing} from {node.module}"
+
+
+def resolve(dotted):
+    """The object a dotted ``dgfm.`` path names, as an attribute or a submodule."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for depth, part in enumerate(parts[1:], start=2):
+        obj = (getattr(obj, part) if hasattr(obj, part)
+               else importlib.import_module(".".join(parts[:depth])))
+    return obj
+
+
+def test_readme_dgfm_names_resolve():
+    prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.DOTALL)
+    names = {name for span in re.findall(r"`([^`]+)`", prose)
+             for name in re.findall(r"\bdgfm(?:\.[A-Za-z_]\w*)+", span)}
+    assert names, "README names no dgfm.<name>"
+    missing = []
+    for name in sorted(names):
+        try:
+            resolve(name)
+        except ImportError:
+            missing.append(name)
+    assert not missing, f"README names {missing}, which dgfm does not have"
 
 
 def test_readme_cli_paragraph_names_every_ruled_flag():
