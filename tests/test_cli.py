@@ -208,15 +208,13 @@ class TestExitCodes:
         assert code == 2
         assert "--m >= 3" in capsys.readouterr().err
 
-    MALFORMED_ADJACENCY = {"not-numeric": ("0 1\n1 x\n", "not a numeric matrix"),
-                           "ragged": ("1 1 0\n1 1\n0 1 1\n", "not a numeric matrix"),
-                           "empty": ("", "is empty"),
-                           "not-square": ("1 1 0\n", "square matrix, got 1 rows of 3")}
-
-    @pytest.mark.parametrize("kind", sorted(MALFORMED_ADJACENCY))
-    def test_malformed_adjacency_file_is_config_error(self, kind, tmp_path, capsys):
-        text, message = self.MALFORMED_ADJACENCY[kind]
-        adj_path = tmp_path / f"{kind}.adj"
+    @pytest.mark.parametrize("text, message", [("", "is empty"),
+                                               ("0 1\n1 x\n", "not a numeric matrix"),
+                                               ("1 1 0\n", "square matrix, got 1 rows of 3"),
+                                               ("1 1 0\n1 1\n0 1 1\n", "not a numeric matrix")],
+                             ids=["empty", "not-numeric", "not-square", "ragged"])
+    def test_malformed_adjacency_file_is_config_error(self, text, message, tmp_path, capsys):
+        adj_path = tmp_path / "graph.adj"
         adj_path.write_text(text)
         code = run_cli("--algo", "dgfm", "--dataset", "builtin:quadratic", "--m", "3",
                        "--topology", f"metropolis:{adj_path}", "--iters", "3",
