@@ -18,6 +18,7 @@ from .algorithms import (
     dgfm_run,
     gfm_plus_run,
     gfm_run,
+    iteration_cost,
     select_output,
     step,
 )
@@ -50,7 +51,6 @@ from .objectives import (
 from .params import TheoremParams, theorem_params_dgfm, theorem_params_dgfm_plus
 from .rng import substream
 from .smoothing import (
-    OracleCounter,
     SampleBatch,
     SmoothingParams,
     minibatch_estimate,

@@ -50,7 +50,6 @@ from .errors import (
 from .metrics import RunEntry, RunRecord, consensus_error, stationarity_estimate
 from .rng import substream
 from .smoothing import (
-    OracleCounter,
     SmoothingParams,
     minibatch_estimate,
     sample_batch,  # noqa: F401 -- unused, but perfbench's tracer patches it here
@@ -68,6 +67,7 @@ __all__ = [
     "dgfm_run",
     "gfm_plus_run",
     "gfm_run",
+    "iteration_cost",
     "select_output",
     "step",
 ]
@@ -139,6 +139,25 @@ class DgfmPlusConfig:
         _require_nonnegative(iters=self.iters, seed=self.seed)
 
 
+def iteration_cost(cfg, m, k):
+    """(oracle calls, communication rounds) of iteration k of m agents under ``cfg``.
+
+    An iteration gossips the tracker and the iterate once each (2 rounds)
+    and costs 2 m b calls under a `DgfmConfig`, or 4 m b (a paired
+    difference) under a `DgfmPlusConfig`. A `DgfmPlusConfig` restart
+    (k mod period == 0) costs 2 m b' calls and ``gossip_rounds`` + 1 rounds
+    instead. A single agent has no neighbours and counts no rounds.
+    """
+    rounds = 2
+    if not isinstance(cfg, DgfmPlusConfig):
+        calls = 2 * m * cfg.batch
+    elif k % cfg.period == 0:
+        calls, rounds = 2 * m * cfg.mega_batch, cfg.gossip_rounds + 1
+    else:
+        calls = 4 * m * cfg.batch
+    return calls, rounds if m > 1 else 0
+
+
 @dataclass
 class NetworkState:
     """Stacked per-agent iterates plus bookkeeping counters.
@@ -154,8 +173,8 @@ class NetworkState:
     v: np.ndarray
     x_prev: np.ndarray
     k: int = 0
+    oracle_calls: int = 0
     comm_rounds: int = 0
-    counter: OracleCounter = field(default_factory=OracleCounter)
     restart_log: list = field(default_factory=list)
 
     @classmethod
@@ -179,10 +198,6 @@ class NetworkState:
     @property
     def d(self):
         return self.x.shape[1]
-
-    @property
-    def oracle_calls(self):
-        return self.counter.count
 
     @property
     def mean_x(self):
@@ -220,18 +235,17 @@ def step(state, matrix, partition, objective, cfg):
     `sample_batches`):
 
     * a `DgfmConfig` averages the two-point estimates of ``batch`` pairs
-      from the agent's shard (2 m b oracle calls);
+      from the agent's shard;
     * a `DgfmPlusConfig` restart (k mod period == 0) does the same over
-      ``mega_batch`` pairs (2 m b' oracle calls); in between, each agent
-      adds a paired difference over ``batch`` shared pairs to its previous
-      estimate (4 m b oracle calls).
+      ``mega_batch`` pairs; in between, each agent adds a paired
+      difference over ``batch`` shared pairs to its previous estimate.
 
     At a restart the tracker is reset to the new estimates and gossiped
     ``gossip_rounds`` times, and its consensus error after each round is
     logged; otherwise it is gossiped once with the estimate increment
-    folded in. Both cases end with the gossiped descent step on x. Every
-    gossip round counts one communication round; a single agent has no
-    neighbours and counts none. Mutates ``state`` and returns it; a
+    folded in. Both cases end with the gossiped descent step on x. The
+    state's oracle-call and communication-round counters grow by
+    `dgfm.iteration_cost(cfg, m, k)`. Mutates ``state`` and returns it; a
     non-finite estimate or iterate raises `NumericFailure` naming the
     agent and iteration and leaves ``state`` as it was, counters and
     restart log included.
@@ -247,26 +261,20 @@ def step(state, matrix, partition, objective, cfg):
     recursive = isinstance(cfg, DgfmPlusConfig)
     restart = recursive and k % cfg.period == 0
     size = cfg.mega_batch if restart else cfg.batch
-    calls = OracleCounter()
-    rounds = 0
 
     def gossip(z):
-        # one communication round; a single agent has no neighbours and counts none
-        nonlocal rounds
-        if m == 1:
-            return z
-        rounds += 1
-        return mix(matrix, z)
+        # a single agent has no neighbours: W = [[1]] leaves z as it is
+        return z if m == 1 else mix(matrix, z)
 
     v_new = np.empty((m, d))
     batches = sample_batches(partition.assignment, size, d, substream(cfg.seed, _LANE_DRAW, k))
     for i, batch in enumerate(batches):
         if recursive and not restart:
             v_new[i] = state.v[i] + spider_difference(
-                objective, state.x[i], state.x_prev[i], params, batch, calls
+                objective, state.x[i], state.x_prev[i], params, batch
             )
         else:
-            v_new[i] = minibatch_estimate(objective, state.x[i], params, batch, calls)
+            v_new[i] = minibatch_estimate(objective, state.x[i], params, batch)
     del batch  # a view of the last chunk of directions: free it before the gossip
     _require_finite(v_new, "estimate", k)
     if restart:
@@ -283,7 +291,8 @@ def step(state, matrix, partition, objective, cfg):
     # commit the iteration as a whole: a failure above leaves the state untouched
     if restart:
         state.restart_log.append({"iter": k, "tracking_consensus": trace})
-    state.counter.add(calls.count)
+    calls, rounds = iteration_cost(cfg, m, k)
+    state.oracle_calls += calls
     state.comm_rounds += rounds
     state.x_prev, state.x, state.v, state.y = state.x, x_new, v_new, y_new
     state.k += 1

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import EmptyBatch, InvalidParameter, ShapeError
 
 __all__ = [
-    "OracleCounter",
     "SampleBatch",
     "SmoothingParams",
     "minibatch_estimate",
@@ -47,16 +46,6 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-12
-
-
-@dataclass
-class OracleCounter:
-    """Running count of zeroth-order oracle evaluations."""
-
-    count: int = 0
-
-    def add(self, n):
-        self.count += n
 
 
 @dataclass(frozen=True)
@@ -177,11 +166,10 @@ def sample_batch(indices, b, d, rng):
     return next(sample_batches([indices], b, d, rng))
 
 
-def two_point_estimate(obj, x, params, w, xi, counter=None):
+def two_point_estimate(obj, x, params, w, xi):
     """Single-pair estimator (d / 2 delta) (f(x+delta w; xi) - f(x-delta w; xi)) w.
 
-    Costs exactly two oracle evaluations; ``counter`` (if given) is
-    incremented by 2. Both evaluations share the same sample index xi.
+    Costs exactly two oracle evaluations, which share the sample index xi.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (params.dim,):
@@ -189,20 +177,18 @@ def two_point_estimate(obj, x, params, w, xi, counter=None):
     delta = params.delta
     step = delta * w
     diff = obj.eval(x + step, xi) - obj.eval(x - step, xi)
-    if counter is not None:
-        counter.add(2)
     return (params.dim / (2.0 * delta)) * diff * w
 
 
-def minibatch_estimate(obj, x, params, batch, counter=None):
+def minibatch_estimate(obj, x, params, batch):
     """Arithmetic mean of `two_point_estimate` over the batch (2b oracle calls)."""
-    acc = two_point_estimate(obj, x, params, batch.ws[0], batch.xis[0], counter)
+    acc = two_point_estimate(obj, x, params, batch.ws[0], batch.xis[0])
     for j in range(1, batch.size):
-        acc += two_point_estimate(obj, x, params, batch.ws[j], batch.xis[j], counter)
+        acc += two_point_estimate(obj, x, params, batch.ws[j], batch.xis[j])
     return acc / batch.size
 
 
-def spider_difference(obj, x_new, x_old, params, batch, counter=None):
+def spider_difference(obj, x_new, x_old, params, batch):
     """Paired difference g(x_new; S) - g(x_old; S) with the identical batch S.
 
     Both estimates reuse the same (xi, w) pairs; sharing the directions as
@@ -214,8 +200,8 @@ def spider_difference(obj, x_new, x_old, params, batch, counter=None):
     x_old = np.asarray(x_old, dtype=float)
     if x_new.shape != x_old.shape:
         raise ShapeError(f"point shapes differ: {x_new.shape} vs {x_old.shape}")
-    return minibatch_estimate(obj, x_new, params, batch, counter) - minibatch_estimate(
-        obj, x_old, params, batch, counter
+    return minibatch_estimate(obj, x_new, params, batch) - minibatch_estimate(
+        obj, x_old, params, batch
     )
 
 

@@ -37,6 +37,21 @@ def small_svm_objective():
     return dgfm.CappedL1Svm.from_dataset(ds, name="small-svm")
 
 
+class EvalCounter:
+    """Proxy objective that counts ``eval`` calls and forwards everything else."""
+
+    def __init__(self, objective):
+        self._objective = objective
+        self.calls = 0
+
+    def eval(self, x, xi):
+        self.calls += 1
+        return self._objective.eval(x, xi)
+
+    def __getattr__(self, attr):
+        return getattr(self._objective, attr)
+
+
 def entries_match(a, b):
     """Entry equality modulo wall-clock time."""
     return (

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from conftest import EvalCounter
 
 from dgfm import (
     AbsTest,
     LinearTest,
-    OracleCounter,
     QuadraticTest,
     SampleBatch,
     SmoothingParams,
@@ -110,11 +110,10 @@ class TestTwoPoint:
         )
 
     def test_counter_and_shape(self):
-        obj = QuadraticTest(3)
+        obj = EvalCounter(QuadraticTest(3))
         params = SmoothingParams(delta=0.1, dim=3)
-        counter = OracleCounter()
-        two_point_estimate(obj, np.zeros(3), params, sample_sphere(3, substream(8, 1)), 0, counter)
-        assert counter.count == 2
+        two_point_estimate(obj, np.zeros(3), params, sample_sphere(3, substream(8, 1)), 0)
+        assert obj.calls == 2
         with pytest.raises(ShapeError):
             two_point_estimate(obj, np.zeros(4), params, np.ones(3), 0)
 
@@ -138,15 +137,13 @@ class TestBatches:
         assert np.allclose(minibatch_estimate(obj, x, params, batch), single, atol=1e-15)
 
     def test_oracle_accounting(self):
-        obj = QuadraticTest(4, n_samples=10)
+        obj = EvalCounter(QuadraticTest(4, n_samples=10))
         params = SmoothingParams(delta=0.05, dim=4)
-        counter = OracleCounter()
         batch = sample_batch(np.arange(10), 16, 4, substream(10, 1))
-        minibatch_estimate(obj, np.zeros(4), params, batch, counter)
-        assert counter.count == 2 * 16
-        counter = OracleCounter()
-        spider_difference(obj, np.ones(4), np.zeros(4), params, batch, counter)
-        assert counter.count == 4 * 16
+        minibatch_estimate(obj, np.zeros(4), params, batch)
+        assert obj.calls == 2 * 16
+        spider_difference(obj, np.ones(4), np.zeros(4), params, batch)
+        assert obj.calls == 2 * 16 + 4 * 16
 
     def test_variance_scales_inversely_with_batch(self):
         c = np.zeros(10)

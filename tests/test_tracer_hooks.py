@@ -4,8 +4,9 @@
 functions named in its ``LOOP_CALLS`` where `dgfm.algorithms` looks them
 up, and it counts oracle calls by wrapping the objective's ``eval``. A
 traced run fails if one of those names is gone, or if the optimizers form
-an estimate without one ``eval`` per counted oracle call. These tests
-catch both from the package's own suite. The stationarity proxy is
+an estimate without one ``eval`` per counted oracle call, or without one
+gossip product per counted communication round. These tests catch all
+three from the package's own suite. The stationarity proxy is
 measurement and evaluates through ``eval_batch``, so the count holds with
 it switched on too.
 """
@@ -13,12 +14,16 @@ it switched on too.
 import ast
 import pathlib
 
+import numpy as np
 import pytest
+from conftest import EvalCounter
 
 from dgfm import (
     DgfmConfig,
     DgfmPlusConfig,
+    MixingMatrix,
     algorithms,
+    build_complete,
     build_ring,
     dgfm_run,
     gfm_run,
@@ -44,21 +49,6 @@ def test_every_name_the_tracer_patches_is_in_algorithms():
     assert not missing, f"perfbench's tracer patches {missing}, gone from dgfm.algorithms"
 
 
-class EvalCounter:
-    """Proxy objective that counts ``eval`` calls and forwards everything else."""
-
-    def __init__(self, objective):
-        self._objective = objective
-        self.calls = 0
-
-    def eval(self, x, xi):
-        self.calls += 1
-        return self._objective.eval(x, xi)
-
-    def __getattr__(self, attr):
-        return getattr(self._objective, attr)
-
-
 M = 4
 PLUS = dict(period=3, mega_batch=5, batch=2, gossip_rounds=2)
 
@@ -78,6 +68,34 @@ def test_each_counted_oracle_call_is_one_eval(algo, small_svm_objective):
         calls = gfm_run(obj, cfg, **opts).entries[-1].zo_calls
     assert calls > 0
     assert obj.calls == calls
+
+
+class ProductCounter(np.ndarray):
+    """Gossip weights that count their ``@`` products, like perfbench's ``_GossipWeights``."""
+
+    def __matmul__(self, other):
+        self.products[0] += 1
+        return np.asarray(self) @ other
+
+
+def counting_matrix(matrix):
+    weights = matrix.weights.view(ProductCounter)
+    weights.products = [0]
+    return MixingMatrix(m=matrix.m, weights=weights, rho=matrix.rho)
+
+
+@pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus", "gfm", "gfm-plus"])
+def test_each_counted_comm_round_is_one_gossip_product(algo, small_svm_objective):
+    obj = small_svm_objective
+    cfg = (DgfmPlusConfig(eta=0.01, delta=1e-3, iters=8, seed=3, **PLUS) if algo.endswith("-plus")
+           else DgfmConfig(eta=0.01, delta=1e-3, iters=8, seed=3, batch=2))
+    # gfm and gfm-plus are the one-agent runs, on W = [[1]] (see gfm_run)
+    m = M if algo.startswith("dgfm") else 1
+    matrix = counting_matrix(build_ring(M) if m > 1 else build_complete(1))
+    state = dgfm_run(matrix, partition(obj.n_samples, m, seed=3), obj, cfg,
+                     stationarity_every=0, keep_iterates=False)[0]
+    assert state.comm_rounds == matrix.weights.products[0]
+    assert (state.comm_rounds > 0) == (m > 1)
 
 
 @pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus", "gfm", "gfm-plus"])
