@@ -218,6 +218,13 @@ def _require_matrix(matrix):
         )
 
 
+def _require_partition(partition, m, objective):
+    """Raise ShapeError unless ``partition`` splits the objective's samples over m agents."""
+    if (partition.m, partition.n) != (m, objective.n_samples):
+        raise ShapeError(f"partition has {partition.m} agents and {partition.n} samples; "
+                         f"the run has {m} agents and {objective.n_samples} samples")
+
+
 def _require_finite(z, what, k):
     """Raise NumericFailure naming the first agent whose row of ``z`` is not finite."""
     finite = np.isfinite(z)
@@ -245,16 +252,18 @@ def step(state, matrix, partition, objective, cfg):
     logged; otherwise it is gossiped once with the estimate increment
     folded in. Both cases end with the gossiped descent step on x. The
     state's oracle-call and communication-round counters grow by
-    `dgfm.iteration_cost(cfg, m, k)`. Mutates ``state`` and returns it; a
-    non-finite estimate or iterate raises `NumericFailure` naming the
-    agent and iteration and leaves ``state`` as it was, counters and
-    restart log included.
+    `dgfm.iteration_cost(cfg, m, k)`. The partition must give each of the
+    state's agents a shard of the objective's samples (`ShapeError`).
+    Mutates ``state`` and returns it; a non-finite estimate or iterate
+    raises `NumericFailure` naming the agent and iteration and leaves
+    ``state`` as it was, counters and restart log included.
     """
     _require_matrix(matrix)
     if state.k >= cfg.iters:
         raise BudgetExceeded(f"iteration {state.k} outside the configured budget of {cfg.iters}")
     if state.m != matrix.m:
         raise ShapeError(f"state has {state.m} agents, topology has {matrix.m}")
+    _require_partition(partition, state.m, objective)
     m, d = state.x.shape
     params = _smoothing_params(cfg.delta, d)
     k = state.k
@@ -360,8 +369,7 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
     """
     _require_matrix(matrix)
     m = matrix.m
-    if partition.m != m:
-        raise ShapeError(f"partition has {partition.m} agents, topology has {m}")
+    _require_partition(partition, m, objective)
     x0 = np.zeros(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (objective.dim,):
         raise ShapeError(f"x0 must have shape ({objective.dim},), got {x0.shape}")

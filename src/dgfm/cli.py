@@ -219,6 +219,8 @@ def _load_objective(cfg):
         dataset = data_mod.load_libsvm(cfg.dataset)
     except ParseError as exc:
         raise DataError(f"{cfg.dataset}: {exc}") from exc
+    if dataset.d == 0:
+        raise DataError(f"{cfg.dataset}: no sample has a feature, so there is nothing to fit")
     dataset = data_mod.normalize_rows(dataset)
     dataset_id = os.path.basename(cfg.dataset)
     if cfg.subset is not None:

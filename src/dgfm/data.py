@@ -345,7 +345,7 @@ def normalize_rows(dataset):
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint cover of sample indices, one index array per agent."""
+    """Disjoint cover of sample indices, one non-empty index array per agent."""
 
     assignment: list
     n: int
@@ -353,6 +353,9 @@ class Partition:
     def __post_init__(self):
         if any(a.ndim != 1 for a in self.assignment):
             raise InvalidPartition("each agent's assignment must be a 1-D index array")
+        empty = [i for i, a in enumerate(self.assignment) if a.shape[0] == 0]
+        if empty:
+            raise InvalidPartition(f"agent {empty[0]} has no samples")
         flat = np.concatenate(self.assignment) if self.assignment else np.array([], dtype=int)
         if flat.shape[0] != self.n or not np.array_equal(np.sort(flat), np.arange(self.n)):
             raise InvalidPartition(

@@ -110,6 +110,14 @@ class TestExitCodes:
         assert code == 3
         assert "line 1: byte 0xff is not text" in capsys.readouterr().err
 
+    def test_dataset_without_features_is_data_error(self, tmp_path, capsys):
+        labels = tmp_path / "labels.libsvm"
+        labels.write_text("1\n-1\n1\n")
+        code = run_cli("--algo", "gfm", "--dataset", str(labels), "--eta", "0.01",
+                       "--iters", "3", "--out", str(tmp_path / "r.csv"))
+        assert code == 3
+        assert f"data error: {labels}: no sample has a feature" in capsys.readouterr().err
+
     def test_plus_requires_schedule_flags(self, tmp_path):
         code = run_cli("--algo", "dgfm-plus", "--dataset", "builtin:quadratic",
                        "--m", "4", "--iters", "10", "--eta", "0.1",

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_svm_text
-from dgfm import load_libsvm, normalize_rows, parse_libsvm, partition, subset, to_libsvm
+from dgfm import (
+    Partition,
+    load_libsvm,
+    normalize_rows,
+    parse_libsvm,
+    partition,
+    subset,
+    to_libsvm,
+)
 from dgfm.data import BLOCK_BYTES, MAX_INDEX
 from dgfm.errors import InvalidPartition, ParseError
 
@@ -120,6 +128,10 @@ class TestPartition:
             partition(2, 3, seed=0)
         with pytest.raises(InvalidPartition):
             partition(5, 0, seed=0)
+
+    def test_empty_shard_is_rejected(self):
+        with pytest.raises(InvalidPartition, match="agent 1 has no samples"):
+            Partition(assignment=[np.arange(3), np.array([], dtype=int)], n=3)
 
     def test_accepts_dataset(self, svm_dataset):
         part = partition(svm_dataset, 8, seed=1)
