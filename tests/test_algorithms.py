@@ -390,29 +390,21 @@ class TestRuns:
         with pytest.raises(InvalidTopology, match=f"got {name}"):
             step(NetworkState.initial(4, np.zeros(3)), topology, part, obj, cfg)
 
-    @pytest.mark.parametrize("agents", [3, 5], ids=["too-few", "too-many"])
-    def test_partition_with_the_wrong_agent_count_is_rejected(self, agents):
-        obj = QuadraticTest(dim=3, n_samples=8)
-        part = partition(8, agents, seed=0)
-        cfg = DgfmConfig(eta=0.01, delta=0.01, iters=3, seed=0)
+    @pytest.mark.parametrize(
+        "n_samples, covered, agents", [(8, 8, 3), (8, 8, 5), (6, 4, 4), (4, 8, 4)],
+        ids=["too-few-agents", "too-many-agents", "too-few-samples", "too-many-samples"])
+    def test_partition_that_does_not_fit_the_run_is_rejected(self, n_samples, covered, agents):
+        obj = QuadraticTest(dim=3, n_samples=n_samples)
+        part = partition(covered, agents, seed=0)
+        cfg = DgfmConfig(eta=0.01, delta=0.01, iters=50, seed=0)
+        match = (f"partition has {agents} agents and {covered} samples; "
+                 f"the run has 4 agents and {n_samples} samples")
         state = NetworkState.initial(4, np.zeros(3))
-        match = f"partition has {agents} agents and 8 samples; the run has 4 agents and 8 samples"
         with pytest.raises(ShapeError, match=match):
             step(state, build_ring(4), part, obj, cfg)
         assert state.k == 0 and state.oracle_calls == 0
         with pytest.raises(ShapeError, match=match):
             dgfm_run(build_ring(4), part, obj, cfg)
-
-    @pytest.mark.parametrize("n_samples, covered", [(6, 4), (4, 8)], ids=["too-few", "too-many"])
-    def test_partition_of_the_wrong_sample_count_is_rejected(self, n_samples, covered):
-        obj = QuadraticTest(dim=3, n_samples=n_samples)
-        part = partition(covered, 2, seed=0)
-        cfg = DgfmConfig(eta=0.01, delta=0.01, iters=50, seed=0)
-        match = f"partition has 2 agents and {covered} samples; the run has 2 agents and {n_samples}"
-        with pytest.raises(ShapeError, match=match):
-            dgfm_run(build_complete(2), part, obj, cfg)
-        with pytest.raises(ShapeError, match=match):
-            step(NetworkState.initial(2, np.zeros(3)), build_complete(2), part, obj, cfg)
 
     def test_determinism_bit_identical(self):
         obj = QuadraticTest(3, n_samples=8)
