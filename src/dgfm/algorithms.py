@@ -80,8 +80,8 @@ _LANE_SELECT = 2
 
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
-        if not value > 0:
-            raise InvalidParameter(f"{name} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise InvalidParameter(f"{name} must be positive and finite, got {value}")
 
 
 def _require_nonnegative(**kwargs):

@@ -168,8 +168,8 @@ def validate(cfg):
         # a longer interval records nothing
         raise ConfigError(f"record-every must be in [1, iters] = [1, {cfg.iters}], "
                           f"got {cfg.record_every}")
-    if not cfg.delta > 0:
-        raise ConfigError(f"delta must be positive, got {cfg.delta}")
+    if not 0 < cfg.delta < np.inf:
+        raise ConfigError(f"delta must be positive and finite, got {cfg.delta}")
     for why, applies, flags in FLAG_RULES:
         given = [f"--{flag}" for flag in flags
                  if getattr(cfg, flag.replace("-", "_")) is not None]
@@ -182,15 +182,13 @@ def validate(cfg):
             eps = float(cfg.params.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad epsilon in {cfg.params!r}") from None
-        if not eps > 0:
-            raise ConfigError(f"epsilon must be positive, got {eps}")
+        if not 0 < eps < np.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {eps}")
     elif cfg.params != "manual":
         raise ConfigError(f"params must be 'manual' or 'theorem:<epsilon>', got {cfg.params!r}")
     else:
         if cfg.eta is None:
             raise ConfigError("--eta is required in manual parameter mode")
-        if not cfg.eta > 0:
-            raise ConfigError(f"eta must be positive, got {cfg.eta}")
         if cfg.algo in ("dgfm-plus", "gfm-plus"):
             if cfg.period is None:
                 raise ConfigError(f"--period is required for {cfg.algo}")
@@ -199,9 +197,20 @@ def validate(cfg):
     for name, value in DEFAULTS.items():
         if getattr(cfg, name) is None:
             setattr(cfg, name, value)
+    if cfg.params == "manual":
+        _run_config(cfg, cfg.seed)  # the library config states the run values' ranges
     if cfg.algo in ("dgfm", "dgfm-plus") and cfg.m < 3 and cfg.topology == "ring":
         # ring needs >= 3 agents; fail here with a friendlier message
         raise ConfigError("ring topology needs --m >= 3")
+
+
+def _run_config(cfg, seed):
+    """The library config of the run with this seed."""
+    if cfg.algo.endswith("-plus"):
+        return DgfmPlusConfig(eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=seed,
+                              batch=cfg.batch, period=cfg.period, mega_batch=cfg.mega_batch,
+                              gossip_rounds=cfg.gossip)
+    return DgfmConfig(eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=seed, batch=cfg.batch)
 
 
 def _load_objective(cfg):
@@ -241,7 +250,7 @@ def _build_topology(cfg):
             raise DataError(f"adjacency file not found: {path}")
         matrix = build_metropolis_hastings(load_adjacency(path))
         if matrix.m != cfg.m:
-            raise ConfigError(f"adjacency has {matrix.m} agents, --m is {cfg.m}")
+            raise ConfigError(f"adjacency file {path} has {matrix.m} agents, --m is {cfg.m}")
         return matrix, f"metropolis:{os.path.basename(path)}"
     raise ConfigError(f"unknown topology {cfg.topology!r}")
 
@@ -291,9 +300,6 @@ def run_experiment(cfg):
     # ones; dataset runs start at zero per the benchmark protocol.
     x0 = np.ones(objective.dim) if cfg.dataset.startswith("builtin:") else None
 
-    plus = cfg.algo.endswith("-plus")
-    plus_fields = dict(period=cfg.period, mega_batch=cfg.mega_batch,
-                       gossip_rounds=cfg.gossip) if plus else {}
     records = []
     for r in range(cfg.repeats):
         seed = cfg.seed + r
@@ -302,9 +308,7 @@ def run_experiment(cfg):
             extra["topology"] = topology_id
         if theorem_echo:
             extra["theorem_params"] = theorem_echo
-        run_cfg = (DgfmPlusConfig if plus else DgfmConfig)(
-            eta=cfg.eta, delta=cfg.delta, iters=cfg.iters, seed=seed, batch=cfg.batch, **plus_fields
-        )
+        run_cfg = _run_config(cfg, seed)
         # the runs never select an output iterate, so they keep no snapshots
         opts = dict(x0=x0, record_every=cfg.record_every, metadata=extra, keep_iterates=False)
         if network:
@@ -340,6 +344,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidPartition, ParseError
+from .errors import InvalidParameter, InvalidPartition, ParseError
 
 __all__ = [
     "SparseDataset",
@@ -391,6 +391,8 @@ def partition(dataset, m, seed):
 
 def subset(dataset, n, seed=None):
     """First-n rows (seed None) or a seeded n-row sample without replacement."""
+    if seed is not None and seed < 0:
+        raise InvalidParameter(f"subset seed must be >= 0, got {seed}")
     if n >= dataset.n:
         return dataset
     if seed is None:

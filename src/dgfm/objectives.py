@@ -137,8 +137,8 @@ class CappedL1Svm(StochasticObjective):
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise InvalidParameter("labels must all be +1 or -1")
         # lam = 0 degenerates to the plain hinge, which is useful in tests
-        if lam < 0.0 or not alpha > 0.0:
-            raise InvalidParameter(f"need lam >= 0 and alpha > 0, got {(lam, alpha)}")
+        if not (0.0 <= lam < math.inf and alpha > 0.0):
+            raise InvalidParameter(f"need finite lam >= 0 and alpha > 0, got {(lam, alpha)}")
         # Row hinge is ||a_xi||-Lipschitz and the penalty lam*d-Lipschitz at worst.
         hint = float(np.sqrt(features.multiply(features).sum(axis=1)).max()) + lam * d
         super().__init__(n_samples=n, dim=d, lipschitz_hint=hint, name=name)

@@ -1,9 +1,11 @@
 """Counter-based reproducible random streams.
 
 Every stochastic draw in this package comes from a stream keyed by the run
-seed plus an integer path such as (lane, iteration). Streams with distinct
-keys are statistically independent, and the same key always reproduces the
-same stream. The optimizers open one stream per iteration and draw every
+seed plus an integer path such as (lane, iteration), except the shuffles of
+`dgfm.data.partition` and `dgfm.data.subset`, which draw from
+``np.random.default_rng(seed)``. Streams with distinct keys are
+statistically independent, and the same key always reproduces the same
+stream. The optimizers open one stream per iteration and draw every
 agent's pairs from it at once, agent i's being row i of that draw, so
 simulation results do not depend on the order in which agents are
 processed (and would not change under parallel execution).

@@ -369,6 +369,17 @@ class TestRuns:
             with pytest.raises(ShapeError, match="x0 must have shape"):
                 run_briefly(run, obj, x0=np.ones(obj.dim - 1))
 
+    @pytest.mark.parametrize("config, field", [
+        *((DgfmConfig, field) for field in ("eta", "delta", "batch")),
+        *((DgfmPlusConfig, field)
+          for field in ("eta", "delta", "batch", "period", "mega_batch", "gossip_rounds"))])
+    def test_infinite_config_value_is_rejected(self, config, field):
+        fields = dict(eta=0.1, delta=0.01, iters=3, seed=0, batch=1)
+        if config is DgfmPlusConfig:
+            fields.update(period=2, mega_batch=2)
+        with pytest.raises(InvalidParameter, match=f"{field} must be positive and finite"):
+            config(**{**fields, field: math.inf})
+
     @pytest.mark.parametrize("run", ["dgfm_run", "gfm_run"])
     def test_record_every_below_one_is_rejected(self, run):
         with pytest.raises(InvalidParameter, match="record_every"):
@@ -532,6 +543,13 @@ class TestTheoremParams:
         for rho in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(InvalidParameter):
                 theorem_params_dgfm(rho, 1.0, 5, 0.01, 0.1, 4, 1.0)
+
+    @pytest.mark.parametrize("name", ["lipschitz", "delta", "epsilon", "value_gap"])
+    def test_infinite_input_is_rejected(self, name):
+        inputs = dict(rho=0.5, lipschitz=1.0, d=5, delta=0.01, epsilon=0.1, m=4, value_gap=1.0)
+        for prescribe in (theorem_params_dgfm, theorem_params_dgfm_plus):
+            with pytest.raises(InvalidParameter, match=f"{name} must be positive and finite"):
+                prescribe(**{**inputs, name: math.inf})
 
     def test_surrogate_smoothness_feeds_in(self):
         p = theorem_params_dgfm(0.5, 2.0, 16, 0.02, 0.1, 4, 1.0, c=3.0)

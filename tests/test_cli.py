@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgfm
 from conftest import synthetic_svm_text
 from dgfm import read_csv_rows, theorem_params_dgfm_plus
 from dgfm import cli
@@ -118,6 +123,67 @@ class TestExitCodes:
         assert code == 3
         assert f"data error: {labels}: no sample has a feature" in capsys.readouterr().err
 
+    def test_missing_adjacency_file_is_data_error(self, tmp_path, capsys):
+        adj_path = tmp_path / "nope.adj"
+        code = run_cli("--algo", "dgfm", "--dataset", "builtin:quadratic", "--m", "3",
+                       "--topology", f"metropolis:{adj_path}", "--iters", "3", "--eta", "0.1",
+                       "--out", str(tmp_path / "r.csv"))
+        assert code == 3
+        assert f"data error: adjacency file not found: {adj_path}" in capsys.readouterr().err
+
+    def test_out_naming_a_directory_is_data_error(self, tmp_path, capsys):
+        code = run_cli("--algo", "gfm", "--dataset", "builtin:quadratic", "--iters", "3",
+                       "--eta", "0.1", "--out", str(tmp_path))
+        assert code == 3
+        assert f"data error: cannot write records to {tmp_path}" in capsys.readouterr().err
+
+    # Values no run can take, each with the text its config error names. {data}
+    # is a 4-sample data file; {bad} is a malformed one, so a case that names it
+    # shows the value is refused before the data file is read.
+    GFM = "--algo gfm --dataset builtin:quadratic --iters 3 --eta 0.1 "
+    PLUS_BAD = ("--algo dgfm-plus --dataset {bad} --m 4 --iters 3 --eta 0.1 --period 2 "
+                "--mega-batch 2 ")
+    SVM = "--algo gfm --dataset {data} --iters 3 --eta 0.1 "
+    THEOREM = "--algo dgfm --dataset builtin:quadratic --m 4 --iters 3 "
+    BAD_VALUES = {
+        "repeats-0": (GFM + "--repeats 0", "repeats must be >= 1, got 0"),
+        "seed-negative": (GFM + "--seed -1", "seed must be >= 0, got -1"),
+        "iters-0": (GFM + "--iters 0", "iters must be >= 1, got 0"),
+        "delta-0": (GFM + "--delta 0", "delta must be positive and finite, got 0.0"),
+        "delta-inf": (GFM + "--delta inf", "delta must be positive and finite, got inf"),
+        "eta-0": (GFM + "--eta 0", "eta must be positive and finite, got 0.0"),
+        "eta-inf": (PLUS_BAD + "--eta inf", "eta must be positive and finite, got inf"),
+        "batch-0": (PLUS_BAD + "--batch 0", "batch must be positive and finite, got 0"),
+        "period-0": (PLUS_BAD + "--period 0", "period must be positive and finite, got 0"),
+        "mega-batch-0": (PLUS_BAD + "--mega-batch 0", "mega_batch must be positive and finite"),
+        "gossip-0": (PLUS_BAD + "--gossip 0", "gossip_rounds must be positive and finite"),
+        "gfm-plus-without-mega-batch": (GFM + "--algo gfm-plus --period 5",
+                                        "--mega-batch is required for gfm-plus"),
+        "params-bogus": (GFM + "--params bogus", "params must be 'manual' or 'theorem:<epsilon>'"),
+        "epsilon-not-a-number": (THEOREM + "--params theorem:x", "bad epsilon in 'theorem:x'"),
+        "epsilon-negative": (THEOREM + "--params theorem:-1",
+                             "epsilon must be positive and finite, got -1.0"),
+        "builtin-unknown": (GFM + "--dataset builtin:nope", "unknown builtin objective 'nope'"),
+        "topology-unknown": (THEOREM + "--eta 0.1 --topology star", "unknown topology 'star'"),
+        "lam-nan": (SVM + "--lam nan", "need finite lam >= 0"),
+        "lam-inf": (SVM + "--lam inf", "need finite lam >= 0"),
+        "subset-seed-negative": (SVM + "--subset 2 --subset-seed -1",
+                                 "subset seed must be >= 0, got -1"),
+        "more-agents-than-samples": (SVM.replace("gfm", "dgfm") + "--m 8",
+                                     "dataset has 4 samples, cannot shard across 8 agents"),
+    }
+
+    @pytest.mark.parametrize("flags, message", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+    def test_bad_run_value_is_config_error(self, flags, message, tmp_path, capsys):
+        data, bad = tmp_path / "four.libsvm", tmp_path / "bad.libsvm"
+        data.write_text(synthetic_svm_text(n=4, d=4, nnz=2, seed=1))
+        bad.write_text("1 1:abc\n")
+        code = run_cli(*flags.format(data=data, bad=bad).split(), "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_plus_requires_schedule_flags(self, tmp_path):
         code = run_cli("--algo", "dgfm-plus", "--dataset", "builtin:quadratic",
                        "--m", "4", "--iters", "10", "--eta", "0.1",
@@ -219,8 +285,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, message", [("", "is empty"),
                                                ("0 1\n1 x\n", "not a numeric matrix"),
                                                ("1 1 0\n", "square matrix, got 1 rows of 3"),
-                                               ("1 1 0\n1 1\n0 1 1\n", "not a numeric matrix")],
-                             ids=["empty", "not-numeric", "not-square", "ragged"])
+                                               ("1 1 0\n1 1\n0 1 1\n", "not a numeric matrix"),
+                                               ("1 1 0 0\n1 1 1 0\n0 1 1 1\n0 0 1 1\n",
+                                                "has 4 agents, --m is 3")],
+                             ids=["empty", "not-numeric", "not-square", "ragged", "wrong-size"])
     def test_malformed_adjacency_file_is_config_error(self, text, message, tmp_path, capsys):
         adj_path = tmp_path / "graph.adj"
         adj_path.write_text(text)
@@ -379,13 +447,26 @@ class TestConfigFile:
         cfg.write_text("algoz = gfm\n")
         assert run_cli("--config", str(cfg), "--out", "x.csv") == 2
 
-    @pytest.mark.parametrize("line", ["iters = x", "alg = gfm", "config = other.cfg"])
+    @pytest.mark.parametrize("line", ["iters = x", "alg = gfm", "config = other.cfg", "iters 5"])
     def test_bad_key_or_value_is_config_error(self, line, tmp_path, capsys):
         # config lines parse like flags: typed, exact names, no nested files
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("algo = gfm\ndataset = builtin:quadratic\neta = 0.1\n" + line + "\n")
         assert run_cli("--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nope.cfg"
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 2
+        assert f"config error: cannot read config file {cfg}" in capsys.readouterr().err
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# a short run\n\nalgo = gfm\n   \ndataset = builtin:quadratic\n"
+                       "eta = 0.1  # step size\niters = 5\n")
+        out = tmp_path / "r.csv"
+        assert run_cli(f"--config={cfg}", "--out", str(out)) == 0
+        assert len(read_csv_rows(out)) == 5
 
     def test_underscore_and_dash_keys_are_the_same_flag(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -394,6 +475,17 @@ class TestConfigFile:
         out = tmp_path / "r.csv"
         assert run_cli("--config", str(cfg), "--out", str(out)) == 0
         assert [r["iter"] for r in read_csv_rows(out)] == [10, 20]
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # python -m dgfm.cli exits with main's code
+    src = str(Path(dgfm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "dgfm.cli", "--algo", "gfm", "--dataset",
+                           "builtin:quadratic", "--eta", "0", "--out", str(tmp_path / "r.csv")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: eta must be positive")
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from dgfm import (
     to_libsvm,
 )
 from dgfm.data import BLOCK_BYTES, MAX_INDEX
-from dgfm.errors import InvalidPartition, ParseError
+from dgfm.errors import InvalidParameter, InvalidPartition, ParseError
 
 
 class TestParse:
@@ -152,6 +152,11 @@ class TestSubsetAndGzip:
 
     def test_noop_when_larger(self, svm_dataset):
         assert subset(svm_dataset, 10**6) is svm_dataset
+
+    @pytest.mark.parametrize("n", [100, 10**6], ids=["sample", "whole"])
+    def test_negative_seed_is_rejected(self, svm_dataset, n):
+        with pytest.raises(InvalidParameter, match="subset seed must be >= 0, got -1"):
+            subset(svm_dataset, n, seed=-1)
 
     def test_gzip_loading(self, tmp_path):
         text = "+1 1:0.5 3:-2\n-1 2:1\n"

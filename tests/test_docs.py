@@ -3,16 +3,19 @@ every backticked ``dgfm.<name>`` in the README resolves, and the README's CLI
 paragraph names every flag the CLI's rule table rejects.
 
 All four catch documentation left behind when the package drops, renames or
-adds a name.
+adds a name. A fifth checks that the package's star imports export each
+module's ``__all__`` whole and unshadowed.
 """
 
 import ast
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import dgfm
 from dgfm import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +67,17 @@ def test_readme_cli_paragraph_names_every_ruled_flag():
     flags = {flag for _, _, flags in cli.FLAG_RULES for flag in flags}
     missing = sorted(flag for flag in flags if f"`--{flag}`" not in prose)
     assert not missing, f"README's CLI paragraph does not name {missing}"
+
+
+def test_every_listed_name_is_exported_once():
+    # dgfm star-imports each module's __all__, so a name that two modules list
+    # would silently take the later module's object
+    modules = [importlib.import_module(f"dgfm.{info.name}")
+               for info in pkgutil.iter_modules(dgfm.__path__)]
+    listed = [(module, name) for module in modules for name in getattr(module, "__all__", ())]
+    names = [name for _, name in listed]
+    assert len(names) == len(set(names)), \
+        f"listed by two modules: {sorted({name for name in names if names.count(name) > 1})}"
+    wrong = [f"{module.__name__}.{name}" for module, name in listed
+             if getattr(dgfm, name, None) is not getattr(module, name)]
+    assert not wrong, f"dgfm does not export {wrong}"

@@ -74,6 +74,11 @@ class TestCappedL1Svm:
         with pytest.raises(InvalidParameter):
             CappedL1Svm(features, np.array([1.0, -1.0]), lam=1e-3, alpha=0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lam_is_rejected(self, lam):
+        with pytest.raises(InvalidParameter, match="finite lam"):
+            tiny_svm(lam=lam)
+
 
 class TestSyntheticObjectives:
     def test_quadratic_values(self):
