@@ -31,7 +31,6 @@ This module holds the algorithms only; the hyperparameters their analysis
 prescribes at a target accuracy are in :mod:`dgfm.params`.
 """
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
@@ -50,11 +49,11 @@ from .errors import (
 from .metrics import RunEntry, RunRecord, consensus_error, stationarity_estimate
 from .rng import substream
 from .smoothing import (
-    SmoothingParams,
-    minibatch_estimate,
+    draw_blocks,
+    estimate_block,
+    minibatch_estimate,  # noqa: F401 -- unused, but perfbench's tracer patches it here
     sample_batch,  # noqa: F401 -- unused, but perfbench's tracer patches it here
-    sample_batches,
-    spider_difference,
+    spider_difference,  # noqa: F401 -- unused, but perfbench's tracer patches it here
     two_point_estimate,  # noqa: F401 -- unused, but perfbench's tracer patches it here
 )
 from .topology import MixingMatrix, build_complete, mix
@@ -204,12 +203,6 @@ class NetworkState:
         return self.x.mean(axis=0)
 
 
-@functools.lru_cache(maxsize=16)
-def _smoothing_params(delta, d):
-    # frozen and validated on construction: build it once per (delta, d), not per step
-    return SmoothingParams(delta=delta, dim=d)
-
-
 def _require_matrix(matrix):
     if not isinstance(matrix, MixingMatrix):
         raise InvalidTopology(
@@ -233,19 +226,45 @@ def _require_finite(z, what, k):
         raise NumericFailure(f"non-finite {what} of agent {agent} at iteration {k}", iteration=k)
 
 
+def _estimates(state, partition, objective, cfg, size, paired):
+    """Every agent's new estimate from ``size`` pairs of iteration k's draw, (m, d).
+
+    The mean two-point estimate at x, or with ``paired`` the previous
+    estimate plus the paired difference of the means at x and x_prev over
+    the same pairs. Each block of the draw is evaluated at once (see
+    `estimate_block`); its temporaries, and the sums, are gone on return.
+    """
+    m, d = state.x.shape
+    sums = np.empty((2 if paired else 1, m, d))
+    for agents, pairs, xis, ws in draw_blocks(partition.assignment, size, d,
+                                              substream(cfg.seed, _LANE_DRAW, state.k)):
+        X = np.array((state.x[agents], state.x_prev[agents])) if paired else state.x[None, agents]
+        estimate_block(objective, X, cfg.delta, xis, ws, sums[:, agents], first=pairs.start == 0)
+    if size > 1:
+        sums /= size
+    return state.v + (sums[0] - sums[1]) if paired else sums[0]
+
+
 def step(state, matrix, partition, objective, cfg):
     """One synchronous iteration of the tracked method.
 
     Every gossip round applies the one `MixingMatrix` ``matrix``, and
     ``cfg`` picks how each agent i forms its new estimate at its iterate
-    from its pairs, row i of the iteration's one draw (see
-    `sample_batches`):
+    from its b pairs, row i of the iteration's one draw:
 
-    * a `DgfmConfig` averages the two-point estimates of ``batch`` pairs
-      from the agent's shard;
+    * a `DgfmConfig` averages the two-point estimates of b = ``batch``
+      pairs from the agent's shard;
     * a `DgfmPlusConfig` restart (k mod period == 0) does the same over
-      ``mega_batch`` pairs; in between, each agent adds a paired
-      difference over ``batch`` shared pairs to its previous estimate.
+      b = ``mega_batch`` pairs; in between, each agent adds a paired
+      difference over b = ``batch`` shared pairs to its previous estimate.
+
+    The draw comes in blocks (see `draw_blocks`): c = max(1, min(m, E //
+    (b d))) whole agents, E = `dgfm.smoothing.BLOCK_ENTRIES`, or, when one
+    agent's b d exceeds E, sub-blocks of max(1, E // d) of its pairs. Each
+    block is evaluated as one (see `estimate_block`), with one scalar
+    ``eval`` per probe: a paired difference evaluates it at x and at
+    x_prev. The estimates equal, bit for bit, the pair-by-pair sums of
+    `two_point_estimate`, divided by b.
 
     At a restart the tracker is reset to the new estimates and gossiped
     ``gossip_rounds`` times, and its consensus error after each round is
@@ -265,7 +284,6 @@ def step(state, matrix, partition, objective, cfg):
         raise ShapeError(f"state has {state.m} agents, topology has {matrix.m}")
     _require_partition(partition, state.m, objective)
     m, d = state.x.shape
-    params = _smoothing_params(cfg.delta, d)
     k = state.k
     recursive = isinstance(cfg, DgfmPlusConfig)
     restart = recursive and k % cfg.period == 0
@@ -275,16 +293,7 @@ def step(state, matrix, partition, objective, cfg):
         # a single agent has no neighbours: W = [[1]] leaves z as it is
         return z if m == 1 else mix(matrix, z)
 
-    v_new = np.empty((m, d))
-    batches = sample_batches(partition.assignment, size, d, substream(cfg.seed, _LANE_DRAW, k))
-    for i, batch in enumerate(batches):
-        if recursive and not restart:
-            v_new[i] = state.v[i] + spider_difference(
-                objective, state.x[i], state.x_prev[i], params, batch
-            )
-        else:
-            v_new[i] = minibatch_estimate(objective, state.x[i], params, batch)
-    del batch  # a view of the last chunk of directions: free it before the gossip
+    v_new = _estimates(state, partition, objective, cfg, size, paired=recursive and not restart)
     _require_finite(v_new, "estimate", k)
     if restart:
         y_new = v_new.copy()

@@ -54,6 +54,9 @@ FLAG_RULES = (
      lambda cfg: cfg.params.startswith("theorem:"),
      ("eta", "batch", "mega-batch", "period", "gossip")),
 )
+# Config fields that a flag of another name sets: a config error names the
+# flag. The other run values' fields are spelled as their flags.
+FIELD_FLAGS = {"mega_batch": "--mega-batch", "gossip_rounds": "--gossip"}
 # argparse leaves these None, so that `validate` can tell them given; it fills
 # them in at its end
 DEFAULTS = {"dim": 10, "m": 1, "topology": "ring", "batch": 1, "gossip": 1, "alpha": 2.0}
@@ -198,7 +201,11 @@ def validate(cfg):
         if getattr(cfg, name) is None:
             setattr(cfg, name, value)
     if cfg.params == "manual":
-        _run_config(cfg, cfg.seed)  # the library config states the run values' ranges
+        try:
+            _run_config(cfg, cfg.seed)  # the library config states the run values' ranges
+        except InvalidParameter as exc:  # "<field> must be ...": name the flag instead
+            field, rest = str(exc).split(" ", 1)
+            raise ConfigError(f"{FIELD_FLAGS.get(field, field)} {rest}") from None
     if cfg.algo in ("dgfm", "dgfm-plus") and cfg.m < 3 and cfg.topology == "ring":
         # ring needs >= 3 agents; fail here with a friendlier message
         raise ConfigError("ring topology needs --m >= 3")

@@ -374,15 +374,18 @@ class Partition:
 def partition(dataset, m, seed):
     """Shuffle sample indices by seed, then deal them round-robin to m agents.
 
-    Sizes differ by at most one. Deterministic in the seed. With a single
-    agent the natural order is kept so that single-agent runs consume
-    samples exactly like the centralized baselines.
+    Sizes differ by at most one. Deterministic in the seed, which must be
+    >= 0 (`InvalidParameter`). With a single agent the natural order is
+    kept so that single-agent runs consume samples exactly like the
+    centralized baselines.
     """
     n = dataset if isinstance(dataset, int) else dataset.n
     if m < 1:
         raise InvalidPartition(f"need at least one agent, got {m}")
     if n < m:
         raise InvalidPartition(f"cannot split {n} samples across {m} agents")
+    if seed < 0:
+        raise InvalidParameter(f"partition seed must be >= 0, got {seed}")
     if m == 1:
         return Partition(assignment=[np.arange(n)], n=n)
     perm = np.random.default_rng(seed).permutation(n)

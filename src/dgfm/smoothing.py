@@ -16,12 +16,14 @@ batch, which this module makes structurally impossible to get wrong: a
 :class:`SampleBatch` is sampled once and applied to both points.
 
 Both probes of one pair always share the same sample index xi; only the
-sign of the perturbation differs. `sample_batches` is the one sampler of
+sign of the perturbation differs. `draw_blocks` is the one sampler of
 pairs: it draws every agent's pairs of one iteration from one stream, all
-sample indices in one call and then all directions, so agent i's pairs
-are row i of that draw. `sample_batch` is its one-shard case, with which
-the stationarity proxy in :mod:`dgfm.metrics` draws from the whole
-objective.
+sample indices in one call and then all directions, in blocks, so agent
+i's pairs are row i of that draw. `sample_batches` hands the draw out per
+agent, and `sample_batch` is its one-shard case, with which the
+stationarity proxy in :mod:`dgfm.metrics` draws from the whole objective.
+`estimate_block` is the one estimator; `minibatch_estimate` is its
+one-agent case, and `two_point_estimate` its one-pair reference.
 """
 
 import math
@@ -34,6 +36,8 @@ from .errors import EmptyBatch, InvalidParameter, ShapeError
 __all__ = [
     "SampleBatch",
     "SmoothingParams",
+    "draw_blocks",
+    "estimate_block",
     "minibatch_estimate",
     "require_unit_norm",
     "sample_batch",
@@ -46,6 +50,12 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-12
+# Entries (float64) of one block of directions: 256 KiB. A step holds one
+# block and the few probe arrays formed from it, so its transient memory is
+# a small multiple of this whatever m, b and d; an unblocked (m, b, d) draw
+# raised the peak RSS of a 64-agent, d = 2000 run by 17%. A block this size
+# still holds all of an 8-agent draw at d = 123 in one piece.
+BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -127,18 +137,22 @@ def require_unit_norm(ws):
         raise InvalidParameter(f"directions must be unit norm, worst error {worst:.3e}")
 
 
-def sample_batches(shards, b, d, rng):
-    """Yield one batch of b (xi, w) pairs per shard, drawn in bulk from ``rng``.
+def draw_blocks(shards, b, d, rng):
+    """Yield one draw of b (xi, w) pairs per shard from ``rng``, in blocks.
 
     Agent i's xi are uniform over ``shards[i]`` and its w uniform on the
     unit sphere in R^d. All sample indices come first, in one (m, b) draw;
     then the directions, as one (m, b, d) standard normal block filled in
-    agent-order chunks of c = max(1, m // b) agents. Each chunk is drawn
-    only when its first batch is needed, normalized in place and checked
-    once, so the live directions never exceed m * d entries, or one
-    agent's b * d if that is more; the batches are row views of it. A
-    numpy Generator fills arrays in order, so the chunking never changes
+    blocks of c = max(1, min(m, E // (b d))) whole agents, E =
+    `BLOCK_ENTRIES`; an agent whose b d alone exceeds E is filled in
+    sub-blocks of max(1, E // d) pairs. Each block is drawn only when it is
+    needed, normalized in place and checked once by `require_unit_norm`.
+    A numpy Generator fills arrays in order, so the blocking never changes
     the numbers: agent i's pairs are row i of the one draw.
+
+    Yields ``(agents, pairs, xis, ws)``: the slices of agents and of their
+    pairs that the block covers, its sample indices, shape (rows, p), and
+    its unit directions, shape (rows, p, d).
     """
     if b < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {b}")
@@ -147,14 +161,46 @@ def sample_batches(shards, b, d, rng):
     # equal bounds draw the same numbers as a scalar one, which is faster
     high = sizes[0] if min(sizes) == max(sizes) else np.array(sizes)[:, None]
     positions = rng.integers(0, high, size=(m, b))
-    c = max(1, m // b)
-    for start in range(0, m, c):
-        ws = rng.standard_normal((min(c, m - start), b, d))
-        ws /= _norms(ws)[..., None]
+    xis = np.array([np.asarray(shard)[pos] for shard, pos in zip(shards, positions)])
+    if b * d <= BLOCK_ENTRIES:
+        c = min(m, BLOCK_ENTRIES // (b * d))
+        spans = [(slice(i, min(i + c, m)), slice(0, b)) for i in range(0, m, c)]
+    else:
+        p = max(1, BLOCK_ENTRIES // d)
+        spans = [(slice(i, i + 1), slice(j, min(j + p, b)))
+                 for i in range(m) for j in range(0, b, p)]
+    for agents, pairs in spans:
+        ws = rng.standard_normal((agents.stop - agents.start, pairs.stop - pairs.start, d))
+        # einsum sums a lone row longer than its 8192-entry buffer in another
+        # order than the rows of a larger array: norm a lone row of a larger
+        # draw as one of two rows, as the whole draw would
+        lone = ws.shape[:2] == (1, 1) and m * b > 1
+        norms = _norms(np.concatenate((ws, ws), axis=1))[:, :1] if lone else _norms(ws)
+        ws /= norms[..., None]
         require_unit_norm(ws)
-        for i, agent_ws in enumerate(ws, start):
-            yield SampleBatch._of_checked(np.asarray(shards[i])[positions[i]], agent_ws)
-        del ws, agent_ws  # free this chunk before the next is drawn
+        yield agents, pairs, xis[agents, pairs], ws
+
+
+def sample_batches(shards, b, d, rng):
+    """Yield one batch of b (xi, w) pairs per shard: the draw of `draw_blocks`.
+
+    Agent i's batch is row i of the one draw, whose directions come in
+    blocks of c = max(1, min(m, E // (b d))) whole agents, E =
+    `BLOCK_ENTRIES`, or, for an agent whose b d exceeds E, in sub-blocks
+    of max(1, E // d) of its pairs. A batch is a view of its block, or the
+    join of its agent's sub-blocks. `step` evaluates the same blocks
+    without splitting them into batches.
+    """
+    pending = []
+    for _, pairs, xis, ws in draw_blocks(shards, b, d, rng):
+        if pairs.stop - pairs.start < b:  # a sub-block of one agent's pairs
+            pending.append((xis, ws))
+            if pairs.stop < b:
+                continue
+            xis, ws = (np.concatenate(parts, axis=1) for parts in zip(*pending))
+            pending = []
+        for agent_xis, agent_ws in zip(xis, ws):
+            yield SampleBatch._of_checked(agent_xis, agent_ws)
 
 
 def sample_batch(indices, b, d, rng):
@@ -180,12 +226,51 @@ def two_point_estimate(obj, x, params, w, xi):
     return (params.dim / (2.0 * delta)) * diff * w
 
 
+def estimate_block(obj, X, delta, xis, ws, out, first=True):
+    """Add each row's two-point estimates over a block of pairs into ``out``.
+
+    ``X`` holds q points for each of r rows, shape (q, r, d), and row i
+    has the pairs (xis[i, j], ws[i, j]), shapes (r, p) and (r, p, d). Each
+    point X[s, i] is probed at X[s, i] + delta w and X[s, i] - delta w for
+    each of its row's directions w, with that pair's sample index: one
+    scalar ``obj.eval`` per probe, 2 q r p oracle calls. Pair j then adds
+    c w to out[s, i], with c = (d / (2 delta)) (f+ - f-), in pair order.
+    With ``first`` the first pair's term is assigned, not added to zero,
+    which keeps the sign of a -0.0. So out[s, i] is bit for bit the sum of
+    `two_point_estimate` over the row's pairs, taken pair by pair. Returns
+    ``out``, shape (q, r, d).
+    """
+    q, r, d = X.shape
+    p = ws.shape[1]
+    steps = delta * ws
+    plus = X[:, :, None] + steps
+    minus = X[:, :, None] - steps
+    del steps
+    f = obj.eval
+    diffs = [f(hi, xi) - f(lo, xi) for hi, lo, xi in
+             zip(plus.reshape(-1, d), minus.reshape(-1, d), xis.reshape(-1).tolist() * q)]
+    del plus, minus
+    terms = np.multiply(diffs, d / (2.0 * delta)).reshape(q, r, p, 1) * ws
+    for j in range(p):
+        if first and j == 0:
+            out[...] = terms[:, :, 0]
+        else:
+            out += terms[:, :, j]
+    return out
+
+
 def minibatch_estimate(obj, x, params, batch):
-    """Arithmetic mean of `two_point_estimate` over the batch (2b oracle calls)."""
-    acc = two_point_estimate(obj, x, params, batch.ws[0], batch.xis[0])
-    for j in range(1, batch.size):
-        acc += two_point_estimate(obj, x, params, batch.ws[j], batch.xis[j])
-    return acc / batch.size
+    """Arithmetic mean of `two_point_estimate` over the batch (2b oracle calls).
+
+    The one-agent, one-point case of `estimate_block`.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (params.dim,) or batch.ws.shape[1] != params.dim:
+        raise ShapeError(f"x and the directions must have length {params.dim}, "
+                         f"got {x.shape} and {batch.ws.shape}")
+    g = estimate_block(obj, x[None, None], params.delta, batch.xis[None], batch.ws[None],
+                       np.empty((1, 1, params.dim)))[0, 0]
+    return g / batch.size if batch.size > 1 else g
 
 
 def spider_difference(obj, x_new, x_old, params, batch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from dgfm.errors import (
 from dgfm.algorithms import _draw_output
 from dgfm.metrics import RunRecord
 from dgfm.objectives import AbsTest
+from dgfm.smoothing import BLOCK_ENTRIES
 
 
 def rel_err(a, ref):
@@ -170,6 +172,36 @@ class TestDgfmStep:
         assert state.comm_rounds == 0
         assert state.oracle_calls == 2 * 10
         assert all(e.comm_rounds == 0 for e in record.entries)
+
+
+    @pytest.mark.parametrize("m, cfg, k", [
+        (64, DgfmConfig(eta=0.01, delta=1e-3, iters=2, seed=1), 0),
+        (64, DgfmPlusConfig(eta=0.01, delta=1e-3, iters=2, seed=1, period=2, batch=1,
+                            mega_batch=1), 1),
+        (1, DgfmPlusConfig(eta=0.01, delta=1e-3, iters=1, seed=1, period=1, batch=2,
+                           mega_batch=100), 0),
+    ], ids=["dgfm-m64", "paired-m64", "gfm-plus-restart"])
+    def test_peak_memory_is_bounded_by_the_state_and_the_blocks(self, m, cfg, k):
+        # Outside the estimate a step holds at most four (m, d) arrays at once:
+        # the estimates, a gossip operand, its product and the next tracker or
+        # iterate. The estimate holds the sums at one or two points and one
+        # block's directions, steps, points and probes, at most eight blocks of
+        # BLOCK_ENTRIES. An unblocked draw breaks the bound in the last two cases.
+        d = 2000
+        obj = QuadraticTest(d, n_samples=2 * m)
+        matrix = build_ring(m) if m > 1 else build_complete(1)
+        part = partition(obj.n_samples, m, seed=0)
+        state = NetworkState.initial(m, np.full(d, 0.5))
+        for _ in range(k):
+            step(state, matrix, part, obj, cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step(state, matrix, part, obj, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * m * d * 8 + 8 * BLOCK_ENTRIES * 8
 
 
 class TestDgfmPlusStep:

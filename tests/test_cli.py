@@ -155,8 +155,8 @@ class TestExitCodes:
         "eta-inf": (PLUS_BAD + "--eta inf", "eta must be positive and finite, got inf"),
         "batch-0": (PLUS_BAD + "--batch 0", "batch must be positive and finite, got 0"),
         "period-0": (PLUS_BAD + "--period 0", "period must be positive and finite, got 0"),
-        "mega-batch-0": (PLUS_BAD + "--mega-batch 0", "mega_batch must be positive and finite"),
-        "gossip-0": (PLUS_BAD + "--gossip 0", "gossip_rounds must be positive and finite"),
+        "mega-batch-0": (PLUS_BAD + "--mega-batch 0", "--mega-batch must be positive and finite"),
+        "gossip-0": (PLUS_BAD + "--gossip 0", "--gossip must be positive and finite"),
         "gfm-plus-without-mega-batch": (GFM + "--algo gfm-plus --period 5",
                                         "--mega-batch is required for gfm-plus"),
         "params-bogus": (GFM + "--params bogus", "params must be 'manual' or 'theorem:<epsilon>'"),

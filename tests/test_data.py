@@ -129,6 +129,12 @@ class TestPartition:
         with pytest.raises(InvalidPartition):
             partition(5, 0, seed=0)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_negative_seed_is_rejected(self, m):
+        # one agent keeps the natural order and never shuffles, but the seed is still checked
+        with pytest.raises(InvalidParameter, match="seed must be >= 0, got -1"):
+            partition(10, m, seed=-1)
+
     def test_empty_shard_is_rejected(self):
         with pytest.raises(InvalidPartition, match="agent 1 has no samples"):
             Partition(assignment=[np.arange(3), np.array([], dtype=int)], n=3)

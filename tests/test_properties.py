@@ -9,13 +9,17 @@ oracle and communication counters must equal the closed form of
 acceptance criterion 07. At every restart the tracker's consensus error
 must shrink by at least rho^2 per gossip round. A run keeps exactly the
 output candidate it drew before its first step, bit-equal to the
-step-driven trajectory there. An iteration's bulk draw
-of every agent's pairs keeps each agent in its own shard, gives unit
-directions, is fixed by (seed, iteration) and equals one unchunked draw.
-Records, LIBSVM text and partitions round-trip or cover exactly. The
-batched oracle agrees with scalar ``eval`` row by row: the SVM's CSR
-kernel to round-off, on rows with no nonzeros too, and the base class's
-loop bit for bit; both reject what scalar ``eval`` rejects.
+step-driven trajectory there. An iteration's bulk draw of every agent's
+pairs keeps each agent in its own shard, gives unit directions, is fixed
+by (seed, iteration) and equals one unchunked draw, also when b d is near
+or above `BLOCK_ENTRIES` and the draw comes in blocks of fewer agents or
+in sub-blocks of one agent's pairs. The estimates `step` forms from it,
+block by block, equal bit for bit the pair-by-pair sums of
+`two_point_estimate` over that draw. Records, LIBSVM text and partitions
+round-trip or cover exactly. The batched oracle agrees with scalar
+``eval`` row by row: the SVM's CSR kernel to round-off, on rows with no
+nonzeros too, and the base class's loop bit for bit; both reject what
+scalar ``eval`` rejects.
 """
 
 import dataclasses
@@ -42,6 +46,7 @@ from dgfm import (
     QuadraticTest,
     RunEntry,
     RunRecord,
+    SmoothingParams,
     SparseDataset,
     build_complete,
     build_metropolis_hastings,
@@ -56,10 +61,11 @@ from dgfm import (
     step,
     substream,
     to_libsvm,
+    two_point_estimate,
     write_records,
 )
 from dgfm.errors import InvalidParameter, SampleIndexError, ShapeError
-from dgfm.smoothing import UNIT_NORM_TOL, require_unit_norm
+from dgfm.smoothing import BLOCK_ENTRIES, UNIT_NORM_TOL, require_unit_norm
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -250,6 +256,26 @@ def test_chunked_draw_equals_one_block(case):
 
 
 @PROPERTY
+@given(m=st.integers(1, 5), b=st.integers(1, 25),
+       d=st.sampled_from([1500, 3000, 12_000, BLOCK_ENTRIES + 1]), seed=st.integers(0, 2**32),
+       k=st.integers(0, 10_000))
+def test_blocked_draw_equals_one_block(m, b, d, seed, k):
+    # b d near or above BLOCK_ENTRIES: blocks of fewer than m agents, sub-blocks
+    # of E // d pairs, and lone rows (a last sub-block of one pair, or d above
+    # E), whose norms past numpy's 8192-entry buffer need care
+    b = min(b, 3) if d > BLOCK_ENTRIES else min(b, 8) if d > 3000 else b
+    shards = np.array_split(np.arange(3 * m), m)
+    rng = substream(seed, DRAW_LANE, k)
+    positions = rng.integers(0, 3, size=(m, b))
+    block = rng.standard_normal((m, b, d))
+    block /= np.sqrt(np.einsum("...i,...i->...", block, block))[..., None]
+    batches = step_draw(shards, b, d, seed, k)
+    for shard, pos, batch in zip(shards, positions, batches):
+        assert np.array_equal(batch.xis, shard[pos])
+    assert np.stack([batch.ws for batch in batches]).tobytes() == block.tobytes()
+
+
+@PROPERTY
 @given(case=draws(), agent=st.integers(0, 7), pair=st.integers(0, 5),
        scale=st.sampled_from([0.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, math.nan]))
 def test_chunk_with_a_non_unit_row_is_rejected(case, agent, pair, scale):
@@ -278,6 +304,77 @@ def test_sampler_checks_every_chunk(case):
     batches = sample_batches(shards, b, d, ZeroNormals(substream(seed, DRAW_LANE, k)))
     with np.errstate(invalid="ignore"), pytest.raises(InvalidParameter, match="unit norm"):
         next(batches)
+
+
+def random_objective(kind, d, n, seed):
+    if kind == "flat":  # every estimate is a signed zero
+        return LinearTest(np.zeros(d), n)
+    if kind == "quadratic":
+        return QuadraticTest(d, n)
+    if kind == "abs":
+        return AbsTest(d, n)
+    rng = np.random.default_rng(seed)
+    features = sp.random(n, d, density=min(1.0, 4.0 / d), random_state=seed, format="csr")
+    return CappedL1Svm(features, rng.choice([-1.0, 1.0], n), lam=0.1, alpha=0.5)
+
+
+@st.composite
+def block_steps(draw):
+    """A network, objective and config, and the iterations to run before the checked one.
+
+    One case in three has b d above `BLOCK_ENTRIES` for some batch size, so
+    an agent's pairs are drawn in sub-blocks of max(1, E // d) pairs, one
+    pair each when d itself exceeds E.
+    """
+    m = draw(st.integers(1, 5))
+    wide = draw(st.integers(0, 2)) == 0
+    d = draw(st.sampled_from([3000, BLOCK_ENTRIES + 1])) if wide else draw(st.integers(1, 8))
+    batches = st.integers(1, 3) if d > BLOCK_ENTRIES else st.integers(1, 25)
+    seed = draw(st.integers(0, 2**16))
+    common = dict(eta=draw(st.floats(1e-3, 0.1)), delta=draw(st.floats(1e-3, 0.1)), iters=8,
+                  seed=seed, batch=draw(batches))
+    if draw(st.booleans()):
+        cfg = DgfmConfig(**common)
+    else:
+        cfg = DgfmPlusConfig(period=draw(st.integers(1, 3)), mega_batch=draw(batches),
+                             gossip_rounds=1, **common)
+    kind = draw(st.sampled_from(["flat", "quadratic", "abs", "svm"]))
+    obj = random_objective(kind, d, 2 * m, seed)
+    return m, obj, cfg, draw(st.integers(0, 3))
+
+
+def pairwise_estimates(state, part, obj, cfg):
+    """Iteration k's new estimates from `two_point_estimate`, pair by pair in draw order."""
+    m, d = state.x.shape
+    restart = isinstance(cfg, DgfmPlusConfig) and state.k % cfg.period == 0
+    paired = isinstance(cfg, DgfmPlusConfig) and not restart
+    b = cfg.mega_batch if restart else cfg.batch
+    params = SmoothingParams(delta=cfg.delta, dim=d)
+    batches = sample_batches(part.assignment, b, d, substream(cfg.seed, DRAW_LANE, state.k))
+    v = np.empty((m, d))
+    for i, batch in enumerate(batches):
+        def mean(x):
+            acc = two_point_estimate(obj, x, params, batch.ws[0], batch.xis[0])
+            for w, xi in zip(batch.ws[1:], batch.xis[1:]):
+                acc += two_point_estimate(obj, x, params, w, xi)
+            return acc / b
+        v[i] = state.v[i] + (mean(state.x[i]) - mean(state.x_prev[i])) if paired else mean(
+            state.x[i])
+    return v
+
+
+@PROPERTY
+@given(case=block_steps(), x0_seed=st.integers(0, 2**16))
+def test_block_step_equals_the_pairwise_estimates(case, x0_seed):
+    m, obj, cfg, before = case
+    matrix = build_complete(m)
+    part = partition(obj.n_samples, m, seed=cfg.seed)
+    state = NetworkState.initial(m, np.random.default_rng(x0_seed).uniform(-2, 2, obj.dim))
+    for _ in range(before):
+        step(state, matrix, part, obj, cfg)
+    want = pairwise_estimates(state, part, obj, cfg)
+    step(state, matrix, part, obj, cfg)
+    assert state.v.tobytes() == want.tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
