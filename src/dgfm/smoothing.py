@@ -19,11 +19,11 @@ Both probes of one pair always share the same sample index xi; only the
 sign of the perturbation differs. `draw_blocks` is the one sampler of
 pairs: it draws every agent's pairs of one iteration from one stream, all
 sample indices in one call and then all directions, in blocks, so agent
-i's pairs are row i of that draw. `sample_batches` hands the draw out per
-agent, and `sample_batch` is its one-shard case, with which the
-stationarity proxy in :mod:`dgfm.metrics` draws from the whole objective.
-`estimate_block` is the one estimator; `minibatch_estimate` is its
-one-agent case, and `two_point_estimate` its one-pair reference.
+i's pairs are row i of that draw. `sample_batch` is its one-shard case as
+a `SampleBatch`, with which the stationarity proxy in :mod:`dgfm.metrics`
+draws from the whole objective. `estimate_block` is the one estimator;
+`minibatch_estimate` is its one-agent case, and `two_point_estimate` its
+one-pair reference.
 """
 
 import math
@@ -41,7 +41,6 @@ __all__ = [
     "minibatch_estimate",
     "require_unit_norm",
     "sample_batch",
-    "sample_batches",
     "sample_sphere",
     "sigma_squared",
     "spider_difference",
@@ -181,35 +180,16 @@ def draw_blocks(shards, b, d, rng):
         yield agents, pairs, xis[agents, pairs], ws
 
 
-def sample_batches(shards, b, d, rng):
-    """Yield one batch of b (xi, w) pairs per shard: the draw of `draw_blocks`.
-
-    Agent i's batch is row i of the one draw, whose directions come in
-    blocks of c = max(1, min(m, E // (b d))) whole agents, E =
-    `BLOCK_ENTRIES`, or, for an agent whose b d exceeds E, in sub-blocks
-    of max(1, E // d) of its pairs. A batch is a view of its block, or the
-    join of its agent's sub-blocks. `step` evaluates the same blocks
-    without splitting them into batches.
-    """
-    pending = []
-    for _, pairs, xis, ws in draw_blocks(shards, b, d, rng):
-        if pairs.stop - pairs.start < b:  # a sub-block of one agent's pairs
-            pending.append((xis, ws))
-            if pairs.stop < b:
-                continue
-            xis, ws = (np.concatenate(parts, axis=1) for parts in zip(*pending))
-            pending = []
-        for agent_xis, agent_ws in zip(xis, ws):
-            yield SampleBatch._of_checked(agent_xis, agent_ws)
-
-
 def sample_batch(indices, b, d, rng):
     """Draw b (xi, w) pairs, xi uniform over ``indices``, w uniform on the sphere.
 
-    The one-shard case of `sample_batches`: all b indices, then all b
-    directions.
+    The one-shard draw of `draw_blocks`: all b indices, then all b
+    directions. When b d exceeds `BLOCK_ENTRIES` the directions come in
+    sub-blocks, which are joined in pair order.
     """
-    return next(sample_batches([indices], b, d, rng))
+    parts = [(xis[0], ws[0]) for _, _, xis, ws in draw_blocks([indices], b, d, rng)]
+    xis, ws = parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
+    return SampleBatch._of_checked(xis, ws)
 
 
 def two_point_estimate(obj, x, params, w, xi):

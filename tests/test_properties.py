@@ -13,7 +13,8 @@ step-driven trajectory there. An iteration's bulk draw of every agent's
 pairs keeps each agent in its own shard, gives unit directions, is fixed
 by (seed, iteration) and equals one unchunked draw, also when b d is near
 or above `BLOCK_ENTRIES` and the draw comes in blocks of fewer agents or
-in sub-blocks of one agent's pairs. The estimates `step` forms from it,
+in sub-blocks of one agent's pairs; so does `sample_batch`, its one-shard
+case. The estimates `step` forms from it,
 block by block, equal bit for bit the pair-by-pair sums of
 `two_point_estimate` over that draw. Records, LIBSVM text and partitions
 round-trip or cover exactly. The batched oracle agrees with scalar
@@ -51,12 +52,13 @@ from dgfm import (
     build_complete,
     build_metropolis_hastings,
     dgfm_run,
+    draw_blocks,
     gfm_run,
     mix,
     parse_libsvm,
     partition,
     read_csv_rows,
-    sample_batches,
+    sample_batch,
     select_output,
     step,
     substream,
@@ -210,69 +212,85 @@ def draws(draw):
 
 
 def step_draw(shards, b, d, seed, k):
-    return list(sample_batches(shards, b, d, substream(seed, DRAW_LANE, k)))
+    """Iteration k's draw as `step` takes it: the blocks of `draw_blocks`."""
+    return list(draw_blocks(shards, b, d, substream(seed, DRAW_LANE, k)))
+
+
+def one_block(shards, b, d, seed, k):
+    """The same draw unblocked: sample indices (m, b), then one (m, b, d) normal block."""
+    m = len(shards)
+    rng = substream(seed, DRAW_LANE, k)
+    positions = rng.integers(0, np.array([len(s) for s in shards])[:, None], size=(m, b))
+    ws = rng.standard_normal((m, b, d))
+    ws /= np.sqrt(np.einsum("...i,...i->...", ws, ws))[..., None]
+    return np.array([shard[pos] for shard, pos in zip(shards, positions)]), ws
+
+
+def assert_blocks_equal(blocks, xis, ws):
+    """Each block is its [agents, pairs] slice of (xis, ws), and the blocks cover each pair once."""
+    covered = np.zeros(xis.shape, dtype=int)
+    for agents, pairs, block_xis, block_ws in blocks:
+        covered[agents, pairs] += 1
+        assert np.array_equal(block_xis, xis[agents, pairs])
+        assert block_ws.tobytes() == ws[agents, pairs].tobytes()
+    assert (covered == 1).all()
 
 
 @PROPERTY
 @given(case=draws())
 def test_each_agent_draws_from_its_own_shard(case):
     shards, b, d, seed, k = case
-    batches = step_draw(*case)
-    assert len(batches) == len(shards)
-    for shard, batch in zip(shards, batches):
-        assert batch.xis.shape == (b,) and batch.ws.shape == (b, d)
-        assert np.isin(batch.xis, shard).all()
+    covered = np.zeros((len(shards), b), dtype=int)
+    for agents, pairs, xis, ws in step_draw(*case):
+        rows, p = agents.stop - agents.start, pairs.stop - pairs.start
+        assert xis.shape == (rows, p) and ws.shape == (rows, p, d)
+        covered[agents, pairs] += 1
+        for shard, row in zip(shards[agents], xis):
+            assert np.isin(row, shard).all()
+    assert (covered == 1).all()
 
 
 @PROPERTY
 @given(case=draws())
 def test_every_direction_has_unit_norm(case):
-    for batch in step_draw(*case):
-        assert np.max(np.abs(np.linalg.norm(batch.ws, axis=1) - 1.0)) <= UNIT_NORM_TOL
+    for _, _, _, ws in step_draw(*case):
+        assert np.max(np.abs(np.linalg.norm(ws, axis=-1) - 1.0)) <= UNIT_NORM_TOL
 
 
 @PROPERTY
 @given(case=draws())
 def test_draw_is_deterministic_in_seed_and_iteration(case):
-    for a, b in zip(step_draw(*case), step_draw(*case)):
-        assert np.array_equal(a.xis, b.xis)
-        assert a.ws.tobytes() == b.ws.tobytes()
+    for (agents, pairs, xis, ws), (agents2, pairs2, xis2, ws2) in zip(
+            step_draw(*case), step_draw(*case), strict=True):
+        assert (agents, pairs) == (agents2, pairs2)
+        assert np.array_equal(xis, xis2)
+        assert ws.tobytes() == ws2.tobytes()
 
 
 @PROPERTY
 @given(case=draws())
 def test_chunked_draw_equals_one_block(case):
     # indices first, in one (m, b) draw; then one (m, b, d) normal block
-    shards, b, d, seed, k = case
-    m = len(shards)
-    rng = substream(seed, DRAW_LANE, k)
-    positions = rng.integers(0, np.array([len(s) for s in shards])[:, None], size=(m, b))
-    block = rng.standard_normal((m, b, d))
-    block /= np.sqrt(np.einsum("...i,...i->...", block, block))[..., None]
-    batches = step_draw(*case)
-    for shard, pos, batch in zip(shards, positions, batches):
-        assert np.array_equal(batch.xis, shard[pos])
-    assert np.stack([batch.ws for batch in batches]).tobytes() == block.tobytes()
+    assert_blocks_equal(step_draw(*case), *one_block(*case))
 
 
 @PROPERTY
 @given(m=st.integers(1, 5), b=st.integers(1, 25),
        d=st.sampled_from([1500, 3000, 12_000, BLOCK_ENTRIES + 1]), seed=st.integers(0, 2**32),
-       k=st.integers(0, 10_000))
-def test_blocked_draw_equals_one_block(m, b, d, seed, k):
+       k=st.integers(0, 10_000), one_shard=st.booleans())
+def test_blocked_draw_equals_one_block(m, b, d, seed, k, one_shard):
     # b d near or above BLOCK_ENTRIES: blocks of fewer than m agents, sub-blocks
     # of E // d pairs, and lone rows (a last sub-block of one pair, or d above
-    # E), whose norms past numpy's 8192-entry buffer need care
+    # E), whose norms past numpy's 8192-entry buffer need care; with one_shard,
+    # `sample_batch` draws the first shard's pairs, its sub-blocks joined
     b = min(b, 3) if d > BLOCK_ENTRIES else min(b, 8) if d > 3000 else b
     shards = np.array_split(np.arange(3 * m), m)
-    rng = substream(seed, DRAW_LANE, k)
-    positions = rng.integers(0, 3, size=(m, b))
-    block = rng.standard_normal((m, b, d))
-    block /= np.sqrt(np.einsum("...i,...i->...", block, block))[..., None]
-    batches = step_draw(shards, b, d, seed, k)
-    for shard, pos, batch in zip(shards, positions, batches):
-        assert np.array_equal(batch.xis, shard[pos])
-    assert np.stack([batch.ws for batch in batches]).tobytes() == block.tobytes()
+    assert_blocks_equal(step_draw(shards, b, d, seed, k), *one_block(shards, b, d, seed, k))
+    if one_shard:
+        xis, ws = one_block(shards[:1], b, d, seed, k)
+        batch = sample_batch(shards[0], b, d, substream(seed, DRAW_LANE, k))
+        assert np.array_equal(batch.xis, xis[0])
+        assert batch.ws.tobytes() == ws[0].tobytes()
 
 
 @PROPERTY
@@ -280,7 +298,7 @@ def test_blocked_draw_equals_one_block(m, b, d, seed, k):
        scale=st.sampled_from([0.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, math.nan]))
 def test_chunk_with_a_non_unit_row_is_rejected(case, agent, pair, scale):
     shards, b, d, _, _ = case
-    chunk = np.stack([batch.ws for batch in step_draw(*case)])
+    [(_, _, _, chunk)] = step_draw(*case)  # m b d <= 8 * 6 * 8 entries: one block
     require_unit_norm(chunk)
     chunk[agent % len(shards), pair % b] *= scale
     with pytest.raises(InvalidParameter, match="unit norm"):
@@ -301,9 +319,9 @@ class ZeroNormals:
 @given(case=draws())
 def test_sampler_checks_every_chunk(case):
     shards, b, d, seed, k = case
-    batches = sample_batches(shards, b, d, ZeroNormals(substream(seed, DRAW_LANE, k)))
+    blocks = draw_blocks(shards, b, d, ZeroNormals(substream(seed, DRAW_LANE, k)))
     with np.errstate(invalid="ignore"), pytest.raises(InvalidParameter, match="unit norm"):
-        next(batches)
+        next(blocks)
 
 
 def random_objective(kind, d, n, seed):
@@ -350,17 +368,20 @@ def pairwise_estimates(state, part, obj, cfg):
     paired = isinstance(cfg, DgfmPlusConfig) and not restart
     b = cfg.mega_batch if restart else cfg.batch
     params = SmoothingParams(delta=cfg.delta, dim=d)
-    batches = sample_batches(part.assignment, b, d, substream(cfg.seed, DRAW_LANE, state.k))
-    v = np.empty((m, d))
-    for i, batch in enumerate(batches):
-        def mean(x):
-            acc = two_point_estimate(obj, x, params, batch.ws[0], batch.xis[0])
-            for w, xi in zip(batch.ws[1:], batch.xis[1:]):
-                acc += two_point_estimate(obj, x, params, w, xi)
-            return acc / b
-        v[i] = state.v[i] + (mean(state.x[i]) - mean(state.x_prev[i])) if paired else mean(
-            state.x[i])
-    return v
+    points = (state.x, state.x_prev) if paired else (state.x,)
+    sums = np.empty((len(points), m, d))
+    for agents, pairs, xis, ws in draw_blocks(part.assignment, b, d,
+                                              substream(cfg.seed, DRAW_LANE, state.k)):
+        for i, row_xis, row_ws in zip(range(agents.start, agents.stop), xis, ws):
+            for j, xi, w in zip(range(pairs.start, pairs.stop), row_xis, row_ws):
+                for acc, x in zip(sums[:, i], points):
+                    estimate = two_point_estimate(obj, x[i], params, w, xi)
+                    if j == 0:
+                        acc[...] = estimate
+                    else:
+                        acc += estimate
+    means = sums / b
+    return state.v + (means[0] - means[1]) if paired else means[0]
 
 
 @PROPERTY
