@@ -32,6 +32,7 @@ prescribes at a target accuracy are in :mod:`dgfm.params`.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
@@ -89,6 +90,16 @@ def _require_nonnegative(**kwargs):
             raise InvalidParameter(f"{name} must be >= 0, got {value}")
 
 
+def _require_integers(cfg, *names):
+    """Raise InvalidParameter unless each named field of ``cfg`` is an integer; numpy
+    integers pass and are stored as Python ints, whose products cannot overflow."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Integral):
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(cfg, name, int(value))
+
+
 @dataclass(frozen=True)
 class DgfmConfig:
     """Hyperparameters for the tracked method and its centralized baseline:
@@ -104,6 +115,7 @@ class DgfmConfig:
     def __post_init__(self):
         _require_positive(eta=self.eta, delta=self.delta, batch=self.batch)
         _require_nonnegative(iters=self.iters, seed=self.seed)
+        _require_integers(self, "iters", "seed", "batch")
 
 
 @dataclass(frozen=True)
@@ -136,6 +148,8 @@ class DgfmPlusConfig:
             gossip_rounds=self.gossip_rounds,
         )
         _require_nonnegative(iters=self.iters, seed=self.seed)
+        _require_integers(self, "iters", "seed", "period", "batch", "mega_batch",
+                          "gossip_rounds")
 
 
 def iteration_cost(cfg, m, k):
@@ -382,6 +396,9 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
     x0 = np.zeros(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (objective.dim,):
         raise ShapeError(f"x0 must have shape ({objective.dim},), got {x0.shape}")
+    bad = np.flatnonzero(~np.isfinite(x0))
+    if bad.size:
+        raise InvalidParameter(f"x0 must be finite, got {x0[bad[0]]} at index {bad[0]}")
     _require_positive(record_every=record_every)
     _require_nonnegative(stationarity_every=stationarity_every)
     state = NetworkState.initial(m, x0)

@@ -394,6 +394,8 @@ def partition(dataset, m, seed):
 
 def subset(dataset, n, seed=None):
     """First-n rows (seed None) or a seeded n-row sample without replacement."""
+    if n < 1:
+        raise InvalidParameter(f"subset size must be >= 1, got {n}")
     if seed is not None and seed < 0:
         raise InvalidParameter(f"subset seed must be >= 0, got {seed}")
     if n >= dataset.n:

@@ -136,6 +136,8 @@ class CappedL1Svm(StochasticObjective):
             raise ShapeError(f"labels must have shape ({n},), got {labels.shape}")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise InvalidParameter("labels must all be +1 or -1")
+        if not np.isfinite(features.data).all():
+            raise InvalidParameter("feature values must be finite")
         # lam = 0 degenerates to the plain hinge, which is useful in tests
         if not (0.0 <= lam < math.inf and alpha > 0.0):
             raise InvalidParameter(f"need finite lam >= 0 and alpha > 0, got {(lam, alpha)}")
@@ -245,6 +247,8 @@ class LinearTest(StochasticObjective):
 
     def __init__(self, c, n_samples=1):
         c = np.asarray(c, dtype=float)
+        if not np.isfinite(c).all():
+            raise InvalidParameter(f"c must be finite, got {c}")
         super().__init__(
             n_samples=n_samples,
             dim=c.shape[0],
@@ -273,6 +277,8 @@ def estimate_lipschitz(obj, probes, radius, rng):
     """
     if probes < 2:
         raise InvalidParameter(f"need at least 2 probes, got {probes}")
+    if not 0.0 < radius < math.inf:
+        raise InvalidParameter(f"radius must be positive and finite, got {radius}")
     d = obj.dim
     best = 0.0
     for _ in range(probes):

@@ -31,6 +31,7 @@ from dgfm import (
     surrogate_smoothness,
     theorem_params_dgfm,
     theorem_params_dgfm_plus,
+    write_records,
 )
 from dgfm.errors import (
     BudgetExceeded,
@@ -411,6 +412,36 @@ class TestRuns:
             fields.update(period=2, mega_batch=2)
         with pytest.raises(InvalidParameter, match=f"{field} must be positive and finite"):
             config(**{**fields, field: math.inf})
+
+    @pytest.mark.parametrize("config, field", [
+        *((DgfmConfig, field) for field in ("iters", "seed", "batch")),
+        *((DgfmPlusConfig, field)
+          for field in ("iters", "seed", "batch", "period", "mega_batch", "gossip_rounds"))])
+    def test_non_integer_config_value_is_rejected(self, config, field):
+        fields = dict(eta=0.1, delta=0.01, iters=3, seed=0, batch=1)
+        if config is DgfmPlusConfig:
+            fields.update(period=2, mega_batch=2)
+        for value in (2.5, 2.0, np.float64(2.0)):
+            with pytest.raises(InvalidParameter, match=f"{field} must be an integer, got"):
+                config(**{**fields, field: value})
+
+    def test_numpy_integer_config_values_are_accepted(self, tmp_path):
+        # int16: the draw's b * d = 2 * 20000 would overflow in numpy's width
+        cfg = DgfmPlusConfig(eta=0.1, delta=0.01, iters=np.int64(3), seed=np.uint32(1),
+                             period=np.int32(2), batch=np.int64(1), mega_batch=np.int16(2),
+                             gossip_rounds=np.int64(2))
+        record = gfm_run(QuadraticTest(dim=20_000), cfg, stationarity_every=0)
+        assert [e.iteration for e in record.entries] == [1, 2, 3]
+        assert len(record.restarts) == 2
+        write_records([record], tmp_path / "run.json", format="json")
+        assert record.metadata["config"]["mega_batch"] == 2
+
+    @pytest.mark.parametrize("run", ["dgfm_run", "gfm_run"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x0_is_rejected(self, run, bad):
+        x0 = np.array([0.5, bad, 1.0])
+        with pytest.raises(InvalidParameter, match=f"x0 must be finite, got {bad} at index 1"):
+            run_briefly(run, QuadraticTest(dim=3, n_samples=4), x0=x0)
 
     @pytest.mark.parametrize("run", ["dgfm_run", "gfm_run"])
     def test_record_every_below_one_is_rejected(self, run):

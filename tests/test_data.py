@@ -164,6 +164,11 @@ class TestSubsetAndGzip:
         with pytest.raises(InvalidParameter, match="subset seed must be >= 0, got -1"):
             subset(svm_dataset, n, seed=-1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_below_one_is_rejected(self, svm_dataset, n):
+        with pytest.raises(InvalidParameter, match=f"subset size must be >= 1, got {n}"):
+            subset(svm_dataset, n)
+
     def test_gzip_loading(self, tmp_path):
         text = "+1 1:0.5 3:-2\n-1 2:1\n"
         plain = tmp_path / "tiny.libsvm"

@@ -79,6 +79,12 @@ class TestCappedL1Svm:
         with pytest.raises(InvalidParameter, match="finite lam"):
             tiny_svm(lam=lam)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_is_rejected(self, bad):
+        features = sp.csr_matrix(np.array([[1.0, 0.0], [0.5, bad]]))
+        with pytest.raises(InvalidParameter, match="feature values must be finite"):
+            CappedL1Svm(features, np.array([1.0, -1.0]), lam=1e-3, alpha=2.0)
+
 
 class TestSyntheticObjectives:
     def test_quadratic_values(self):
@@ -105,6 +111,11 @@ class TestSyntheticObjectives:
 
         obj = TwoValued(n_samples=2, dim=2)
         assert obj.full_loss(np.zeros(2)) == 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_linear_coefficient_is_rejected(self, bad):
+        with pytest.raises(InvalidParameter, match="c must be finite"):
+            LinearTest([1.0, bad])
 
     def test_constant_full_loss(self):
         obj = LinearTest(np.zeros(3), n_samples=5)
@@ -144,6 +155,12 @@ class TestEstimateLipschitz:
     def test_needs_two_probes(self):
         with pytest.raises(InvalidParameter):
             estimate_lipschitz(LinearTest(np.ones(2)), probes=1, radius=1.0, rng=substream(5, 4))
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(InvalidParameter, match="radius must be positive and finite"):
+            estimate_lipschitz(LinearTest(np.ones(2)), probes=2, radius=radius,
+                               rng=substream(5, 4))
 
 
 def test_hint_prefers_supplied_constant(svm_objective):
