@@ -91,8 +91,11 @@ def _require_nonnegative(**kwargs):
 
 
 def _require_integers(cfg, *names):
-    """Raise InvalidParameter unless each named field of ``cfg`` is an integer; numpy
-    integers pass and are stored as Python ints, whose products cannot overflow."""
+    """Raise InvalidParameter unless each named field of ``cfg`` is an integer.
+
+    numpy integers pass and are stored as Python ints, whose products cannot
+    overflow.
+    """
     for name in names:
         value = getattr(cfg, name)
         if not isinstance(value, numbers.Integral):

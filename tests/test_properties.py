@@ -14,13 +14,12 @@ pairs keeps each agent in its own shard, gives unit directions, is fixed
 by (seed, iteration) and equals one unchunked draw, also when b d is near
 or above `BLOCK_ENTRIES` and the draw comes in blocks of fewer agents or
 in sub-blocks of one agent's pairs; so does `sample_batch`, its one-shard
-case. The estimates `step` forms from it,
-block by block, equal bit for bit the pair-by-pair sums of
-`two_point_estimate` over that draw. Records, LIBSVM text and partitions
-round-trip or cover exactly. The batched oracle agrees with scalar
-``eval`` row by row: the SVM's CSR kernel to round-off, on rows with no
-nonzeros too, and the base class's loop bit for bit; both reject what
-scalar ``eval`` rejects.
+case. The estimates `step` forms from it, block by block, equal bit for
+bit the pair-by-pair sums of `two_point_estimate` over that draw.
+Records, LIBSVM text and partitions round-trip or cover exactly. The
+batched oracle agrees with scalar ``eval`` row by row: the SVM's CSR
+kernel to round-off, on rows with no nonzeros too, and the base class's
+loop bit for bit; both reject what scalar ``eval`` rejects.
 """
 
 import dataclasses
