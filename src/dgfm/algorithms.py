@@ -18,11 +18,12 @@ equals the average estimate, and the iterates descend it,
   neighbours, so it counts no communication rounds.
 
 Every stochastic draw comes from a counter-based stream keyed by
-(seed, lane, iteration); see :mod:`dgfm.rng`. An iteration draws every
-agent's pairs at once, and agent i's pairs are row i of that draw, so the
-agent updates inside one iteration are independent and could run in any
-order or in parallel with identical results; the gossip applications are
-the synchronization barriers. Exact invariants (used heavily by the
+(seed, lane, iteration), which a run opens by re-keying one cached Philox
+(see :mod:`dgfm.rng`). An iteration draws every agent's pairs at once, and
+agent i's pairs are row i of that draw, so the agent updates inside one
+iteration are independent and could run in any order or in parallel with
+identical results; the gossip applications are the synchronization
+barriers. Exact invariants (used heavily by the
 tests): the mean of the tracking variable after the step equals the mean
 of the current estimates, and the mean iterate moves by exactly
 -eta * mean(tracker), both up to round-off.
@@ -48,7 +49,7 @@ from .errors import (
     ShapeError,
 )
 from .metrics import RunEntry, RunRecord, consensus_error, stationarity_estimate
-from .rng import substream
+from .rng import StreamCache, substream
 from .smoothing import (
     draw_blocks,
     estimate_block,
@@ -182,6 +183,11 @@ class NetworkState:
     agents' current estimates (formed in the last step), and ``x_prev`` the
     previous iterate the paired differences are taken against. At k = 0 y
     and v are zero and x_prev equals x.
+
+    ``_streams`` is a cache, not state: the run's one re-keyed Philox
+    (`dgfm.rng.StreamCache`), built at the first step and rebuilt when the
+    config's seed changes. It gives exactly the streams of `substream`, so
+    copying a state, or dropping its cache, changes no number.
     """
 
     x: np.ndarray
@@ -192,6 +198,7 @@ class NetworkState:
     oracle_calls: int = 0
     comm_rounds: int = 0
     restart_log: list = field(default_factory=list)
+    _streams: StreamCache = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, m, x0):
@@ -243,6 +250,13 @@ def _require_finite(z, what, k):
         raise NumericFailure(f"non-finite {what} of agent {agent} at iteration {k}", iteration=k)
 
 
+def _stream(state, cfg, lane):
+    """``substream(cfg.seed, lane, state.k)``, re-keyed from the state's stream cache."""
+    if state._streams is None or state._streams.seed != cfg.seed:
+        state._streams = StreamCache(cfg.seed)
+    return state._streams(lane, state.k)
+
+
 def _estimates(state, partition, objective, cfg, size, paired):
     """Every agent's new estimate from ``size`` pairs of iteration k's draw, (m, d).
 
@@ -254,7 +268,7 @@ def _estimates(state, partition, objective, cfg, size, paired):
     m, d = state.x.shape
     sums = np.empty((2 if paired else 1, m, d))
     for agents, pairs, xis, ws in draw_blocks(partition.assignment, size, d,
-                                              substream(cfg.seed, _LANE_DRAW, state.k)):
+                                              _stream(state, cfg, _LANE_DRAW)):
         X = np.array((state.x[agents], state.x_prev[agents])) if paired else state.x[None, agents]
         estimate_block(objective, X, cfg.delta, xis, ws, sums[:, agents], first=pairs.start == 0)
     if size > 1:
@@ -292,7 +306,8 @@ def step(state, matrix, partition, objective, cfg):
     state's agents a shard of the objective's samples (`ShapeError`).
     Mutates ``state`` and returns it; a non-finite estimate or iterate
     raises `NumericFailure` naming the agent and iteration and leaves
-    ``state`` as it was, counters and restart log included.
+    ``state`` as it was, counters and restart log included; only its
+    stream cache may have moved on, which changes no later number.
     """
     _require_matrix(matrix)
     if state.k >= cfg.iters:
@@ -343,7 +358,7 @@ def _observe(record, objective, state, cfg, t0, stationarity_every, stationarity
     stat = None
     if stationarity_every and (len(record.entries) + 1) % stationarity_every == 0:
         stat = stationarity_estimate(objective, xbar, cfg.delta, stationarity_samples,
-                                     substream(cfg.seed, _LANE_METRICS, state.k)).value
+                                     _stream(state, cfg, _LANE_METRICS)).value
     record.append(
         RunEntry(
             iteration=state.k,

@@ -38,7 +38,17 @@ def small_svm_objective():
 
 
 class EvalCounter:
-    """Proxy objective that counts ``eval`` calls and forwards everything else."""
+    """Proxy objective that counts ``eval`` calls.
+
+    It forwards only the attributes in ``FORWARDED``: the objective's
+    shape and name, and ``full_loss`` and ``eval_batch``, which only
+    measurement calls. Any other attribute raises AttributeError, so a new
+    oracle entry point fails the counting tests instead of slipping past
+    the count.
+    """
+
+    FORWARDED = frozenset({"n_samples", "dim", "name", "lipschitz_hint", "full_loss",
+                           "eval_batch"})
 
     def __init__(self, objective):
         self._objective = objective
@@ -49,6 +59,8 @@ class EvalCounter:
         return self._objective.eval(x, xi)
 
     def __getattr__(self, attr):
+        if attr not in self.FORWARDED:
+            raise AttributeError(f"EvalCounter does not forward {attr!r}")
         return getattr(self._objective, attr)
 
 

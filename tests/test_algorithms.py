@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -44,6 +45,7 @@ from dgfm.errors import (
 from dgfm.algorithms import _draw_output
 from dgfm.metrics import RunRecord
 from dgfm.objectives import AbsTest
+from dgfm.rng import KEY_BLOCK
 from dgfm.smoothing import BLOCK_ENTRIES
 
 
@@ -203,6 +205,63 @@ class TestDgfmStep:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * m * d * 8 + 8 * BLOCK_ENTRIES * 8
+
+
+class TestStreamCache:
+    """Each state draws from its own cached streams, those of its config's seed.
+
+    The runs start three iterations before a key block's edge, so every
+    trajectory re-keys across it.
+    """
+
+    OBJ = AbsTest(3, n_samples=8)
+    RING = build_ring(4)
+    PART = partition(8, 4, seed=0)
+    START = KEY_BLOCK - 3
+
+    def config(self, seed):
+        return DgfmPlusConfig(eta=0.02, delta=0.01, iters=self.START + 8, seed=seed, period=3,
+                              batch=2, mega_batch=3)
+
+    def fresh(self):
+        state = NetworkState.initial(4, np.linspace(-1.0, 1.0, 3))
+        state.k = self.START
+        return state
+
+    def trajectory(self, state, cfg, steps):
+        return [step(state, self.RING, self.PART, self.OBJ, cfg).x.copy() for _ in range(steps)]
+
+    def test_alternating_states_equal_their_solo_runs(self):
+        cfgs = [self.config(3), self.config(4)]
+        solo = [self.trajectory(self.fresh(), cfg, 8) for cfg in cfgs]
+        states = [self.fresh(), self.fresh()]
+        alternating = [[], []]
+        for _ in range(8):
+            for state, cfg, xs in zip(states, cfgs, alternating):
+                xs += self.trajectory(state, cfg, 1)
+        for got, want in zip(alternating, solo):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert not np.array_equal(solo[0][-1], solo[1][-1])
+
+    def test_a_deep_copy_continues_as_its_original(self):
+        cfg = self.config(3)
+        solo = self.trajectory(self.fresh(), cfg, 8)
+        state = self.fresh()
+        self.trajectory(state, cfg, 3)
+        twin = copy.deepcopy(state)
+        for _ in range(5):
+            for s in (twin, state):
+                assert np.array_equal(self.trajectory(s, cfg, 1)[0], solo[s.k - self.START - 1])
+
+    def test_a_config_with_another_seed_draws_that_seeds_stream(self):
+        state = self.fresh()
+        self.trajectory(state, self.config(3), 4)
+        # the same iterates at the same iteration, with no stream opened yet
+        uncached = NetworkState(x=state.x.copy(), y=state.y.copy(), v=state.v.copy(),
+                                x_prev=state.x_prev.copy(), k=state.k)
+        got = self.trajectory(state, self.config(4), 4)
+        want = self.trajectory(uncached, self.config(4), 4)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestDgfmPlusStep:

@@ -15,7 +15,9 @@ by (seed, iteration) and equals one unchunked draw, also when b d is near
 or above `BLOCK_ENTRIES` and the draw comes in blocks of fewer agents or
 in sub-blocks of one agent's pairs; so does `sample_batch`, its one-shard
 case. The estimates `step` forms from it, block by block, equal bit for
-bit the pair-by-pair sums of `two_point_estimate` over that draw.
+bit the pair-by-pair sums of `two_point_estimate` over that draw, for
+seeds up to 2^64 and at iterations on either side of a key block's edge
+and of 2^32; and `key_block` gives SeedSequence's own Philox keys.
 Records, LIBSVM text and partitions round-trip or cover exactly. The
 batched oracle agrees with scalar ``eval`` row by row: the SVM's CSR
 kernel to round-off, on rows with no nonzeros too, and the base class's
@@ -66,6 +68,7 @@ from dgfm import (
     write_records,
 )
 from dgfm.errors import InvalidParameter, SampleIndexError, ShapeError
+from dgfm.rng import KEY_BLOCK, key_block
 from dgfm.smoothing import BLOCK_ENTRIES, UNIT_NORM_TOL, require_unit_norm
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -335,29 +338,37 @@ def random_objective(kind, d, n, seed):
     return CappedL1Svm(features, rng.choice([-1.0, 1.0], n), lam=0.1, alpha=0.5)
 
 
+# Iterations where the key block or an iteration's word count changes.
+KEY_EDGES = (0, KEY_BLOCK - 1, KEY_BLOCK, 2**32 - 1, 2**32)
+
+
 @st.composite
 def block_steps(draw):
-    """A network, objective and config, and the iterations to run before the checked one.
+    """A network, objective and config, a start iteration, and the steps before the checked one.
 
     One case in three has b d above `BLOCK_ENTRIES` for some batch size, so
     an agent's pairs are drawn in sub-blocks of max(1, E // d) pairs, one
-    pair each when d itself exceeds E.
+    pair each when d itself exceeds E. The checked iteration is often a
+    `KEY_EDGES` one, so the run's stream cache re-keys across the edge or
+    opens its first block there.
     """
     m = draw(st.integers(1, 5))
     wide = draw(st.integers(0, 2)) == 0
     d = draw(st.sampled_from([3000, BLOCK_ENTRIES + 1])) if wide else draw(st.integers(1, 8))
     batches = st.integers(1, 3) if d > BLOCK_ENTRIES else st.integers(1, 25)
-    seed = draw(st.integers(0, 2**16))
-    common = dict(eta=draw(st.floats(1e-3, 0.1)), delta=draw(st.floats(1e-3, 0.1)), iters=8,
-                  seed=seed, batch=draw(batches))
+    seed = draw(st.integers(0, 2**64))
+    checked = draw(st.sampled_from(KEY_EDGES) | st.integers(0, 2**64))
+    before = min(draw(st.integers(0, 3)), checked)
+    common = dict(eta=draw(st.floats(1e-3, 0.1)), delta=draw(st.floats(1e-3, 0.1)),
+                  iters=checked + 1, seed=seed, batch=draw(batches))
     if draw(st.booleans()):
         cfg = DgfmConfig(**common)
     else:
         cfg = DgfmPlusConfig(period=draw(st.integers(1, 3)), mega_batch=draw(batches),
                              gossip_rounds=1, **common)
     kind = draw(st.sampled_from(["flat", "quadratic", "abs", "svm"]))
-    obj = random_objective(kind, d, 2 * m, seed)
-    return m, obj, cfg, draw(st.integers(0, 3))
+    obj = random_objective(kind, d, 2 * m, seed % 2**32)
+    return m, obj, cfg, checked - before, before
 
 
 def pairwise_estimates(state, part, obj, cfg):
@@ -386,15 +397,28 @@ def pairwise_estimates(state, part, obj, cfg):
 @PROPERTY
 @given(case=block_steps(), x0_seed=st.integers(0, 2**16))
 def test_block_step_equals_the_pairwise_estimates(case, x0_seed):
-    m, obj, cfg, before = case
+    m, obj, cfg, start, before = case
     matrix = build_complete(m)
     part = partition(obj.n_samples, m, seed=cfg.seed)
     state = NetworkState.initial(m, np.random.default_rng(x0_seed).uniform(-2, 2, obj.dim))
+    state.k = start
     for _ in range(before):
         step(state, matrix, part, obj, cfg)
     want = pairwise_estimates(state, part, obj, cfg)
     step(state, matrix, part, obj, cfg)
     assert state.v.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**96), lane=st.integers(0, 2) | st.integers(0, 2**40),
+       k=st.sampled_from(KEY_EDGES) | st.integers(0, 2**70))
+def test_key_block_equals_the_seed_sequence_keys(seed, lane, k):
+    start, keys = key_block(seed, lane, k)
+    assert start <= k < start + KEY_BLOCK and start % KEY_BLOCK == 0
+    assert keys.shape == (KEY_BLOCK, 2) and keys.dtype == np.uint64
+    for j in (start, k, start + KEY_BLOCK - 1):
+        want = np.random.SeedSequence([seed, lane, j]).generate_state(2, np.uint64)
+        assert np.array_equal(keys[j - start], want), (seed, lane, j)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
