@@ -33,7 +33,6 @@ prescribes at a target accuracy are in :mod:`dgfm.params`.
 """
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
@@ -47,6 +46,8 @@ from .errors import (
     InvalidTopology,
     NumericFailure,
     ShapeError,
+    require_int,
+    require_positive,
 )
 from .metrics import RunEntry, RunRecord, consensus_error, stationarity_estimate
 from .rng import StreamCache, substream
@@ -79,29 +80,13 @@ _LANE_METRICS = 1
 _LANE_SELECT = 2
 
 
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not 0 < value < math.inf:
-            raise InvalidParameter(f"{name} must be positive and finite, got {value}")
-
-
-def _require_nonnegative(**kwargs):
-    for name, value in kwargs.items():
-        if value < 0:
-            raise InvalidParameter(f"{name} must be >= 0, got {value}")
-
-
-def _require_integers(cfg, *names):
-    """Raise InvalidParameter unless each named field of ``cfg`` is an integer.
-
-    numpy integers pass and are stored as Python ints, whose products cannot
-    overflow.
-    """
-    for name in names:
-        value = getattr(cfg, name)
-        if not isinstance(value, numbers.Integral):
-            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(cfg, name, int(value))
+def _check_config(cfg, *counts):
+    """eta, delta and the ``counts`` positive; iters, seed and the counts ints, kept as such."""
+    values = {name: getattr(cfg, name) for name in counts}
+    require_positive(eta=cfg.eta, delta=cfg.delta, **values)
+    ints = require_int(0, iters=cfg.iters, seed=cfg.seed, **values)
+    for name, value in zip(("iters", "seed", *counts), ints):
+        object.__setattr__(cfg, name, value)
 
 
 @dataclass(frozen=True)
@@ -117,9 +102,7 @@ class DgfmConfig:
     batch: int = 1
 
     def __post_init__(self):
-        _require_positive(eta=self.eta, delta=self.delta, batch=self.batch)
-        _require_nonnegative(iters=self.iters, seed=self.seed)
-        _require_integers(self, "iters", "seed", "batch")
+        _check_config(self, "batch")
 
 
 @dataclass(frozen=True)
@@ -143,17 +126,7 @@ class DgfmPlusConfig:
     gossip_rounds: int = 1
 
     def __post_init__(self):
-        _require_positive(
-            eta=self.eta,
-            delta=self.delta,
-            period=self.period,
-            batch=self.batch,
-            mega_batch=self.mega_batch,
-            gossip_rounds=self.gossip_rounds,
-        )
-        _require_nonnegative(iters=self.iters, seed=self.seed)
-        _require_integers(self, "iters", "seed", "period", "batch", "mega_batch",
-                          "gossip_rounds")
+        _check_config(self, "period", "batch", "mega_batch", "gossip_rounds")
 
 
 def iteration_cost(cfg, m, k):
@@ -417,8 +390,9 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
     bad = np.flatnonzero(~np.isfinite(x0))
     if bad.size:
         raise InvalidParameter(f"x0 must be finite, got {x0[bad[0]]} at index {bad[0]}")
-    _require_positive(record_every=record_every)
-    _require_nonnegative(stationarity_every=stationarity_every)
+    record_every, stationarity_samples = require_int(
+        1, record_every=record_every, stationarity_samples=stationarity_samples)
+    stationarity_every = require_int(0, stationarity_every=stationarity_every)
     state = NetworkState.initial(m, x0)
     algo = "dgfm-plus" if isinstance(cfg, DgfmPlusConfig) else "dgfm"
     record = RunRecord(metadata={

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import data as data_mod
 from .algorithms import DgfmConfig, DgfmPlusConfig, dgfm_run, gfm_run
-from .errors import InvalidParameter, InvalidTopology, NumericFailure, ParseError
+from .errors import (InvalidParameter, InvalidTopology, NumericFailure, ParseError, require_int,
+                     require_positive)
 from .metrics import write_records
 from .objectives import AbsTest, CappedL1Svm, QuadraticTest, estimate_lipschitz
 from .params import RHO_FLOOR, theorem_params_dgfm, theorem_params_dgfm_plus
@@ -149,7 +150,10 @@ def parse_args(argv):
             path = arg.split("=", 1)[1]
     prefix = _config_file_flags(path) if path is not None else []
     args = build_parser().parse_args(prefix + list(argv))
-    validate(args)
+    try:
+        validate(args)
+    except InvalidParameter as exc:  # a run value breaks its rule: name the flag that sets it
+        raise ConfigError(f"{FIELD_FLAGS.get(exc.name, exc.name)} {exc.rule}") from None
     return args
 
 
@@ -159,20 +163,15 @@ def validate(cfg):
     missing = [f"--{name}" for name in REQUIRED if getattr(cfg, name) is None]
     if missing:
         raise ConfigError(f"the following arguments are required: {', '.join(missing)}")
-    if cfg.repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {cfg.repeats}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.subset is not None and cfg.subset < 1:
-        raise ConfigError(f"subset must be >= 1, got {cfg.subset}")
-    if cfg.iters < 1:
-        raise ConfigError(f"iters must be >= 1, got {cfg.iters}")
+    require_int(1, repeats=cfg.repeats, iters=cfg.iters)
+    require_int(0, seed=cfg.seed)
+    if cfg.subset is not None:
+        require_int(1, subset=cfg.subset)
     if not 1 <= cfg.record_every <= cfg.iters:
         # a longer interval records nothing
         raise ConfigError(f"record-every must be in [1, iters] = [1, {cfg.iters}], "
                           f"got {cfg.record_every}")
-    if not 0 < cfg.delta < np.inf:
-        raise ConfigError(f"delta must be positive and finite, got {cfg.delta}")
+    require_positive(delta=cfg.delta)
     for why, applies, flags in FLAG_RULES:
         given = [f"--{flag}" for flag in flags
                  if getattr(cfg, flag.replace("-", "_")) is not None]
@@ -185,8 +184,7 @@ def validate(cfg):
             eps = float(cfg.params.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad epsilon in {cfg.params!r}") from None
-        if not 0 < eps < np.inf:
-            raise ConfigError(f"epsilon must be positive and finite, got {eps}")
+        require_positive(epsilon=eps)
     elif cfg.params != "manual":
         raise ConfigError(f"params must be 'manual' or 'theorem:<epsilon>', got {cfg.params!r}")
     else:
@@ -201,11 +199,7 @@ def validate(cfg):
         if getattr(cfg, name) is None:
             setattr(cfg, name, value)
     if cfg.params == "manual":
-        try:
-            _run_config(cfg, cfg.seed)  # the library config states the run values' ranges
-        except InvalidParameter as exc:  # "<field> must be ...": name the flag instead
-            field, rest = str(exc).split(" ", 1)
-            raise ConfigError(f"{FIELD_FLAGS.get(field, field)} {rest}") from None
+        _run_config(cfg, cfg.seed)  # the library config states the run values' ranges
     if cfg.algo in ("dgfm", "dgfm-plus") and cfg.m < 3 and cfg.topology == "ring":
         # ring needs >= 3 agents; fail here with a friendlier message
         raise ConfigError("ring topology needs --m >= 3")
@@ -289,7 +283,13 @@ def _resolve_theorem(cfg, objective, rho):
 
 
 def run_experiment(cfg):
-    """Execute one configured experiment: repeats runs, one output file."""
+    """Execute one configured experiment: repeats runs, one output file.
+
+    The output path, under ``$DGFM_OUT_DIR`` when relative, is checked first.
+    """
+    out = os.path.join(os.environ.get(OUT_DIR_ENV, ""), cfg.out)
+    if not out or os.path.isdir(out) or not os.access(os.path.dirname(out) or os.curdir, os.W_OK):
+        raise DataError(f"cannot write records to {out}: not a file in a writable directory")
     objective, dataset_id = _load_objective(cfg)
     theorem_echo = None
     network = cfg.algo.startswith("dgfm")
@@ -324,10 +324,6 @@ def run_experiment(cfg):
         else:
             records.append(gfm_run(objective, run_cfg, **opts))
 
-    out = cfg.out
-    out_dir = os.environ.get(OUT_DIR_ENV)
-    if out_dir and not os.path.isabs(out):
-        out = os.path.join(out_dir, out)
     write_records(records, out, format=cfg.format)
     final_losses = [record.final_loss for record in records]
     mean = float(np.mean(final_losses))

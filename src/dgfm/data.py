@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameter, InvalidPartition, ParseError
+from .errors import InvalidPartition, ParseError, require_int
 
 __all__ = [
     "SparseDataset",
@@ -374,18 +374,19 @@ class Partition:
 def partition(dataset, m, seed):
     """Shuffle sample indices by seed, then deal them round-robin to m agents.
 
-    Sizes differ by at most one. Deterministic in the seed, which must be
-    >= 0 (`InvalidParameter`). With a single agent the natural order is
-    kept so that single-agent runs consume samples exactly like the
-    centralized baselines.
+    ``dataset`` is a `SparseDataset` or its sample count. Sizes differ by
+    at most one. Deterministic in the seed, which must be >= 0
+    (`InvalidParameter`). With a single agent the natural order is kept so
+    that single-agent runs consume samples exactly like the centralized
+    baselines.
     """
-    n = dataset if isinstance(dataset, int) else dataset.n
+    n = dataset.n if isinstance(dataset, SparseDataset) else require_int(0, dataset=dataset)
     if m < 1:
         raise InvalidPartition(f"need at least one agent, got {m}")
+    m = require_int(1, m=m)
     if n < m:
         raise InvalidPartition(f"cannot split {n} samples across {m} agents")
-    if seed < 0:
-        raise InvalidParameter(f"partition seed must be >= 0, got {seed}")
+    seed = require_int(0, seed=seed)
     if m == 1:
         return Partition(assignment=[np.arange(n)], n=n)
     perm = np.random.default_rng(seed).permutation(n)
@@ -394,10 +395,9 @@ def partition(dataset, m, seed):
 
 def subset(dataset, n, seed=None):
     """First-n rows (seed None) or a seeded n-row sample without replacement."""
-    if n < 1:
-        raise InvalidParameter(f"subset size must be >= 1, got {n}")
-    if seed is not None and seed < 0:
-        raise InvalidParameter(f"subset seed must be >= 0, got {seed}")
+    n = require_int(1, **{"subset size": n})
+    if seed is not None:
+        seed = require_int(0, **{"subset seed": seed})
     if n >= dataset.n:
         return dataset
     if seed is None:

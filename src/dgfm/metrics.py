@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter, ShapeError
+from .errors import InvalidParameter, ShapeError, require_int
 from .smoothing import SmoothingParams, sample_batch
 
 __all__ = [
@@ -160,8 +160,7 @@ def stationarity_estimate(obj, x, delta, n_samples, rng):
     loop of ``eval`` the result is bit-equal to summing
     `two_point_estimate` pair by pair.
     """
-    if n_samples < 1:
-        raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = require_int(1, n_samples=n_samples)
     x = np.asarray(x, dtype=float)
     params = SmoothingParams(delta=delta, dim=obj.dim)
     if x.shape != (params.dim,):

@@ -21,7 +21,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameter, SampleIndexError, ShapeError
+from .errors import InvalidParameter, SampleIndexError, ShapeError, require_int, require_positive
 from .smoothing import sample_sphere
 
 __all__ = [
@@ -51,12 +51,7 @@ class StochasticObjective:
     """
 
     def __init__(self, n_samples, dim, lipschitz_hint=None, name=None):
-        if n_samples < 1:
-            raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
-        if dim < 1:
-            raise InvalidParameter(f"dim must be >= 1, got {dim}")
-        self.n_samples = int(n_samples)
-        self.dim = int(dim)
+        self.n_samples, self.dim = require_int(1, n_samples=n_samples, dim=dim)
         self.lipschitz_hint = lipschitz_hint
         self.name = name or type(self).__name__
 
@@ -230,9 +225,8 @@ class AbsTest(StochasticObjective):
     """f(x) = sum_j |x_j|: nonsmooth at every axis, sqrt(d)-Lipschitz."""
 
     def __init__(self, dim, n_samples=1):
-        super().__init__(
-            n_samples=n_samples, dim=dim, lipschitz_hint=math.sqrt(dim), name="abs"
-        )
+        super().__init__(n_samples=n_samples, dim=dim, name="abs")
+        self.lipschitz_hint = math.sqrt(self.dim)
 
     def eval(self, x, xi):
         self._check_index(xi)
@@ -275,10 +269,8 @@ def estimate_lipschitz(obj, probes, radius, rng):
     |eval(x, xi) - eval(y, xi)| / ||x - y||. Always a *lower* bound on the
     true constant; reported as such wherever it is used.
     """
-    if probes < 2:
-        raise InvalidParameter(f"need at least 2 probes, got {probes}")
-    if not 0.0 < radius < math.inf:
-        raise InvalidParameter(f"radius must be positive and finite, got {radius}")
+    probes = require_int(2, probes=probes)
+    require_positive(radius=radius)
     d = obj.dim
     best = 0.0
     for _ in range(probes):

@@ -12,8 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .algorithms import _require_positive
-from .errors import InvalidParameter
+from .errors import InvalidParameter, require_int, require_positive
 from .smoothing import sigma_squared, surrogate_smoothness
 
 __all__ = ["RHO_FLOOR", "TheoremParams", "theorem_params_dgfm", "theorem_params_dgfm_plus"]
@@ -63,17 +62,17 @@ class TheoremParams:
 
 
 def _check_theorem_inputs(rho, lipschitz, d, delta, epsilon, m, value_gap, c):
+    """(rho, d, m), d and m as Python ints; InvalidParameter if an input is out of range."""
     if not 0.0 < rho < 1.0:
         raise InvalidParameter(
-            "rho must lie strictly inside (0, 1); a fully connected topology has "
-            "rho = 0, pass a tiny floor such as 1e-6 instead"
+            "must lie strictly inside (0, 1); a fully connected topology has "
+            "rho = 0, pass a tiny floor such as 1e-6 instead", "rho"
         )
-    _require_positive(lipschitz=lipschitz, delta=delta, epsilon=epsilon, value_gap=value_gap, c=c)
-    if d < 1 or m < 1:
-        raise InvalidParameter(f"need d >= 1 and m >= 1, got d={d}, m={m}")
+    require_positive(lipschitz=lipschitz, delta=delta, epsilon=epsilon, value_gap=value_gap, c=c)
+    d, m = require_int(1, d=d, m=m)
     if epsilon > 1e6:
-        raise InvalidParameter(f"epsilon {epsilon} is beyond any sensible accuracy target")
-    return max(rho, RHO_FLOOR)
+        raise InvalidParameter(f"{epsilon} is beyond any sensible accuracy target", "epsilon")
+    return max(rho, RHO_FLOOR), d, m
 
 
 def theorem_params_dgfm(rho, lipschitz, d, delta, epsilon, m, value_gap, c=1.0):
@@ -82,7 +81,7 @@ def theorem_params_dgfm(rho, lipschitz, d, delta, epsilon, m, value_gap, c=1.0):
     ``value_gap`` bounds the initial smoothed-objective gap; ``c`` is the
     (unspecified) leading constant of the surrogate smoothness, default 1.
     """
-    rho = _check_theorem_inputs(rho, lipschitz, d, delta, epsilon, m, value_gap, c)
+    rho, d, m = _check_theorem_inputs(rho, lipschitz, d, delta, epsilon, m, value_gap, c)
     sigma_sq = sigma_squared(d, lipschitz)
     sigma = math.sqrt(sigma_sq)
     l_delta = surrogate_smoothness(d, lipschitz, delta, c)
@@ -121,7 +120,7 @@ def theorem_params_dgfm_plus(rho, lipschitz, d, delta, epsilon, m, value_gap, c=
     rather than guessing intent. Batch sizes and counts are rounded up to
     integers.
     """
-    rho = _check_theorem_inputs(rho, lipschitz, d, delta, epsilon, m, value_gap, c)
+    rho, d, m = _check_theorem_inputs(rho, lipschitz, d, delta, epsilon, m, value_gap, c)
     sigma_sq = sigma_squared(d, lipschitz)
     l_delta = surrogate_smoothness(d, lipschitz, delta, c)
     r2 = rho * rho

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, InvalidParameter, ShapeError
+from .errors import EmptyBatch, InvalidParameter, ShapeError, require_int, require_positive
 
 __all__ = [
     "SampleBatch",
@@ -65,11 +65,9 @@ class SmoothingParams:
     dim: int
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            # No limiting finite-difference fallback: delta = 0 is rejected.
-            raise InvalidParameter(f"smoothing radius must be positive, got {self.delta}")
-        if self.dim < 1:
-            raise InvalidParameter(f"dimension must be >= 1, got {self.dim}")
+        # No limiting finite-difference fallback: delta = 0 is rejected.
+        require_positive(delta=self.delta)
+        object.__setattr__(self, "dim", require_int(1, dim=self.dim))
 
 
 @dataclass(frozen=True)
@@ -272,10 +270,8 @@ def spider_difference(obj, x_new, x_old, params, batch):
 
 def sigma_squared(d, lipschitz):
     """Second-moment bound 16 sqrt(2 pi) d L_f^2 of the single-pair estimator."""
-    if d < 1:
-        raise InvalidParameter(f"dimension must be >= 1, got {d}")
-    if not lipschitz > 0.0:
-        raise InvalidParameter(f"Lipschitz constant must be positive, got {lipschitz}")
+    d = require_int(1, d=d)
+    require_positive(lipschitz=lipschitz)
     return 16.0 * math.sqrt(2.0 * math.pi) * d * lipschitz**2
 
 
@@ -285,8 +281,6 @@ def surrogate_smoothness(d, lipschitz, delta, c=1.0):
     The leading constant c is not pinned down by theory; it defaults to 1
     and is exposed because the parameter prescriptions take it as input.
     """
-    if d < 1 or not lipschitz > 0.0 or not delta > 0.0 or not c > 0.0:
-        raise InvalidParameter(
-            f"need d >= 1 and positive lipschitz/delta/c, got {(d, lipschitz, delta, c)}"
-        )
+    d = require_int(1, d=d)
+    require_positive(lipschitz=lipschitz, delta=delta, c=c)
     return c * lipschitz * math.sqrt(d) / delta

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedGraph, InvalidTopology, ShapeError
+from .errors import DisconnectedGraph, InvalidTopology, ShapeError, require_int
 
 __all__ = [
     "MixingMatrix",
@@ -38,7 +38,8 @@ __all__ = [
     "validate",
 ]
 
-# ~100x double-precision epsilon: covers round-off accumulation for m <= 1000.
+# ~100x double-precision epsilon: covers round-off accumulation for m <= 1000,
+# in the weights' row and column sums and in a given rho.
 STOCHASTIC_TOL = 1e-12
 # rho must stay below 1 - CONNECTIVITY_TOL for the topology to count as connected.
 CONNECTIVITY_TOL = 1e-9
@@ -70,18 +71,8 @@ class ValidationReport:
     min_diagonal: float
 
     @property
-    def doubly_stochastic(self):
-        return self.row_stochastic and self.col_stochastic
-
-    @property
     def ok(self):
-        return (
-            self.nonnegative
-            and self.row_stochastic
-            and self.col_stochastic
-            and self.positive_diagonal
-            and self.connected
-        )
+        return not self.failures()
 
     def failures(self):
         """Names of the invariants that failed, in a stable order."""
@@ -133,8 +124,10 @@ def validate(weights):
 class MixingMatrix:
     """Validated doubly stochastic gossip weights with cached spectral gap.
 
-    Immutable after construction (the weights array is set read-only), so
-    instances are safe to share across threads.
+    A build, direct or by `from_weights`, validates: the weights pass
+    `validate`, ``m`` is their row count, and a given ``rho`` their gap to
+    `STOCHASTIC_TOL` (an omitted one is computed). It never multiplies by
+    the weights, and keeps the array passed in, set read-only.
 
     Attributes
     ----------
@@ -148,20 +141,31 @@ class MixingMatrix:
 
     m: int
     weights: np.ndarray
-    rho: float
+    rho: float = None
+
+    def __post_init__(self):
+        w = self.weights
+        if not isinstance(w, np.ndarray):
+            raise ShapeError(f"weights must be an (m, m) array, got {type(w).__name__}")
+        report = validate(w)
+        if self.m != w.shape[0]:
+            raise ShapeError(f"m is {self.m}, but the weights have {w.shape[0]} rows")
+        failures = report.failures()
+        if failures:
+            only_gap = len(failures) == 1 and not report.connected
+            raise (DisconnectedGraph if only_gap else InvalidTopology)("; ".join(failures))
+        if self.rho is None:
+            object.__setattr__(self, "rho", report.rho)
+        elif not abs(self.rho - report.rho) <= STOCHASTIC_TOL:
+            raise InvalidTopology(f"rho is {self.rho}, but the weights' gap is {report.rho}")
+        object.__setattr__(self, "m", w.shape[0])
+        w.setflags(write=False)
 
     @classmethod
     def from_weights(cls, weights):
-        """Validate raw weights and wrap them; raises on any failure."""
+        """Validate a copy of raw weights and wrap it; raises on any failure."""
         w = np.array(weights, dtype=float)
-        report = validate(w)
-        if not report.ok:
-            failures = report.failures()
-            if report.nonnegative and report.doubly_stochastic and report.positive_diagonal:
-                raise DisconnectedGraph("; ".join(failures))
-            raise InvalidTopology("; ".join(failures))
-        w.setflags(write=False)
-        return cls(m=w.shape[0], weights=w, rho=report.rho)
+        return cls(m=w.shape[0] if w.ndim else 0, weights=w)  # a 0-d w fails `validate`
 
 
 def build_ring(m):
@@ -172,6 +176,7 @@ def build_ring(m):
     """
     if m < 3:
         raise InvalidTopology(f"ring topology needs at least 3 agents, got {m}")
+    m = require_int(3, m=m)
     w = np.zeros((m, m))
     third = 1.0 / 3.0
     for i in range(m):
@@ -185,7 +190,7 @@ def build_complete(m):
     """Fully connected topology: the averaging matrix J itself (rho = 0)."""
     if m < 1:
         raise InvalidTopology(f"need at least one agent, got {m}")
-    return MixingMatrix.from_weights(averaging_matrix(m))
+    return MixingMatrix.from_weights(averaging_matrix(require_int(1, m=m)))
 
 
 def build_metropolis_hastings(adjacency):

@@ -137,6 +137,34 @@ class TestExitCodes:
         assert code == 3
         assert f"data error: cannot write records to {tmp_path}" in capsys.readouterr().err
 
+    UNWRITABLE_OUT = {  # --out, $DGFM_OUT_DIR, the path they resolve to; {tmp} is tmp_path
+        "empty": ("", None, ""),
+        "empty-under-out-dir": ("", "{tmp}", "{tmp}/"),
+        "directory": ("{tmp}", None, "{tmp}"),
+        "missing-parent": ("{tmp}/missing/r.csv", None, "{tmp}/missing/r.csv"),
+        "missing-parent-under-out-dir": ("missing/r.csv", "{tmp}", "{tmp}/missing/r.csv"),
+    }
+
+    @pytest.mark.parametrize("out, out_dir, resolved", UNWRITABLE_OUT.values(),
+                             ids=UNWRITABLE_OUT.keys())
+    def test_unwritable_out_is_data_error_before_the_data_is_read(
+            self, out, out_dir, resolved, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("the data load or a run started")
+
+        for name in ("_load_objective", "gfm_run"):
+            monkeypatch.setattr(cli, name, fail)
+        if out_dir is None:
+            monkeypatch.delenv("DGFM_OUT_DIR", raising=False)
+        else:
+            monkeypatch.setenv("DGFM_OUT_DIR", out_dir.format(tmp=tmp_path))
+        code = run_cli("--algo", "gfm", "--dataset", "builtin:quadratic", "--iters", "3",
+                       "--eta", "0.1", "--out", out.format(tmp=tmp_path))
+        assert code == 3
+        message = f"data error: cannot write records to {resolved.format(tmp=tmp_path)}: "
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     # Values no run can take, each with the text its config error names. {data}
     # is a 4-sample data file; {bad} is a malformed one, so a case that names it
     # shows the value is refused before the data file is read.

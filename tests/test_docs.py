@@ -4,7 +4,8 @@ paragraph names every flag the CLI's rule table rejects.
 
 All four catch documentation left behind when the package drops, renames or
 adds a name. A fifth checks that the package's star imports export each
-module's ``__all__`` whole and unshadowed.
+module's ``__all__`` whole and unshadowed, and a sixth that no module of
+the package imports another's private (``_``-prefixed) name.
 """
 
 import ast
@@ -81,3 +82,16 @@ def test_every_listed_name_is_exported_once():
     wrong = [f"{module.__name__}.{name}" for module, name in listed
              if getattr(dgfm, name, None) is not getattr(module, name)]
     assert not wrong, f"dgfm does not export {wrong}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is that module's public API, not a `_` helper
+    found = []
+    for path in sorted((ROOT / "src" / "dgfm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "dgfm"):
+                source = "." * node.level + (node.module or "")
+                found += [f"{path.name}: from {source} import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert not found, f"private names imported across modules: {found}"

@@ -1,7 +1,9 @@
 """Golden trajectories of the four optimizers, in two tiers.
 
 Each case runs one optimizer at a fixed seed on the a9a-shaped conftest
-corpus, with the schedules of acceptance criterion 09.
+corpus, with the schedules of acceptance criterion 09, except
+``dgfm-abs``: dgfm on sum_j |x_j| with a radius of the iterates' scale,
+so the estimates depend on delta (the SVM cases barely do).
 
 * The hash tier hashes the recorded (iteration, zo_calls, comm_rounds,
   loss, consensus_err, stationarity) series bit for bit. Any change to the
@@ -31,6 +33,7 @@ import numpy as np
 import pytest
 
 from dgfm import (
+    AbsTest,
     DgfmConfig,
     DgfmPlusConfig,
     build_metropolis_hastings,
@@ -51,6 +54,10 @@ GFM_BATCH = 16
 GFM_PLUS = dict(period=50, mega_batch=100, batch=2)
 RECORDING = dict(record_every=5, stationarity_every=3, stationarity_samples=8,
                  keep_iterates=False)
+# dgfm-abs: from x0 = 0.1, steps of about eta d / 2 take the iterates to
+# |x_j| < ABS_DELTA within 20 iterations, inside the kinks of |x_j|
+ABS_DELTA = 0.05
+ABS_DIM = 4
 
 
 def chorded_ring(m):
@@ -65,6 +72,10 @@ def chorded_ring(m):
 def run_case(name, obj):
     ring = build_ring(M)
     part = partition(obj.n_samples, M, SEED)
+    if name == "dgfm-abs":
+        cfg = DgfmConfig(eta=0.01, delta=ABS_DELTA, iters=60, seed=SEED)
+        return dgfm_run(ring, partition(M, M, SEED), AbsTest(dim=ABS_DIM, n_samples=M), cfg,
+                        x0=np.full(ABS_DIM, 0.1), **RECORDING)[1]
     if name == "dgfm":
         cfg = DgfmConfig(eta=0.01, delta=DELTA, iters=60, seed=SEED)
         return dgfm_run(ring, part, obj, cfg, **RECORDING)[1]
@@ -100,6 +111,7 @@ GOLDEN = {
     "dgfm-plus-metropolis": "875c31a13bac15dbd6490dd291bee7837af8651f9a1c941fea8984cdef1f780f",
     "gfm": "8a081517a7dbffc6576941edbcc4202c172b7759fb6e3c29e01787cd0949cf5b",
     "gfm-plus": "89a2b8506d4dbfc2bed2a1d9e4921fe1733e79a9d3a3344adc9b0f97587e8c60",
+    "dgfm-abs": "685a4fec11a606c57a8a985e0c94874ddad42063e876c96cd18b43f6d1376335",
 }
 
 
@@ -110,7 +122,10 @@ GOLDEN = {
 # another stream lane moved them by 1.1e-3 and 0.27 or more. The smoothed
 # SVM is close to linear along these runs, so doubling delta moved the
 # losses by at most 6.3e-11; the consensus error of the Metropolis case
-# moved by 1.5e-7, and that case fails it.
+# moved by 1.5e-7, and that case fails it. The dgfm-abs case pins delta:
+# doubling it moved that case's losses by up to 3.1 times their value,
+# while computing d (f+ - f-) / (2 delta) in another order moved them by
+# at most 1.7e-13.
 LOSS_RTOL = 1e-9
 CONSENSUS_RTOL = 1e-8
 
@@ -185,6 +200,20 @@ SERIES = {
             0.0, 0.0, 0.0,
             0.0, 0.0, 0.0,
             0.0, 0.0, 0.0,
+        ],
+    },
+    "dgfm-abs": {
+        "loss": [
+            0.18302870880711028, 0.052909648979303905, 0.006267842025805046,
+            0.003415489279766634, 0.0012408423815672299, 0.0005925227655322663,
+            0.00048299850098968555, 0.0003013827888581059, 0.000482913064120668,
+            0.00021807962317714285, 7.947645474021854e-05, 6.604902076420985e-05,
+        ],
+        "consensus_err": [
+            0.0028866441643118556, 0.00021275394949139684, 9.233621126053437e-05,
+            6.842971429330416e-05, 3.087131799313105e-05, 9.879595859049128e-06,
+            4.822919690714478e-06, 2.473213494955012e-06, 1.4140322556112774e-06,
+            6.284493258357747e-07, 3.9973695284926685e-07, 1.6540132619209217e-07,
         ],
     },
 }

@@ -118,6 +118,40 @@ class TestValidate:
             MixingMatrix.from_weights(np.eye(3))
 
 
+class TestDirectBuild:
+    """``MixingMatrix(m=, weights=, rho=)`` validates as `from_weights` does."""
+
+    def test_weights_that_are_not_doubly_stochastic_are_rejected(self):
+        with pytest.raises(InvalidTopology, match="row sums off"):
+            MixingMatrix(m=4, weights=2 * np.eye(4), rho=0.25)
+
+    def test_disconnected_weights_are_rejected(self):
+        with pytest.raises(DisconnectedGraph):
+            MixingMatrix(m=3, weights=np.eye(3), rho=1.0)
+
+    def test_m_other_than_the_row_count_is_rejected(self):
+        ring = build_ring(4)
+        with pytest.raises(ShapeError, match="m is 5, but the weights have 4 rows"):
+            MixingMatrix(m=5, weights=ring.weights, rho=ring.rho)
+
+    def test_rho_other_than_the_gap_is_rejected(self):
+        ring = build_ring(4)
+        with pytest.raises(InvalidTopology, match="rho is 0.25, but the weights' gap is 0.333"):
+            MixingMatrix(m=4, weights=ring.weights, rho=0.25)
+        assert MixingMatrix(m=4, weights=ring.weights, rho=ring.rho + 1e-13).m == 4
+
+    def test_weights_that_are_not_an_array_are_rejected(self):
+        with pytest.raises(ShapeError, match="got list"):
+            MixingMatrix(m=2, weights=[[0.5, 0.5], [0.5, 0.5]], rho=0.0)
+
+    def test_the_array_passed_in_is_kept_read_only(self):
+        weights = build_ring(5).weights.copy()
+        matrix = MixingMatrix(m=np.int64(5), weights=weights)
+        assert matrix.weights is weights and not weights.flags.writeable
+        assert type(matrix.m) is int
+        assert matrix.rho == validate(weights).rho
+
+
 class TestSpectralGap:
     def test_averaging_matrix_is_zero(self):
         for m in (2, 5, 11):

@@ -84,6 +84,11 @@ def counting_matrix(matrix):
     return MixingMatrix(m=matrix.m, weights=weights, rho=matrix.rho)
 
 
+def test_building_a_matrix_makes_no_gossip_product():
+    # a direct build validates the weights without multiplying by them
+    assert counting_matrix(build_ring(4)).weights.products == [0]
+
+
 @pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus", "gfm", "gfm-plus"])
 def test_each_counted_comm_round_is_one_gossip_product(algo, small_svm_objective):
     obj = small_svm_objective
