@@ -153,7 +153,8 @@ def parse_args(argv):
     try:
         validate(args)
     except InvalidParameter as exc:  # a run value breaks its rule: name the flag that sets it
-        raise ConfigError(f"{FIELD_FLAGS.get(exc.name, exc.name)} {exc.rule}") from None
+        flag = FIELD_FLAGS.get(exc.name, exc.name)
+        raise ConfigError(exc.rule if flag is None else f"{flag} {exc.rule}") from None
     return args
 
 
@@ -167,6 +168,8 @@ def validate(cfg):
     require_int(0, seed=cfg.seed)
     if cfg.subset is not None:
         require_int(1, subset=cfg.subset)
+    if cfg.subset_seed is not None:
+        require_int(0, **{"subset seed": cfg.subset_seed})
     if not 1 <= cfg.record_every <= cfg.iters:
         # a longer interval records nothing
         raise ConfigError(f"record-every must be in [1, iters] = [1, {cfg.iters}], "
@@ -198,6 +201,7 @@ def validate(cfg):
     for name, value in DEFAULTS.items():
         if getattr(cfg, name) is None:
             setattr(cfg, name, value)
+    CappedL1Svm.check_penalty(0.0 if cfg.lam is None else cfg.lam, cfg.alpha)
     if cfg.params == "manual":
         _run_config(cfg, cfg.seed)  # the library config states the run values' ranges
     if cfg.algo in ("dgfm", "dgfm-plus") and cfg.m < 3 and cfg.topology == "ring":
@@ -285,20 +289,22 @@ def _resolve_theorem(cfg, objective, rho):
 def run_experiment(cfg):
     """Execute one configured experiment: repeats runs, one output file.
 
-    The output path, under ``$DGFM_OUT_DIR`` when relative, is checked first.
+    The output path, under ``$DGFM_OUT_DIR`` when relative, is checked
+    first, then the topology is built: both fail before the data is read.
     """
     out = os.path.join(os.environ.get(OUT_DIR_ENV, ""), cfg.out)
     if not out or os.path.isdir(out) or not os.access(os.path.dirname(out) or os.curdir, os.W_OK):
         raise DataError(f"cannot write records to {out}: not a file in a writable directory")
+    network = cfg.algo.startswith("dgfm")
+    if network:
+        matrix, topology_id = _build_topology(cfg)
     objective, dataset_id = _load_objective(cfg)
     theorem_echo = None
-    network = cfg.algo.startswith("dgfm")
     if network:
         if objective.n_samples < cfg.m:
             raise ConfigError(
                 f"dataset has {objective.n_samples} samples, cannot shard across {cfg.m} agents"
             )
-        matrix, topology_id = _build_topology(cfg)
         if cfg.params.startswith("theorem:"):
             # a complete graph mixes in one round (rho = 0), outside the analysis' (0, 1)
             theorem_echo = _resolve_theorem(cfg, objective, max(matrix.rho, RHO_FLOOR)).echo()

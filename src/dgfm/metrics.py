@@ -11,24 +11,24 @@ scalar ``eval`` that counted oracle calls go through), so plots against
 ``zo_calls`` use the algorithmic budget only.
 
 Records serialize to CSV, one row per entry: the record's algo and seed,
-then the entry columns of `ENTRY_COLUMNS` (stationarity left empty when
-not sampled), or to JSON with a metadata header per record and the same
-entry columns. Doubles are printed in shortest round-trip form, so a
-written file parses back to bit-equal values.
+then the entry columns of `ENTRY_COLUMNS`, or to JSON with a metadata
+header per record and the same entry columns. ``csv`` formats the cells:
+a float as its shortest round-trip string, so a written file parses back
+to bit-equal values, and a stationarity left unsampled (``None``) as an
+empty cell.
 """
 
 import csv
 import json
 import math
 import operator
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter, ShapeError, require_int
-from .smoothing import SmoothingParams, sample_batch
+from .errors import InvalidParameter, ShapeError, require_int, require_positive
+from .smoothing import sample_batch
 
 __all__ = [
     "RunEntry",
@@ -39,34 +39,6 @@ __all__ = [
     "stationarity_estimate",
     "write_records",
 ]
-
-
-# Per column type: how a column of values is written, as a list of cells,
-# and how one cell is read back; only the optional type admits an empty
-# cell. The repr of a Python float is the shortest string that round-trips.
-_CODECS = {
-    int: (lambda values: list(map(str, values)), int),
-    float: (lambda values: list(map(repr, map(float, values))), float),
-    float | None: (lambda values: ["" if v is None else repr(float(v)) for v in values],
-                   lambda text: float(text) if text else None),
-}
-
-# The one statement of the entry columns, as (file column, RunEntry field,
-# type): the CSV header and rows, the JSON entries and `read_csv_rows` all
-# follow it.
-ENTRY_COLUMNS = (
-    ("iter", "iteration", int),
-    ("zo_calls", "zo_calls", int),
-    ("comm_rounds", "comm_rounds", int),
-    ("loss", "loss", float),
-    ("consensus_err", "consensus_err", float),
-    ("stationarity", "stationarity", float | None),
-    ("wall_ms", "wall_ms", float),
-)
-_ENTRY_NAMES = tuple(column for column, _, _ in ENTRY_COLUMNS)
-CSV_COLUMNS = ("algo", "seed", *_ENTRY_NAMES)
-_entry_values = operator.attrgetter(*(name for _, name, _ in ENTRY_COLUMNS))
-_WRITE_CHUNK = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +55,19 @@ class RunEntry:
     consensus_err: float
     stationarity: float | None = None
     wall_ms: float = 0.0
+
+
+# The one statement of the entry columns, as (file column, RunEntry field,
+# type), in RunEntry's field order: the CSV header and rows, the JSON entries
+# and `read_csv_rows` all follow it.
+ENTRY_COLUMNS = tuple(("iter" if f.name == "iteration" else f.name, f.name, f.type)
+                      for f in fields(RunEntry))
+_ENTRY_NAMES = tuple(column for column, _, _ in ENTRY_COLUMNS)
+CSV_COLUMNS = ("algo", "seed", *_ENTRY_NAMES)
+_entry_values = operator.attrgetter(*(name for _, name, _ in ENTRY_COLUMNS))
+# How `read_csv_rows` reads a cell of each column type; only the optional
+# type admits an empty cell.
+_READERS = {int: int, float: float, float | None: lambda text: float(text) if text else None}
 
 
 @dataclass
@@ -161,15 +146,15 @@ def stationarity_estimate(obj, x, delta, n_samples, rng):
     `two_point_estimate` pair by pair.
     """
     n_samples = require_int(1, n_samples=n_samples)
+    require_positive(delta=delta)
     x = np.asarray(x, dtype=float)
-    params = SmoothingParams(delta=delta, dim=obj.dim)
-    if x.shape != (params.dim,):
-        raise ShapeError(f"x must have shape ({params.dim},), got {x.shape}")
-    batch = sample_batch(np.arange(obj.n_samples), n_samples, params.dim, rng)
+    if x.shape != (obj.dim,):
+        raise ShapeError(f"x must have shape ({obj.dim},), got {x.shape}")
+    batch = sample_batch(np.arange(obj.n_samples), n_samples, obj.dim, rng)
     steps = delta * batch.ws
     values = obj.eval_batch(np.concatenate([x + steps, x - steps]), np.tile(batch.xis, 2))
     diffs = values[:n_samples] - values[n_samples:]
-    g = (params.dim / (2.0 * delta)) * diffs[:, None] * batch.ws
+    g = (obj.dim / (2.0 * delta)) * diffs[:, None] * batch.ws
     acc = g.sum(axis=0)
     acc_sq = (g * g).sum(axis=0)
     mean = acc / n_samples
@@ -193,15 +178,8 @@ def write_records(records, path, format="csv"):
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(CSV_COLUMNS)
                 for record in records:
-                    algo, seed = (repeat(record.metadata.get(name, "")) for name in ("algo", "seed"))
-                    # a column at a time is faster than a cell at a time; the
-                    # chunks keep the transposed copy small
-                    for start in range(0, len(record.entries), _WRITE_CHUNK):
-                        chunk = record.entries[start:start + _WRITE_CHUNK]
-                        columns = zip(*map(_entry_values, chunk))
-                        cells = [_CODECS[kind][0](column)
-                                 for (_, _, kind), column in zip(ENTRY_COLUMNS, columns)]
-                        writer.writerows(zip(algo, seed, *cells))
+                    head = (record.metadata.get("algo", ""), record.metadata.get("seed", ""))
+                    writer.writerows((*head, *_entry_values(e)) for e in record.entries)
         elif format == "json":
             with open(path, "w", newline="") as fh:
                 json.dump([r.to_json_obj() for r in records], fh, indent=1)
@@ -214,7 +192,7 @@ def write_records(records, path, format="csv"):
 
 def read_csv_rows(path):
     """Read back a CSV written by `write_records` with typed fields."""
-    reads = [(column, _CODECS[kind][1]) for column, _, kind in ENTRY_COLUMNS]
+    reads = [(column, _READERS[kind]) for column, _, kind in ENTRY_COLUMNS]
     with open(path, newline="") as fh:
         return [
             {"algo": raw["algo"], "seed": int(raw["seed"]) if raw["seed"] else None,

@@ -133,9 +133,7 @@ class CappedL1Svm(StochasticObjective):
             raise InvalidParameter("labels must all be +1 or -1")
         if not np.isfinite(features.data).all():
             raise InvalidParameter("feature values must be finite")
-        # lam = 0 degenerates to the plain hinge, which is useful in tests
-        if not (0.0 <= lam < math.inf and alpha > 0.0):
-            raise InvalidParameter(f"need finite lam >= 0 and alpha > 0, got {(lam, alpha)}")
+        self.check_penalty(lam, alpha)
         # Row hinge is ||a_xi||-Lipschitz and the penalty lam*d-Lipschitz at worst.
         hint = float(np.sqrt(features.multiply(features).sum(axis=1)).max()) + lam * d
         super().__init__(n_samples=n, dim=d, lipschitz_hint=hint, name=name)
@@ -147,6 +145,13 @@ class CappedL1Svm(StochasticObjective):
         self._indices = features.indices
         self._data = features.data
         self.labels.setflags(write=False)
+
+    @staticmethod
+    def check_penalty(lam, alpha):
+        """Raise InvalidParameter unless the penalty weight and cap are admissible."""
+        # lam = 0 degenerates to the plain hinge, which is useful in tests
+        if not (0.0 <= lam < math.inf and alpha > 0.0):
+            raise InvalidParameter(f"need finite lam >= 0 and alpha > 0, got {(lam, alpha)}")
 
     @classmethod
     def from_dataset(cls, dataset, lam=None, alpha=2.0, name=None):

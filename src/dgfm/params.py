@@ -18,6 +18,9 @@ from .smoothing import sigma_squared, surrogate_smoothness
 __all__ = ["RHO_FLOOR", "TheoremParams", "theorem_params_dgfm", "theorem_params_dgfm_plus"]
 
 RHO_FLOOR = 1e-6
+# The fields `TheoremParams.echo` reports; the schedule ones are None for the single-pair method.
+_ECHOED = ("eta", "iterations", "alpha_1", "beta_x", "beta_y",
+           "batch", "mega_batch", "period", "cycles", "gossip_rounds")
 
 
 @dataclass(frozen=True)
@@ -46,19 +49,8 @@ class TheoremParams:
     gossip_rounds: int | None = None
 
     def echo(self):
-        """JSON-able summary for run metadata."""
-        out = {
-            "eta": self.eta,
-            "iterations": self.iterations,
-            "alpha_1": self.alpha_1,
-            "beta_x": self.beta_x,
-            "beta_y": self.beta_y,
-        }
-        for name in ("batch", "mega_batch", "period", "cycles", "gossip_rounds"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        """JSON-able summary for run metadata: the `_ECHOED` fields that are set, in that order."""
+        return {name: value for name in _ECHOED if (value := getattr(self, name)) is not None}
 
 
 def _check_theorem_inputs(rho, lipschitz, d, delta, epsilon, m, value_gap, c):

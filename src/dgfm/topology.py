@@ -15,8 +15,12 @@ hundred agents. The Kronecker lift A (x) I_d is never materialized: `mix`
 applies it as a plain (m, m) x (m, d) product. `mix` is the one gossip
 round in the package (the optimizers gossip through it); several rounds
 are several calls. Weights come from the ring, complete and
-Metropolis-Hastings constructors, the last one fed by a 0/1 adjacency file
-through `load_adjacency`.
+Metropolis-Hastings constructors, each a few whole-array numpy operations:
+the ring is the identity plus its two cyclic shifts (``np.roll``), scaled
+by 1/3; the complete graph is J; Metropolis-Hastings puts
+1 / (1 + the larger degree) on each edge, from ``np.maximum.outer`` of the
+degrees, and the remainder on the diagonal. The last one is fed by a 0/1
+adjacency file through `load_adjacency`.
 """
 
 import warnings
@@ -127,7 +131,8 @@ class MixingMatrix:
     A build, direct or by `from_weights`, validates: the weights pass
     `validate`, ``m`` is their row count, and a given ``rho`` their gap to
     `STOCHASTIC_TOL` (an omitted one is computed). It never multiplies by
-    the weights, and keeps the array passed in, set read-only.
+    the weights, and keeps the array passed in, set read-only; a view is
+    refused unless the memory it views is read-only too.
 
     Attributes
     ----------
@@ -147,6 +152,9 @@ class MixingMatrix:
         w = self.weights
         if not isinstance(w, np.ndarray):
             raise ShapeError(f"weights must be an (m, m) array, got {type(w).__name__}")
+        if _writable_base(w):
+            raise InvalidTopology("weights view memory that can still be written; "
+                                  "build with MixingMatrix.from_weights, which copies")
         report = validate(w)
         if self.m != w.shape[0]:
             raise ShapeError(f"m is {self.m}, but the weights have {w.shape[0]} rows")
@@ -168,6 +176,19 @@ class MixingMatrix:
         return cls(m=w.shape[0] if w.ndim else 0, weights=w)  # a 0-d w fails `validate`
 
 
+def _writable_base(w):
+    """Whether memory that ``w`` views, through its ``.base`` chain, can still be written."""
+    base = w.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if isinstance(base, np.ndarray):
+        return True
+    try:  # a non-array owner, such as bytes or a bytearray
+        return base is not None and not memoryview(base).readonly
+    except TypeError:  # it exposes no buffer: assume it can write
+        return True
+
+
 def build_ring(m):
     """Ring of m agents, weight 1/3 on self and on each of the two neighbors.
 
@@ -177,13 +198,9 @@ def build_ring(m):
     if m < 3:
         raise InvalidTopology(f"ring topology needs at least 3 agents, got {m}")
     m = require_int(3, m=m)
-    w = np.zeros((m, m))
-    third = 1.0 / 3.0
-    for i in range(m):
-        w[i, i] = third
-        w[i, (i - 1) % m] = third
-        w[i, (i + 1) % m] = third
-    return MixingMatrix.from_weights(w)
+    eye = np.eye(m)
+    neighbors = np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)
+    return MixingMatrix.from_weights((eye + neighbors) / 3.0)
 
 
 def build_complete(m):
@@ -217,11 +234,7 @@ def build_metropolis_hastings(adjacency):
         raise InvalidTopology("adjacency must include all self-loops")
     m = adj.shape[0]
     deg = adj.sum(axis=1) - 1  # neighbors, self excluded
-    w = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            if adj[i, j]:
-                w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    w = np.where(adj & ~np.eye(m, dtype=bool), 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return MixingMatrix.from_weights(w)
 

@@ -173,6 +173,8 @@ class TestExitCodes:
                 "--mega-batch 2 ")
     SVM = "--algo gfm --dataset {data} --iters 3 --eta 0.1 "
     THEOREM = "--algo dgfm --dataset builtin:quadratic --m 4 --iters 3 "
+    GFM_BAD = "--algo gfm --dataset {bad} --iters 3 --eta 0.1 "
+    DGFM_BAD = "--algo dgfm --dataset {bad} --iters 3 --eta 0.1 "
     BAD_VALUES = {
         "repeats-0": (GFM + "--repeats 0", "repeats must be >= 1, got 0"),
         "seed-negative": (GFM + "--seed -1", "seed must be >= 0, got -1"),
@@ -199,6 +201,20 @@ class TestExitCodes:
                                  "subset seed must be >= 0, got -1"),
         "more-agents-than-samples": (SVM.replace("gfm", "dgfm") + "--m 8",
                                      "dataset has 4 samples, cannot shard across 8 agents"),
+        # these need no data, so they are reported before the bad file is parsed
+        "subset-seed-negative-unread": (GFM_BAD + "--subset 2 --subset-seed -1",
+                                        "subset seed must be >= 0, got -1"),
+        # an unnamed InvalidParameter's rule follows the prefix, with no field name
+        "lam-negative-unread": (GFM_BAD + "--lam -1",
+                                "config error: need finite lam >= 0 and alpha > 0, got (-1.0, 2.0)"),
+        "lam-nan-unread": (GFM_BAD + "--lam nan", "need finite lam >= 0"),
+        "alpha-0-unread": (GFM_BAD + "--alpha 0", "need finite lam >= 0 and alpha > 0"),
+        "topology-unknown-unread": (DGFM_BAD + "--m 4 --topology bogus",
+                                    "unknown topology 'bogus'"),
+        "complete-no-agents-unread": (DGFM_BAD + "--m 0 --topology complete",
+                                      "need at least one agent, got 0"),
+        "adjacency-agents-unread": (DGFM_BAD + "--m 4 --topology metropolis:{three}",
+                                    "has 3 agents, --m is 4"),
     }
 
     @pytest.mark.parametrize("flags, message", BAD_VALUES.values(), ids=BAD_VALUES.keys())
@@ -206,11 +222,23 @@ class TestExitCodes:
         data, bad = tmp_path / "four.libsvm", tmp_path / "bad.libsvm"
         data.write_text(synthetic_svm_text(n=4, d=4, nnz=2, seed=1))
         bad.write_text("1 1:abc\n")
-        code = run_cli(*flags.format(data=data, bad=bad).split(), "--out", str(tmp_path / "r.csv"))
+        three = tmp_path / "three.adj"
+        three.write_text("1 1 0\n1 1 1\n0 1 1\n")
+        code = run_cli(*flags.format(data=data, bad=bad, three=three).split(),
+                       "--out", str(tmp_path / "r.csv"))
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_missing_adjacency_is_data_error_before_the_data_is_read(self, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text("1 1:abc\n")
+        missing = tmp_path / "missing.adj"
+        code = run_cli(*self.DGFM_BAD.format(bad=bad).split(), "--m", "4",
+                       "--topology", f"metropolis:{missing}", "--out", str(tmp_path / "r.csv"))
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: adjacency file not found: {missing}\n"
 
     def test_plus_requires_schedule_flags(self, tmp_path):
         code = run_cli("--algo", "dgfm-plus", "--dataset", "builtin:quadratic",

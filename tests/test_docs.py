@@ -3,15 +3,19 @@ every backticked ``dgfm.<name>`` in the README resolves, and the README's CLI
 paragraph names every flag the CLI's rule table rejects.
 
 All four catch documentation left behind when the package drops, renames or
-adds a name. A fifth checks that the package's star imports export each
-module's ``__all__`` whole and unshadowed, and a sixth that no module of
-the package imports another's private (``_``-prefixed) name.
+adds a name; each demo also runs to exit 0, which catches one that fails at
+run time. Two more check that the package's star imports export each
+module's ``__all__`` whole and unshadowed, and that no module of the package
+imports another's private (``_``-prefixed) name.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,15 @@ def test_demo_imports_from_dgfm_exist(demo):
             module = importlib.import_module(node.module)
             missing = [alias.name for alias in node.names if not hasattr(module, alias.name)]
             assert not missing, f"{demo.name} imports missing names {missing} from {node.module}"
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # in a scratch directory: a demo may write its output file there
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, f"{demo.name} exited {done.returncode}:\n{done.stderr}"
 
 
 def resolve(dotted):

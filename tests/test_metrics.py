@@ -142,6 +142,63 @@ def sample_record(algo="gfm", seed=5, n=3, with_stationarity=False):
     return record
 
 
+PINNED_CSV = """\
+algo,seed,iter,zo_calls,comm_rounds,loss,consensus_err,stationarity,wall_ms
+dgfm,3,1,9007199254740993,0,-0.0,5e-324,,0.30000000000000004
+dgfm,3,2,4,1,1.7976931348623157e+308,0.0,0.30000000000000004,1.5
+gfm,4,5,10,0,0.5,0.0,5e-324,-0.0
+"""
+PINNED_JSON = """\
+[
+ {
+  "metadata": {
+   "algo": "dgfm",
+   "seed": 3
+  },
+  "entries": [
+   {
+    "iter": 1,
+    "zo_calls": 9007199254740993,
+    "comm_rounds": 0,
+    "loss": -0.0,
+    "consensus_err": 5e-324,
+    "stationarity": null,
+    "wall_ms": 0.30000000000000004
+   },
+   {
+    "iter": 2,
+    "zo_calls": 4,
+    "comm_rounds": 1,
+    "loss": 1.7976931348623157e+308,
+    "consensus_err": 0.0,
+    "stationarity": 0.30000000000000004,
+    "wall_ms": 1.5
+   }
+  ],
+  "restarts": []
+ },
+ {
+  "metadata": {
+   "algo": "gfm",
+   "seed": 4
+  },
+  "entries": [
+   {
+    "iter": 5,
+    "zo_calls": 10,
+    "comm_rounds": 0,
+    "loss": 0.5,
+    "consensus_err": 0.0,
+    "stationarity": 5e-324,
+    "wall_ms": -0.0
+   }
+  ],
+  "restarts": []
+ }
+]
+"""
+
+
 def test_entry_has_slots_and_is_frozen():
     # a long CLI run holds one entry per recorded iteration: no per-entry dict
     entry = sample_record(n=1).entries[0]
@@ -177,7 +234,7 @@ class TestWriteRecords:
             assert row["algo"] == "gfm" and row["seed"] == 5
 
     def test_long_records_come_back_whole_and_in_order(self, tmp_path):
-        # the writer formats entries in chunks; rows must not be lost or reordered across them
+        # rows must not be lost or reordered, within a record or across records
         records = [RunRecord(metadata={"algo": "dgfm", "seed": s}) for s in (1, 2)]
         for n, record in zip((700, 257), records):
             for k in range(1, n + 1):
@@ -189,6 +246,24 @@ class TestWriteRecords:
         assert [(r["seed"], r["iter"], r["loss"], r["stationarity"]) for r in read_csv_rows(path)] == [
             (record.metadata["seed"], e.iteration, e.loss, e.stationarity)
             for record in records for e in record.entries]
+
+    def test_bytes_are_pinned(self, tmp_path):
+        # literal output of the writer: a cell whose format drifts fails here, even
+        # where its value would still round-trip
+        records = [
+            RunRecord(metadata={"algo": "dgfm", "seed": 3}, entries=[
+                RunEntry(iteration=1, zo_calls=2**53 + 1, comm_rounds=0, loss=-0.0,
+                         consensus_err=5e-324, stationarity=None, wall_ms=0.1 + 0.2),
+                RunEntry(iteration=2, zo_calls=4, comm_rounds=1, loss=1.7976931348623157e308,
+                         consensus_err=0.0, stationarity=0.1 + 0.2, wall_ms=1.5)]),
+            RunRecord(metadata={"algo": "gfm", "seed": 4}, entries=[
+                RunEntry(iteration=5, zo_calls=10, comm_rounds=0, loss=0.5,
+                         consensus_err=0.0, stationarity=5e-324, wall_ms=-0.0)]),
+        ]
+        write_records(records, tmp_path / "r.csv")
+        write_records(records, tmp_path / "r.json", format="json")
+        assert (tmp_path / "r.csv").read_text() == PINNED_CSV
+        assert (tmp_path / "r.json").read_text() == PINNED_JSON
 
     def test_lf_newlines(self, tmp_path):
         path = tmp_path / "r.csv"

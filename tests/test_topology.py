@@ -151,6 +151,14 @@ class TestDirectBuild:
         assert type(matrix.m) is int
         assert matrix.rho == validate(weights).rho
 
+    def test_a_view_of_writable_weights_is_rejected(self):
+        # writing through the base after the check would gossip unchecked weights
+        base = build_ring(4).weights.copy()
+        with pytest.raises(InvalidTopology, match="from_weights, which copies"):
+            MixingMatrix(m=4, weights=base[:, :])
+        base.setflags(write=False)
+        assert MixingMatrix(m=4, weights=base[:, :]).rho == build_ring(4).rho
+
 
 class TestSpectralGap:
     def test_averaging_matrix_is_zero(self):

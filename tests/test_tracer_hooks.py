@@ -49,6 +49,16 @@ def test_every_name_the_tracer_patches_is_in_algorithms():
     assert not missing, f"perfbench's tracer patches {missing}, gone from dgfm.algorithms"
 
 
+def test_every_unused_import_in_algorithms_is_one_the_tracer_patches():
+    # the converse: a name the tracer stops patching leaves no dead import behind
+    source = pathlib.Path(algorithms.__file__).read_text()
+    lines = source.splitlines()
+    kept = [alias.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if "F401" in lines[alias.lineno - 1]]
+    stale = sorted(set(kept) - set(loop_call_names()))
+    assert not stale, f"dgfm.algorithms keeps {stale} for a tracer that no longer patches them"
+
+
 M = 4
 PLUS = dict(period=3, mega_batch=5, batch=2, gossip_rounds=2)
 
