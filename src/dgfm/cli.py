@@ -57,7 +57,8 @@ FLAG_RULES = (
 )
 # Config fields that a flag of another name sets: a config error names the
 # flag. The other run values' fields are spelled as their flags.
-FIELD_FLAGS = {"mega_batch": "--mega-batch", "gossip_rounds": "--gossip"}
+FIELD_FLAGS = {"mega_batch": "--mega-batch", "gossip_rounds": "--gossip",
+               "subset_seed": "--subset-seed"}
 # argparse leaves these None, so that `validate` can tell them given; it fills
 # them in at its end
 DEFAULTS = {"dim": 10, "m": 1, "topology": "ring", "batch": 1, "gossip": 1, "alpha": 2.0}
@@ -169,7 +170,7 @@ def validate(cfg):
     if cfg.subset is not None:
         require_int(1, subset=cfg.subset)
     if cfg.subset_seed is not None:
-        require_int(0, **{"subset seed": cfg.subset_seed})
+        require_int(0, subset_seed=cfg.subset_seed)
     if not 1 <= cfg.record_every <= cfg.iters:
         # a longer interval records nothing
         raise ConfigError(f"record-every must be in [1, iters] = [1, {cfg.iters}], "

@@ -122,7 +122,9 @@ def consensus_error(stacked):
     x = np.asarray(stacked, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"stacked iterates must have shape (m, d), got {x.shape}")
-    return float(((x - x.mean(axis=0)) ** 2).sum())
+    dev = x - x.mean(axis=0)
+    np.square(dev, out=dev)
+    return float(np.add.reduce(dev, axis=None))
 
 
 class StationarityEstimate(NamedTuple):

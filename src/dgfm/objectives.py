@@ -12,6 +12,14 @@ SVM used in the benchmark experiments and a few synthetic test functions
 whose smoothed surrogates are known in closed form (those are the
 unbiasedness oracles of the test suite).
 
+The SVM's scalar ``eval`` is the counted path: every probe the optimizers
+make is one call. Past its index and point checks it reads the row's
+bounds and label as Python scalars (``ndarray.item``), gathers the row's
+coordinates of x with one ``take`` and makes four numpy calls: the
+row's ``np.dot``, and ``np.abs``, an in-place ``np.minimum`` and one
+``np.add.reduce`` for the penalty. Its ``eval_batch`` is a separate CSR
+kernel over many rows, which only measurement calls.
+
 Objectives are immutable after construction and ``eval`` is pure, so they
 are safe to share across concurrently simulated agents.
 """
@@ -168,13 +176,17 @@ class CappedL1Svm(StochasticObjective):
 
     def _penalty(self, x):
         # the ufunc reduction itself: ndarray.sum without its Python wrapper
-        return self.lam * float(np.add.reduce(np.minimum(np.abs(x), self.alpha)))
+        capped = np.abs(x)
+        np.minimum(capped, self.alpha, out=capped)
+        return self.lam * float(np.add.reduce(capped))
 
     def eval(self, x, xi):
         xi = self._check_index(xi)
         x = self._check_point(x)
-        lo, hi = self._indptr[xi], self._indptr[xi + 1]
-        margin = self.labels[xi] * float(np.dot(self._data[lo:hi], x[self._indices[lo:hi]]))
+        # Python scalars and one take: the same products and sums as indexing
+        lo, hi = self._indptr.item(xi), self._indptr.item(xi + 1)
+        margin = self.labels.item(xi) * float(np.dot(self._data[lo:hi],
+                                                     x.take(self._indices[lo:hi])))
         return max(1.0 - margin, 0.0) + self._penalty(x)
 
     def eval_batch(self, P, xis):
@@ -194,8 +206,11 @@ class CappedL1Svm(StochasticObjective):
 
     def full_loss(self, x):
         x = self._check_point(x)
-        margins = self.labels * self._matrix.dot(x)
-        return float(np.maximum(1.0 - margins, 0.0).mean()) + self._penalty(x)
+        hinge = self.labels * self._matrix.dot(x)
+        np.subtract(1.0, hinge, out=hinge)
+        np.maximum(hinge, 0.0, out=hinge)
+        # the sum over n that ndarray.mean takes, without its wrapper
+        return float(np.add.reduce(hinge) / self.n_samples) + self._penalty(x)
 
 
 class QuadraticTest(StochasticObjective):

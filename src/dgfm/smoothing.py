@@ -228,7 +228,14 @@ def estimate_block(obj, X, delta, xis, ws, out, first=True):
     diffs = [f(hi, xi) - f(lo, xi) for hi, lo, xi in
              zip(plus.reshape(-1, d), minus.reshape(-1, d), xis.reshape(-1).tolist() * q)]
     del plus, minus
-    terms = np.multiply(diffs, d / (2.0 * delta)).reshape(q, r, p, 1) * ws
+    # C order whatever the layout of ws: it keeps the pair axis outside d
+    terms = np.multiply(np.multiply(diffs, d / (2.0 * delta)).reshape(q, r, p, 1), ws,
+                        order="C")
+    if first and d > 1:
+        # numpy adds an outer axis one pair at a time, as the loop does, and
+        # -0.0 + t is t whatever the sign of t. At d = 1 the pair axis is the
+        # inner one, which numpy sums pairwise: other bits.
+        return np.add.reduce(terms, axis=2, out=out, initial=-0.0)
     for j in range(p):
         if first and j == 0:
             out[...] = terms[:, :, 0]

@@ -42,7 +42,7 @@ from dgfm.errors import (
     NumericFailure,
     ShapeError,
 )
-from dgfm.algorithms import _draw_output
+from dgfm.algorithms import _draw_output, _require_finite
 from dgfm.metrics import RunRecord
 from dgfm.objectives import AbsTest
 from dgfm.rng import KEY_BLOCK
@@ -166,6 +166,23 @@ class TestDgfmStep:
         assert np.array_equal(state.v, v) and state.k == 0
         assert state.oracle_calls == 0 and state.comm_rounds == 0
         assert state.restart_log == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_block_whose_sum_overflows_passes_the_finite_check(self):
+        _require_finite(np.full((3, 4), 1e308), "iterate", 7)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [{2: math.inf}, {2: math.nan}, {1: math.inf, 3: math.nan},
+                                     {2: -math.inf, 3: math.inf}],
+                             ids=["inf", "nan", "inf-then-nan", "opposite-infs"])
+    def test_finite_check_names_the_first_bad_agent(self, bad):
+        z = np.ones((4, 3))
+        for agent, value in bad.items():
+            z[agent, 1] = value
+        message = f"^non-finite estimate of agent {min(bad)} at iteration 7$"
+        with pytest.raises(NumericFailure, match=message) as failure:
+            _require_finite(z, "estimate", 7)
+        assert failure.value.iteration == 7
 
     def test_single_agent_counts_no_comm_rounds(self):
         obj = QuadraticTest(2, n_samples=4)

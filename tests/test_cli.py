@@ -198,12 +198,12 @@ class TestExitCodes:
         "lam-nan": (SVM + "--lam nan", "need finite lam >= 0"),
         "lam-inf": (SVM + "--lam inf", "need finite lam >= 0"),
         "subset-seed-negative": (SVM + "--subset 2 --subset-seed -1",
-                                 "subset seed must be >= 0, got -1"),
+                                 "--subset-seed must be >= 0, got -1"),
         "more-agents-than-samples": (SVM.replace("gfm", "dgfm") + "--m 8",
                                      "dataset has 4 samples, cannot shard across 8 agents"),
         # these need no data, so they are reported before the bad file is parsed
         "subset-seed-negative-unread": (GFM_BAD + "--subset 2 --subset-seed -1",
-                                        "subset seed must be >= 0, got -1"),
+                                        "--subset-seed must be >= 0, got -1"),
         # an unnamed InvalidParameter's rule follows the prefix, with no field name
         "lam-negative-unread": (GFM_BAD + "--lam -1",
                                 "config error: need finite lam >= 0 and alpha > 0, got (-1.0, 2.0)"),

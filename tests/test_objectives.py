@@ -1,12 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgfm import (
     AbsTest,
     CappedL1Svm,
     LinearTest,
     QuadraticTest,
+    consensus_error,
     estimate_lipschitz,
     substream,
 )
@@ -168,3 +173,48 @@ def test_hint_prefers_supplied_constant(svm_objective):
     assert svm_objective.lipschitz_hint == pytest.approx(
         1.0 + svm_objective.lam * svm_objective.dim, rel=1e-9
     )
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+@st.composite
+def svm_points(draw):
+    """A capped-L1 SVM with an empty row, a point and a stack of points.
+
+    The point entries include -0.0 and values below, at and beyond the cap
+    +-alpha; lam is 0 or the default 1e-5 / n.
+    """
+    n, d = draw(st.integers(2, 6)), draw(st.integers(1, 10))
+    values = st.floats(-4.0, 4.0).filter(bool)
+    dense = np.array([[draw(values) if draw(st.booleans()) else 0.0 for _ in range(d)]
+                      for _ in range(n)])
+    dense[draw(st.integers(0, n - 1))] = 0.0
+    labels = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(n)])
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    entries = st.sampled_from([-0.0, 0.0, alpha, -alpha, np.nextafter(alpha, 0.0),
+                               np.nextafter(alpha, 9.0)]) | st.floats(-3 * alpha, 3 * alpha)
+    x = np.array([draw(entries) for _ in range(d)])
+    stacked = np.array([[draw(entries) for _ in range(d)]
+                        for _ in range(draw(st.integers(1, 5)))])
+    lam = draw(st.sampled_from([0.0, 1e-5 / n]))
+    return sp.csr_matrix(dense), labels, lam, alpha, x, stacked
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=svm_points())
+def test_oracle_and_observation_keep_their_summation_order(case):
+    A, labels, lam, alpha, x, stacked = case
+    obj = CappedL1Svm(A, labels, lam=lam, alpha=alpha)
+    assert np.diff(A.indptr).min() == 0  # the empty row is kept
+    data, idx, ptr = A.data, A.indices, A.indptr
+    penalty = lam * float(np.add.reduce(np.minimum(np.abs(x), alpha)))
+    for xi in range(A.shape[0]):
+        lo, hi = ptr[xi], ptr[xi + 1]
+        hinge = max(1.0 - labels[xi] * float(np.dot(data[lo:hi], x[idx[lo:hi]])), 0.0)
+        assert bits(obj.eval(x, xi)) == bits(hinge + penalty), xi
+    loss = float(np.maximum(1.0 - labels * A.dot(x), 0.0).mean()) + penalty
+    assert bits(obj.full_loss(x)) == bits(loss)
+    spread = float(((stacked - stacked.mean(axis=0)) ** 2).sum())
+    assert bits(consensus_error(stacked)) == bits(spread)

@@ -34,7 +34,7 @@ import tempfile
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import centralized_trajectory, output_candidate, step_trajectory
@@ -396,6 +396,12 @@ def pairwise_estimates(state, part, obj, cfg):
 
 @PROPERTY
 @given(case=block_steps(), x0_seed=st.integers(0, 2**16))
+# d = 1 with 16 pairs per agent: numpy's reduce would sum these pairwise
+@example(case=(2, random_objective("svm", 1, 4, 5),
+               DgfmConfig(eta=0.05, delta=0.01, iters=1, seed=5, batch=16), 0, 0), x0_seed=1)
+@example(case=(2, random_objective("quadratic", 1, 4, 6),
+               DgfmPlusConfig(eta=0.05, delta=0.01, iters=1, seed=6, batch=2, period=2,
+                              mega_batch=16, gossip_rounds=1), 0, 0), x0_seed=2)
 def test_block_step_equals_the_pairwise_estimates(case, x0_seed):
     m, obj, cfg, start, before = case
     matrix = build_complete(m)

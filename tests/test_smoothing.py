@@ -136,6 +136,19 @@ class TestBatches:
         single = two_point_estimate(obj, x, params, w, 0)
         assert np.allclose(minibatch_estimate(obj, x, params, batch), single, atol=1e-15)
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_mean_is_the_pair_by_pair_sum_in_either_layout(self, layout):
+        # AbsTest's value sums |x| in one order whatever the stride of x
+        obj = AbsTest(5, n_samples=10)
+        params = SmoothingParams(delta=0.05, dim=5)
+        drawn = sample_batch(np.arange(10), 40, 5, substream(11, 1))
+        batch = SampleBatch(xis=drawn.xis, ws=np.asarray(drawn.ws, order=layout))
+        x = np.linspace(-1.0, 1.0, 5)
+        total = two_point_estimate(obj, x, params, batch.ws[0], batch.xis[0])
+        for xi, w in zip(batch.xis[1:], batch.ws[1:]):
+            total += two_point_estimate(obj, x, params, w, xi)
+        assert minibatch_estimate(obj, x, params, batch).tobytes() == (total / 40).tobytes()
+
     def test_oracle_accounting(self):
         obj = EvalCounter(QuadraticTest(4, n_samples=10))
         params = SmoothingParams(delta=0.05, dim=4)
