@@ -52,7 +52,7 @@ from .errors import (
 from .metrics import RunEntry, RunRecord, consensus_error, stationarity_estimate
 from .rng import StreamCache, substream
 from .smoothing import (
-    draw_blocks,
+    DrawLayout,
     estimate_block,
     minibatch_estimate,  # noqa: F401 -- unused, but perfbench's tracer patches it here
     sample_batch,  # noqa: F401 -- unused, but perfbench's tracer patches it here
@@ -157,10 +157,13 @@ class NetworkState:
     previous iterate the paired differences are taken against. At k = 0 y
     and v are zero and x_prev equals x.
 
-    ``_streams`` is a cache, not state: the run's one re-keyed Philox
-    (`dgfm.rng.StreamCache`), built at the first step and rebuilt when the
-    config's seed changes. It gives exactly the streams of `substream`, so
-    copying a state, or dropping its cache, changes no number.
+    ``_streams`` and ``_layouts`` are caches, not state: the run's one
+    re-keyed Philox (`dgfm.rng.StreamCache`), built at the first step and
+    rebuilt when the config's seed changes, and the `DrawLayout` of each
+    batch size the run draws, rebuilt when the partition's shards or the
+    dimension change. They give exactly the streams of `substream` and the
+    blocks of `draw_blocks`, so copying a state, or dropping its caches,
+    changes no number.
     """
 
     x: np.ndarray
@@ -172,6 +175,7 @@ class NetworkState:
     comm_rounds: int = 0
     restart_log: list = field(default_factory=list)
     _streams: StreamCache = field(default=None, init=False, repr=False, compare=False)
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, m, x0):
@@ -197,7 +201,8 @@ class NetworkState:
 
     @property
     def mean_x(self):
-        return self.x.mean(axis=0)
+        # what ndarray.mean(axis=0) computes, without its wrapper
+        return np.add.reduce(self.x, axis=0) / self.m
 
 
 def _require_matrix(matrix):
@@ -233,6 +238,14 @@ def _stream(state, cfg, lane):
     return state._streams(lane, state.k)
 
 
+def _layout(state, partition, size):
+    """The `DrawLayout` of the partition's shards, ``size`` and d, from the state's cache."""
+    layout = state._layouts.get(size)
+    if layout is None or layout.shards is not partition.assignment or layout.d != state.d:
+        layout = state._layouts[size] = DrawLayout(partition.assignment, size, state.d)
+    return layout
+
+
 def _estimates(state, partition, objective, cfg, size, paired):
     """Every agent's new estimate from ``size`` pairs of iteration k's draw, (m, d).
 
@@ -243,8 +256,8 @@ def _estimates(state, partition, objective, cfg, size, paired):
     """
     m, d = state.x.shape
     sums = np.empty((2 if paired else 1, m, d))
-    for agents, pairs, xis, ws in draw_blocks(partition.assignment, size, d,
-                                              _stream(state, cfg, _LANE_DRAW)):
+    draw = _layout(state, partition, size).draw(_stream(state, cfg, _LANE_DRAW))
+    for agents, pairs, xis, ws in draw:
         X = np.array((state.x[agents], state.x_prev[agents])) if paired else state.x[None, agents]
         estimate_block(objective, X, cfg.delta, xis, ws, sums[:, agents], first=pairs.start == 0)
     if size > 1:
@@ -325,9 +338,16 @@ def step(state, matrix, partition, objective, cfg):
     return state
 
 
+def _spread(x, mean):
+    """`consensus_error` of the rows of ``x`` about ``mean``, their mean formed by the caller."""
+    dev = x - mean
+    np.square(dev, out=dev)
+    return float(np.add.reduce(dev, axis=None))
+
+
 def _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples):
     """Append one metrics entry; loss/stationarity never touch the oracle counter."""
-    xbar = state.mean_x
+    xbar = state.mean_x  # formed once, for the loss and the consensus error
     loss = objective.full_loss(xbar)
     if not math.isfinite(loss):
         raise NumericFailure(f"non-finite loss at iteration {state.k}", iteration=state.k)
@@ -341,7 +361,7 @@ def _observe(record, objective, state, cfg, t0, stationarity_every, stationarity
             zo_calls=state.oracle_calls,
             comm_rounds=state.comm_rounds,
             loss=loss,
-            consensus_err=consensus_error(state.x),
+            consensus_err=_spread(state.x, xbar),
             stationarity=stat,
             wall_ms=(perf_counter() - t0) * 1000.0,
         )

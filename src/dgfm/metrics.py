@@ -157,14 +157,17 @@ def stationarity_estimate(obj, x, delta, n_samples, rng):
     values = obj.eval_batch(np.concatenate([x + steps, x - steps]), np.tile(batch.xis, 2))
     diffs = values[:n_samples] - values[n_samples:]
     g = (obj.dim / (2.0 * delta)) * diffs[:, None] * batch.ws
-    acc = g.sum(axis=0)
-    acc_sq = (g * g).sum(axis=0)
+    # the ufunc reductions themselves: ndarray.sum and np.linalg.norm's
+    # sqrt(dot) for a vector, without their wrappers
+    acc = np.add.reduce(g, axis=0)
+    acc_sq = np.add.reduce(np.square(g, out=g), axis=0)
     mean = acc / n_samples
+    value = math.sqrt(mean.dot(mean))
     if n_samples == 1:
-        return StationarityEstimate(float(np.linalg.norm(mean)), math.inf)
+        return StationarityEstimate(value, math.inf)
     var = np.maximum(acc_sq / n_samples - mean**2, 0.0) * n_samples / (n_samples - 1)
-    stderr = math.sqrt(float(var.sum()) / n_samples)
-    return StationarityEstimate(float(np.linalg.norm(mean)), stderr)
+    stderr = math.sqrt(float(np.add.reduce(var)) / n_samples)
+    return StationarityEstimate(value, stderr)
 
 
 def write_records(records, path, format="csv"):

@@ -13,12 +13,13 @@ whose smoothed surrogates are known in closed form (those are the
 unbiasedness oracles of the test suite).
 
 The SVM's scalar ``eval`` is the counted path: every probe the optimizers
-make is one call. Past its index and point checks it reads the row's
-bounds and label as Python scalars (``ndarray.item``), gathers the row's
-coordinates of x with one ``take`` and makes four numpy calls: the
-row's ``np.dot``, and ``np.abs``, an in-place ``np.minimum`` and one
-``np.add.reduce`` for the penalty. Its ``eval_batch`` is a separate CSR
-kernel over many rows, which only measurement calls.
+make is one call. The SVM stores each row's values times its label, so
+past its index and point checks ``eval`` reads the row's bounds as Python
+scalars (``ndarray.item``), gathers the row's coordinates of x with one
+``take`` and makes four numpy calls: the row's ``np.dot``, and
+``np.abs``, an in-place ``np.minimum`` and one ``np.add.reduce`` for the
+penalty. Its ``eval_batch`` is a separate CSR kernel over many rows,
+which only measurement calls.
 
 Objectives are immutable after construction and ``eval`` is pure, so they
 are safe to share across concurrently simulated agents.
@@ -129,6 +130,12 @@ class CappedL1Svm(StochasticObjective):
     labels : array of +-1, shape (n,)
     lam, alpha : float
         Penalty weight and cap, both positive.
+
+    The objective stores each row's values times the row's label, a new
+    array in place of the unsigned one, so no value of the caller's
+    ``features`` or ``labels`` changes. A margin b_xi <a_xi, x> is then
+    the dot product of the signed row with x, bit for bit: negating a term
+    negates every rounded product and sum exactly.
     """
 
     def __init__(self, features, labels, lam, alpha, name="capped-l1-svm"):
@@ -148,6 +155,8 @@ class CappedL1Svm(StochasticObjective):
         self.lam = float(lam)
         self.alpha = float(alpha)
         self.labels = labels
+        # a new array on this matrix object, which shares the rest with the caller's
+        features.data = features.data * np.repeat(labels, np.diff(features.indptr))
         self._matrix = features
         self._indptr = features.indptr
         self._indices = features.indices
@@ -185,8 +194,7 @@ class CappedL1Svm(StochasticObjective):
         x = self._check_point(x)
         # Python scalars and one take: the same products and sums as indexing
         lo, hi = self._indptr.item(xi), self._indptr.item(xi + 1)
-        margin = self.labels.item(xi) * float(np.dot(self._data[lo:hi],
-                                                     x.take(self._indices[lo:hi])))
+        margin = float(np.dot(self._data[lo:hi], x.take(self._indices[lo:hi])))
         return max(1.0 - margin, 0.0) + self._penalty(x)
 
     def eval_batch(self, P, xis):
@@ -201,12 +209,12 @@ class CappedL1Svm(StochasticObjective):
         # bincount, not add.reduceat: a row with no nonzeros sums to 0
         dots = np.bincount(rows, weights=self._data[nz] * P[rows, self._indices[nz]],
                            minlength=r)
-        hinge = np.maximum(1.0 - self.labels[xis] * dots, 0.0)
+        hinge = np.maximum(1.0 - dots, 0.0)
         return hinge + self.lam * np.minimum(np.abs(P), self.alpha).sum(axis=1)
 
     def full_loss(self, x):
         x = self._check_point(x)
-        hinge = self.labels * self._matrix.dot(x)
+        hinge = self._matrix.dot(x)
         np.subtract(1.0, hinge, out=hinge)
         np.maximum(hinge, 0.0, out=hinge)
         # the sum over n that ndarray.mean takes, without its wrapper

@@ -19,13 +19,16 @@ Both probes of one pair always share the same sample index xi; only the
 sign of the perturbation differs. `draw_blocks` is the one sampler of
 pairs: it draws every agent's pairs of one iteration from one stream, all
 sample indices in one call and then all directions, in blocks, so agent
-i's pairs are row i of that draw. `sample_batch` is its one-shard case as
+i's pairs are row i of that draw. A `DrawLayout` holds what it computes
+from the shards, batch size and dimension alone, so a run builds it once
+and draws from it every iteration. `sample_batch` is the one-shard case as
 a `SampleBatch`, with which the stationarity proxy in :mod:`dgfm.metrics`
 draws from the whole objective. `estimate_block` is the one estimator;
 `minibatch_estimate` is its one-agent case, and `two_point_estimate` its
 one-pair reference.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +37,7 @@ import numpy as np
 from .errors import EmptyBatch, InvalidParameter, ShapeError, require_int, require_positive
 
 __all__ = [
+    "DrawLayout",
     "SampleBatch",
     "SmoothingParams",
     "draw_blocks",
@@ -96,7 +100,9 @@ class SampleBatch:
             raise EmptyBatch("batch must contain at least one (sample, direction) pair")
         require_unit_norm(ws)
         object.__setattr__(self, "xis", xis)
-        object.__setattr__(self, "ws", ws)
+        # C order: a probe x + delta w is then a contiguous row, as in
+        # `two_point_estimate`, whose value an objective may round by stride
+        object.__setattr__(self, "ws", np.ascontiguousarray(ws))
 
     @classmethod
     def _of_checked(cls, xis, ws):
@@ -117,7 +123,8 @@ def sample_sphere(d, rng):
         raise ShapeError(f"dimension must be >= 1, got {d}")
     while True:
         w = rng.standard_normal(d)
-        norm = np.linalg.norm(w)
+        # what np.linalg.norm computes for a 1-D float vector, without its wrapper
+        norm = math.sqrt(w.dot(w))
         if norm > 0.0:  # zero draw has probability 0 but would divide by 0
             return w / norm
 
@@ -129,9 +136,60 @@ def _norms(ws):
 
 def require_unit_norm(ws):
     """Raise InvalidParameter unless every row along the last axis of ``ws`` has unit norm."""
-    worst = float(np.abs(_norms(ws) - 1.0).max())
+    worst = float(np.maximum.reduce(np.abs(_norms(ws) - 1.0), axis=None))
     if not worst <= UNIT_NORM_TOL:  # a NaN fails too
         raise InvalidParameter(f"directions must be unit norm, worst error {worst:.3e}")
+
+
+class DrawLayout:
+    """What `draw_blocks` computes from (shards, b, d) alone, built once.
+
+    It holds the ``integers`` bound of every shard (a scalar when they are
+    all of one size, which draws the same numbers faster), the shards
+    joined into one index array with each one's start in it, and the
+    blocks: for each, the slices of agents and of pairs it covers, its
+    shape and whether it is a lone row of a larger draw. ``shards`` is kept
+    as given, so a cache can tell which shards a layout was built for. Its
+    memory is the joined indices: one int per sample of the shards.
+    """
+
+    __slots__ = ("shards", "b", "d", "_high", "_indices", "_starts", "_blocks")
+
+    def __init__(self, shards, b, d):
+        if b < 1:
+            raise EmptyBatch(f"batch size must be >= 1, got {b}")
+        self.shards, self.b, self.d = shards, b, d
+        m = len(shards)
+        sizes = [len(shard) for shard in shards]
+        self._high = sizes[0] if min(sizes) == max(sizes) else np.array(sizes)[:, None]
+        self._indices = np.asarray(shards[0]) if m == 1 else np.concatenate(shards)
+        self._starts = np.array([0, *itertools.accumulate(sizes[:-1])])[:, None]
+        if b * d <= BLOCK_ENTRIES:
+            c = min(m, BLOCK_ENTRIES // (b * d))
+            spans = [(slice(i, min(i + c, m)), slice(0, b)) for i in range(0, m, c)]
+        else:
+            p = max(1, BLOCK_ENTRIES // d)
+            spans = [(slice(i, i + 1), slice(j, min(j + p, b)))
+                     for i in range(m) for j in range(0, b, p)]
+        self._blocks = []
+        for agents, pairs in spans:
+            shape = (agents.stop - agents.start, pairs.stop - pairs.start, d)
+            # einsum sums a lone row longer than its 8192-entry buffer in another
+            # order than the rows of a larger array: norm a lone row of a larger
+            # draw as one of two rows, as the whole draw would
+            self._blocks.append((agents, pairs, shape, shape[:2] == (1, 1) and m * b > 1))
+
+    def draw(self, rng):
+        """Yield the blocks of one draw from ``rng``, as `draw_blocks` does."""
+        positions = rng.integers(0, self._high, size=(len(self.shards), self.b))
+        positions += self._starts
+        xis = self._indices[positions]
+        for agents, pairs, shape, lone in self._blocks:
+            ws = rng.standard_normal(shape)
+            norms = _norms(np.concatenate((ws, ws), axis=1))[:, :1] if lone else _norms(ws)
+            ws /= norms[..., None]
+            require_unit_norm(ws)
+            yield agents, pairs, xis[agents, pairs], ws
 
 
 def draw_blocks(shards, b, d, rng):
@@ -145,37 +203,15 @@ def draw_blocks(shards, b, d, rng):
     sub-blocks of max(1, E // d) pairs. Each block is drawn only when it is
     needed, normalized in place and checked once by `require_unit_norm`.
     A numpy Generator fills arrays in order, so the blocking never changes
-    the numbers: agent i's pairs are row i of the one draw.
+    the numbers: agent i's pairs are row i of the one draw. The blocks
+    depend on (shards, b, d) alone; a caller that draws from the same ones
+    again builds their `DrawLayout` once and calls its ``draw``.
 
     Yields ``(agents, pairs, xis, ws)``: the slices of agents and of their
     pairs that the block covers, its sample indices, shape (rows, p), and
     its unit directions, shape (rows, p, d).
     """
-    if b < 1:
-        raise EmptyBatch(f"batch size must be >= 1, got {b}")
-    m = len(shards)
-    sizes = [len(shard) for shard in shards]
-    # equal bounds draw the same numbers as a scalar one, which is faster
-    high = sizes[0] if min(sizes) == max(sizes) else np.array(sizes)[:, None]
-    positions = rng.integers(0, high, size=(m, b))
-    xis = np.array([np.asarray(shard)[pos] for shard, pos in zip(shards, positions)])
-    if b * d <= BLOCK_ENTRIES:
-        c = min(m, BLOCK_ENTRIES // (b * d))
-        spans = [(slice(i, min(i + c, m)), slice(0, b)) for i in range(0, m, c)]
-    else:
-        p = max(1, BLOCK_ENTRIES // d)
-        spans = [(slice(i, i + 1), slice(j, min(j + p, b)))
-                 for i in range(m) for j in range(0, b, p)]
-    for agents, pairs in spans:
-        ws = rng.standard_normal((agents.stop - agents.start, pairs.stop - pairs.start, d))
-        # einsum sums a lone row longer than its 8192-entry buffer in another
-        # order than the rows of a larger array: norm a lone row of a larger
-        # draw as one of two rows, as the whole draw would
-        lone = ws.shape[:2] == (1, 1) and m * b > 1
-        norms = _norms(np.concatenate((ws, ws), axis=1))[:, :1] if lone else _norms(ws)
-        ws /= norms[..., None]
-        require_unit_norm(ws)
-        yield agents, pairs, xis[agents, pairs], ws
+    yield from DrawLayout(shards, b, d).draw(rng)
 
 
 def sample_batch(indices, b, d, rng):

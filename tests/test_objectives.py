@@ -79,6 +79,16 @@ class TestCappedL1Svm:
         with pytest.raises(InvalidParameter):
             CappedL1Svm(features, np.array([1.0, -1.0]), lam=1e-3, alpha=0.0)
 
+    def test_building_leaves_the_callers_arrays_as_they_were(self, svm_dataset):
+        # the SVM stores its rows times their labels: a new array, never the
+        # caller's CSR data (which a float CSR input shares) written in place
+        features, labels = svm_dataset.features, svm_dataset.labels
+        assert (labels < 0).any() and features.dtype == float
+        before = [a.copy() for a in (features.data, features.indices, features.indptr, labels)]
+        CappedL1Svm(features, labels, lam=1e-3, alpha=2.0)
+        after = (features.data, features.indices, features.indptr, labels)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lam_is_rejected(self, lam):
         with pytest.raises(InvalidParameter, match="finite lam"):
@@ -218,3 +228,13 @@ def test_oracle_and_observation_keep_their_summation_order(case):
     assert bits(obj.full_loss(x)) == bits(loss)
     spread = float(((stacked - stacked.mean(axis=0)) ** 2).sum())
     assert bits(consensus_error(stacked)) == bits(spread)
+    # the batch kernel on every (point, row) pair, the labels applied after the bincount
+    points = np.vstack([x, stacked])
+    P, xis = np.tile(points, (A.shape[0], 1)), np.repeat(np.arange(A.shape[0]), len(points))
+    counts = ptr[xis + 1] - ptr[xis]
+    rows = np.repeat(np.arange(len(xis)), counts)
+    nz = np.concatenate([np.arange(ptr[xi], ptr[xi + 1]) for xi in xis])
+    dots = np.bincount(rows, weights=data[nz] * P[rows, idx[nz]], minlength=len(xis))
+    want = (np.maximum(1.0 - labels[xis] * dots, 0.0)
+            + lam * np.minimum(np.abs(P), alpha).sum(axis=1))
+    assert obj.eval_batch(P, xis).tobytes() == want.tobytes()

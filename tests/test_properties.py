@@ -17,13 +17,17 @@ in sub-blocks of one agent's pairs; so does `sample_batch`, its one-shard
 case. The estimates `step` forms from it, block by block, equal bit for
 bit the pair-by-pair sums of `two_point_estimate` over that draw, for
 seeds up to 2^64 and at iterations on either side of a key block's edge
-and of 2^32; and `key_block` gives SeedSequence's own Philox keys.
+and of 2^32; and `key_block` gives SeedSequence's own Philox keys. A
+state's cached draw layouts never go stale: stepped under partitions with
+other shard sizes, at other batch sizes, or deep-copied mid-run, it
+moves bit for bit as a state with empty caches does.
 Records, LIBSVM text and partitions round-trip or cover exactly. The
 batched oracle agrees with scalar ``eval`` row by row: the SVM's CSR
 kernel to round-off, on rows with no nonzeros too, and the base class's
 loop bit for bit; both reject what scalar ``eval`` rejects.
 """
 
+import copy
 import dataclasses
 import json
 import math
@@ -45,6 +49,7 @@ from dgfm import (
     DgfmPlusConfig,
     LinearTest,
     NetworkState,
+    Partition,
     QuadraticTest,
     RunEntry,
     RunRecord,
@@ -413,6 +418,65 @@ def test_block_step_equals_the_pairwise_estimates(case, x0_seed):
     want = pairwise_estimates(state, part, obj, cfg)
     step(state, matrix, part, obj, cfg)
     assert state.v.tobytes() == want.tobytes()
+
+
+def random_shards(n, sizes, seed):
+    """A partition of range(n) into shards of the given sizes, shuffled by seed."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return Partition(assignment=np.split(perm, np.cumsum(sizes)[:-1]), n=n)
+
+
+@st.composite
+def cached_runs(draw):
+    """Two partitions of one SVM over the same agents, two configs, a schedule and a copy point.
+
+    The shards of each partition have unequal sizes, and the second
+    partition gives them to the agents in another order; the configs
+    differ in batch size, and a dgfm-plus one also draws its mega-batch at
+    restarts. Each scheduled step picks a partition and a config.
+    """
+    m = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+    sizes[0] += sizes[0] == max(sizes)  # not all equal: a bound per shard
+    n, seed = sum(sizes), draw(st.integers(0, 2**16))
+    parts = [random_shards(n, sizes, seed), random_shards(n, draw(st.permutations(sizes)), seed)]
+    iters = draw(st.integers(2, 10))
+    common = dict(eta=0.05, delta=0.01, iters=iters, seed=seed, batch=draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        cfg = DgfmConfig(**common)
+    else:
+        cfg = DgfmPlusConfig(period=draw(st.integers(1, 3)), mega_batch=draw(st.integers(4, 6)),
+                             gossip_rounds=1, **common)
+    cfgs = (cfg, dataclasses.replace(cfg, batch=cfg.batch + draw(st.integers(1, 2))))
+    schedule = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                             min_size=iters, max_size=iters))
+    return (random_objective("svm", 4, n, seed), parts, cfgs, schedule,
+            draw(st.integers(0, iters - 1)))
+
+
+def uncached(state):
+    """A state with the same iterates and counters whose caches are empty."""
+    return NetworkState(x=state.x.copy(), y=state.y.copy(), v=state.v.copy(),
+                        x_prev=state.x_prev.copy(), k=state.k,
+                        oracle_calls=state.oracle_calls, comm_rounds=state.comm_rounds)
+
+
+@PROPERTY
+@given(case=cached_runs())
+def test_the_cached_draw_layout_never_goes_stale(case):
+    # a state keeps one draw layout per batch size; stepping it under another
+    # partition or batch size, or a deep copy of it, must draw as a fresh state
+    obj, parts, cfgs, schedule, copy_at = case
+    matrix = build_complete(parts[0].m)
+    state = NetworkState.initial(parts[0].m, np.linspace(-1.0, 1.0, obj.dim))
+    states, fresh = [state], state
+    for k, (p, c) in enumerate(schedule):
+        fresh = step(uncached(fresh), matrix, parts[p], obj, cfgs[c])
+        for s in states:
+            step(s, matrix, parts[p], obj, cfgs[c])
+            assert s.x.tobytes() == fresh.x.tobytes(), (k, s is not state)
+        if k == copy_at:
+            states.append(copy.deepcopy(state))
 
 
 @PROPERTY
