@@ -49,7 +49,7 @@ from .errors import (
     require_int,
     require_positive,
 )
-from .metrics import RunEntry, RunRecord, consensus_error, stationarity_estimate
+from .metrics import RunEntry, RunRecord, stationarity_estimate
 from .rng import StreamCache, substream
 from .smoothing import (
     DrawLayout,
@@ -201,8 +201,12 @@ class NetworkState:
 
     @property
     def mean_x(self):
-        # what ndarray.mean(axis=0) computes, without its wrapper
-        return np.add.reduce(self.x, axis=0) / self.m
+        return _row_mean(self.x)
+
+
+def _row_mean(z):
+    # what ndarray.mean(axis=0) computes, without its wrapper
+    return np.add.reduce(z, axis=0) / z.shape[0]
 
 
 def _require_matrix(matrix):
@@ -318,14 +322,20 @@ def step(state, matrix, partition, objective, cfg):
     _require_finite(v_new, "estimate", k)
     if restart:
         y_new = v_new.copy()
-        trace = [consensus_error(y_new)]
+        # consensus_error of each round, past its input checks
+        trace = [_spread(y_new, _row_mean(y_new))]
         for _ in range(cfg.gossip_rounds):
             y_new = gossip(y_new)
-            trace.append(consensus_error(y_new))
+            trace.append(_spread(y_new, _row_mean(y_new)))
     else:
-        # (y - v) + v_new keeps the m = 1 path bit-equal to plain descent.
-        y_new = gossip((state.y - state.v) + v_new)
-    x_new = gossip(state.x - cfg.eta * y_new)
+        # (y - v) + v_new, in that order, keeps the m = 1 path bit-equal to
+        # plain descent; one temporary holds it.
+        y_new = state.y - state.v
+        y_new += v_new
+        y_new = gossip(y_new)
+    # x - eta y_new, in one temporary
+    x_new = cfg.eta * y_new
+    x_new = gossip(np.subtract(state.x, x_new, out=x_new))
     _require_finite(x_new, "iterate", k)
     # commit the iteration as a whole: a failure above leaves the state untouched
     if restart:

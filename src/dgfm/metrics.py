@@ -19,6 +19,7 @@ empty cell.
 """
 
 import csv
+import functools
 import json
 import math
 import operator
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameter, ShapeError, require_int, require_positive
-from .smoothing import sample_batch
+from .smoothing import DrawLayout
 
 __all__ = [
     "RunEntry",
@@ -127,6 +128,18 @@ def consensus_error(stacked):
     return float(np.add.reduce(dev, axis=None))
 
 
+@functools.lru_cache(maxsize=16)
+def _whole_layout(n, pairs, d):
+    """The `DrawLayout` of ``pairs`` draws over all n samples in R^d, built once per shape.
+
+    It is read-only in use, so every caller may share it; its memory is one
+    int per sample.
+    """
+    indices = np.arange(n)
+    indices.setflags(write=False)
+    return DrawLayout([indices], pairs, d)
+
+
 class StationarityEstimate(NamedTuple):
     value: float
     stderr: float
@@ -136,8 +149,9 @@ def stationarity_estimate(obj, x, delta, n_samples, rng):
     """Norm of the Monte Carlo surrogate gradient, with its standard error.
 
     The surrogate gradient is the mean of the optimizers' two-point
-    estimates over ``n_samples`` pairs drawn by `sample_batch` from the
-    whole objective: one member of the delta-ball subdifferential, not the
+    estimates over ``n_samples`` pairs drawn from the whole objective as
+    `sample_batch` draws them, from a `DrawLayout` built once per (n,
+    n_samples, d): one member of the delta-ball subdifferential, not the
     minimizer over it, so its norm is an upper-bound proxy for the
     stationarity measure. ``stderr`` aggregates the componentwise standard
     errors of the Monte Carlo mean.
@@ -152,7 +166,7 @@ def stationarity_estimate(obj, x, delta, n_samples, rng):
     x = np.asarray(x, dtype=float)
     if x.shape != (obj.dim,):
         raise ShapeError(f"x must have shape ({obj.dim},), got {x.shape}")
-    batch = sample_batch(np.arange(obj.n_samples), n_samples, obj.dim, rng)
+    batch = _whole_layout(obj.n_samples, n_samples, obj.dim).batch(rng)
     steps = delta * batch.ws
     values = obj.eval_batch(np.concatenate([x + steps, x - steps]), np.tile(batch.xis, 2))
     diffs = values[:n_samples] - values[n_samples:]

@@ -16,10 +16,12 @@ The SVM's scalar ``eval`` is the counted path: every probe the optimizers
 make is one call. The SVM stores each row's values times its label, so
 past its index and point checks ``eval`` reads the row's bounds as Python
 scalars (``ndarray.item``), gathers the row's coordinates of x with one
-``take`` and makes four numpy calls: the row's ``np.dot``, and
-``np.abs``, an in-place ``np.minimum`` and one ``np.add.reduce`` for the
-penalty. Its ``eval_batch`` is a separate CSR kernel over many rows,
-which only measurement calls.
+``take`` and makes four numpy calls: the row's ``ndarray.dot`` (the ddot
+of ``np.dot``, without its dispatch), and ``np.absolute``, an in-place
+``np.minimum`` against the cap held as a read-only 0-d float64 array, and
+one ``np.add.reduce`` for the penalty. It clamps the hinge at 0 with a
+comparison, which keeps a NaN as ``max`` does. Its ``eval_batch`` is a
+separate CSR kernel over many rows, which only measurement calls.
 
 Objectives are immutable after construction and ``eval`` is pure, so they
 are safe to share across concurrently simulated agents.
@@ -32,6 +34,9 @@ import scipy.sparse as sp
 
 from .errors import InvalidParameter, SampleIndexError, ShapeError, require_int, require_positive
 from .smoothing import sample_sphere
+
+# The penalty's ufuncs, bound once: every counted oracle call makes them.
+_absolute, _minimum, _add_reduce = np.absolute, np.minimum, np.add.reduce
 
 __all__ = [
     "StochasticObjective",
@@ -154,6 +159,9 @@ class CappedL1Svm(StochasticObjective):
         super().__init__(n_samples=n, dim=d, lipschitz_hint=hint, name=name)
         self.lam = float(lam)
         self.alpha = float(alpha)
+        # np.minimum takes a float64 0-d array faster than the Python float
+        self._cap = np.array(self.alpha)
+        self._cap.setflags(write=False)
         self.labels = labels
         # a new array on this matrix object, which shares the rest with the caller's
         features.data = features.data * np.repeat(labels, np.diff(features.indptr))
@@ -185,17 +193,19 @@ class CappedL1Svm(StochasticObjective):
 
     def _penalty(self, x):
         # the ufunc reduction itself: ndarray.sum without its Python wrapper
-        capped = np.abs(x)
-        np.minimum(capped, self.alpha, out=capped)
-        return self.lam * float(np.add.reduce(capped))
+        capped = _absolute(x)
+        _minimum(capped, self._cap, out=capped)
+        return self.lam * float(_add_reduce(capped))
 
     def eval(self, x, xi):
         xi = self._check_index(xi)
         x = self._check_point(x)
         # Python scalars and one take: the same products and sums as indexing
         lo, hi = self._indptr.item(xi), self._indptr.item(xi + 1)
-        margin = float(np.dot(self._data[lo:hi], x.take(self._indices[lo:hi])))
-        return max(1.0 - margin, 0.0) + self._penalty(x)
+        hinge = 1.0 - float(self._data[lo:hi].dot(x.take(self._indices[lo:hi])))
+        if hinge < 0.0:  # max(hinge, 0.0) without the call; a NaN stays, as with max
+            hinge = 0.0
+        return hinge + self._penalty(x)
 
     def eval_batch(self, P, xis):
         """One CSR kernel for all rows; equal to ``eval`` up to summation order."""

@@ -22,10 +22,10 @@ sample indices in one call and then all directions, in blocks, so agent
 i's pairs are row i of that draw. A `DrawLayout` holds what it computes
 from the shards, batch size and dimension alone, so a run builds it once
 and draws from it every iteration. `sample_batch` is the one-shard case as
-a `SampleBatch`, with which the stationarity proxy in :mod:`dgfm.metrics`
-draws from the whole objective. `estimate_block` is the one estimator;
-`minibatch_estimate` is its one-agent case, and `two_point_estimate` its
-one-pair reference.
+a `SampleBatch` (`DrawLayout.batch`), with which the stationarity proxy in
+:mod:`dgfm.metrics` draws from the whole objective, from one layout per
+shape. `estimate_block` is the one estimator; `minibatch_estimate` is its
+one-agent case, and `two_point_estimate` its one-pair reference.
 """
 
 import itertools
@@ -179,6 +179,12 @@ class DrawLayout:
             # draw as one of two rows, as the whole draw would
             self._blocks.append((agents, pairs, shape, shape[:2] == (1, 1) and m * b > 1))
 
+    def batch(self, rng):
+        """One draw of a one-shard layout as a `SampleBatch`, sub-blocks joined in pair order."""
+        parts = [(xis[0], ws[0]) for _, _, xis, ws in self.draw(rng)]
+        xis, ws = parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
+        return SampleBatch._of_checked(xis, ws)
+
     def draw(self, rng):
         """Yield the blocks of one draw from ``rng``, as `draw_blocks` does."""
         positions = rng.integers(0, self._high, size=(len(self.shards), self.b))
@@ -219,11 +225,9 @@ def sample_batch(indices, b, d, rng):
 
     The one-shard draw of `draw_blocks`: all b indices, then all b
     directions. When b d exceeds `BLOCK_ENTRIES` the directions come in
-    sub-blocks, which are joined in pair order.
+    sub-blocks, which are joined in pair order (see `DrawLayout.batch`).
     """
-    parts = [(xis[0], ws[0]) for _, _, xis, ws in draw_blocks([indices], b, d, rng)]
-    xis, ws = parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
-    return SampleBatch._of_checked(xis, ws)
+    return DrawLayout([indices], b, d).batch(rng)
 
 
 def two_point_estimate(obj, x, params, w, xi):
@@ -250,9 +254,10 @@ def estimate_block(obj, X, delta, xis, ws, out, first=True):
     scalar ``obj.eval`` per probe, 2 q r p oracle calls. Pair j then adds
     c w to out[s, i], with c = (d / (2 delta)) (f+ - f-), in pair order.
     With ``first`` the first pair's term is assigned, not added to zero,
-    which keeps the sign of a -0.0. So out[s, i] is bit for bit the sum of
-    `two_point_estimate` over the row's pairs, taken pair by pair. Returns
-    ``out``, shape (q, r, d).
+    which keeps the sign of a -0.0; a first block of one pair (p = 1)
+    writes its terms c w straight into ``out``. So out[s, i] is bit for
+    bit the sum of `two_point_estimate` over the row's pairs, taken pair
+    by pair. Returns ``out``, shape (q, r, d).
     """
     q, r, d = X.shape
     p = ws.shape[1]
@@ -264,9 +269,12 @@ def estimate_block(obj, X, delta, xis, ws, out, first=True):
     diffs = [f(hi, xi) - f(lo, xi) for hi, lo, xi in
              zip(plus.reshape(-1, d), minus.reshape(-1, d), xis.reshape(-1).tolist() * q)]
     del plus, minus
+    coefs = np.multiply(diffs, d / (2.0 * delta)).reshape(q, r, p, 1)
+    if first and p == 1:
+        # the one pair's terms are the sums: assigned, as -0.0 + t is t
+        return np.multiply(coefs[:, :, 0], ws[:, 0], out=out)
     # C order whatever the layout of ws: it keeps the pair axis outside d
-    terms = np.multiply(np.multiply(diffs, d / (2.0 * delta)).reshape(q, r, p, 1), ws,
-                        order="C")
+    terms = np.multiply(coefs, ws, order="C")
     if first and d > 1:
         # numpy adds an outer axis one pair at a time, as the loop does, and
         # -0.0 + t is t whatever the sign of t. At d = 1 the pair axis is the

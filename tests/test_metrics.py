@@ -7,6 +7,7 @@ import pytest
 
 from dgfm import (
     AbsTest,
+    DrawLayout,
     QuadraticTest,
     RunEntry,
     RunRecord,
@@ -20,6 +21,7 @@ from dgfm import (
     two_point_estimate,
     write_records,
 )
+from dgfm import metrics
 from dgfm.errors import InvalidParameter, ShapeError
 from dgfm.smoothing import SmoothingParams
 
@@ -99,6 +101,36 @@ class TestStationarity:
             got = stationarity_estimate(obj, x, 0.05, n_samples, substream(21, 7, k))
             want = per_pair_reference(obj, x, 0.05, n_samples, substream(21, 7, k))
             assert tuple(got) == want
+
+    def test_one_layout_per_shape_serves_every_call(self, monkeypatch):
+        # the proxy builds its draw layout once per (n, pairs, d), and a
+        # layout drawn from before gives the numbers of a fresh one
+        built = []
+
+        class CountingLayout(DrawLayout):
+            __slots__ = ()
+
+            def __init__(self, shards, b, d):
+                built.append((len(shards[0]), b, d))
+                super().__init__(shards, b, d)
+
+        monkeypatch.setattr(metrics, "DrawLayout", CountingLayout)
+        metrics._whole_layout.cache_clear()
+        try:
+            obj = QuadraticTest(4, n_samples=7)
+            x = np.array([0.5, -1.0, 2.0, 0.25])
+            got = [stationarity_estimate(obj, x, 0.1, n, substream(24, 7, k))
+                   for k in range(3) for n in (3, 40)]
+            assert built == [(7, 3, 4), (7, 40, 4)]
+            metrics._whole_layout.cache_clear()
+            again = [stationarity_estimate(obj, x, 0.1, n, substream(24, 7, k))
+                     for k in range(3) for n in (3, 40)]
+            assert len(built) == 4
+            assert got == again
+            assert got == [per_pair_reference(obj, x, 0.1, n, substream(24, 7, k))
+                           for k in range(3) for n in (3, 40)]
+        finally:
+            metrics._whole_layout.cache_clear()
 
     def test_batched_proxy_matches_the_per_pair_loop_on_svm(self, svm_objective):
         for k in range(50):

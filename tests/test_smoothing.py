@@ -9,6 +9,7 @@ from dgfm import (
     SampleBatch,
     SmoothingParams,
     minibatch_estimate,
+    require_unit_norm,
     sample_batch,
     sample_sphere,
     sigma_squared,
@@ -45,6 +46,44 @@ class TestSampleSphere:
     def test_zero_dim_rejected(self):
         with pytest.raises(ShapeError):
             sample_sphere(0, substream(0, 0))
+
+
+# require_unit_norm's verdict on each input: None to pass, else the error's
+# type and message. Rows whose norm is off by 0.5e-12 pass and by 2e-12 fail.
+UNIT_NORM_VERDICTS = {
+    "nan-row": (np.array([[1.0, 0.0], [np.nan, 0.0]]),
+                (InvalidParameter, "directions must be unit norm, worst error nan")),
+    "inf-row": (np.array([[1.0, 0.0], [np.inf, 0.0]]),
+                (InvalidParameter, "directions must be unit norm, worst error inf")),
+    "empty": (np.empty((0, 3)),
+              (ValueError, "zero-size array to reduction operation maximum which has no identity")),
+    "over-by-0.5e-12": (np.array([[1.0, 0.0], [0.0, 1.0 + 0.5e-12]]), None),
+    "under-by-0.5e-12": (np.array([[1.0 - 0.5e-12, 0.0]]), None),
+    "over-by-2e-12": (np.array([[0.0, 1.0], [1.0 + 2e-12, 0.0]]),
+                      (InvalidParameter, "directions must be unit norm, worst error 2.000e-12")),
+    "under-by-2e-12": (np.array([[1.0 - 2e-12, 0.0]]),
+                       (InvalidParameter, "directions must be unit norm, worst error 2.000e-12")),
+    "one-row": (np.array([0.6, 0.8]), None),
+    "block": (np.array([[[0.6, 0.8], [0.0, -1.0]], [[1.0, 0.0], [-0.8, 0.6]]]), None),
+}
+
+
+@pytest.mark.parametrize("case", list(UNIT_NORM_VERDICTS))
+def test_require_unit_norm_verdicts_are_pinned(case):
+    ws, verdict = UNIT_NORM_VERDICTS[case]
+    ws = ws.copy()
+    before = ws.tobytes()
+    if verdict is None:
+        require_unit_norm(ws)
+    else:
+        kind, message = verdict
+        with pytest.raises(ValueError) as info:
+            require_unit_norm(ws)
+        assert type(info.value) is kind
+        assert str(info.value) == message
+    # the caller's array is left as it was
+    assert ws.tobytes() == before
+    assert ws.flags.writeable
 
 
 class TestSmoothingParams:

@@ -8,7 +8,10 @@ an estimate without one ``eval`` per counted oracle call, or without one
 gossip product per counted communication round. These tests catch all
 three from the package's own suite. The stationarity proxy is
 measurement and evaluates through ``eval_batch``, so the count holds with
-it switched on too.
+it switched on too. The oracle count is also taken on draws that come in
+several blocks of agents and in sub-blocks of one agent's pairs, with
+``dgfm.smoothing.BLOCK_ENTRIES`` set low: a block that skips or repeats a
+probe then fails here, not only in a traced benchmark run.
 """
 
 import ast
@@ -26,8 +29,11 @@ from dgfm import (
     build_complete,
     build_ring,
     dgfm_run,
+    draw_blocks,
     gfm_run,
     partition,
+    smoothing,
+    substream,
 )
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -61,10 +67,19 @@ def test_every_unused_import_in_algorithms_is_one_the_tracer_patches():
 
 M = 4
 PLUS = dict(period=3, mega_batch=5, batch=2, gossip_rounds=2)
+# BLOCK_ENTRIES values at which the draws below split, at d = 12: 48 puts two
+# agents' pairs (b d = 24) in a block and cuts a mega-batch of 5 pairs into
+# sub-blocks of 4 and 1; 12 gives every pair a sub-block of its own.
+SPLITS = (48, 12)
+
+
+def blocks(m, b, d):
+    """Number of blocks `draw_blocks` yields for m agents of b pairs in R^d."""
+    return sum(1 for _ in draw_blocks([np.arange(1)] * m, b, d, substream(0, 0)))
 
 
 @pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus", "gfm", "gfm-plus"])
-def test_each_counted_oracle_call_is_one_eval(algo, small_svm_objective):
+def test_each_counted_oracle_call_is_one_eval(algo, small_svm_objective, monkeypatch):
     obj = EvalCounter(small_svm_objective)
     plus = algo.endswith("-plus")
     cfg = (DgfmPlusConfig(eta=0.01, delta=1e-3, iters=8, seed=3, **PLUS) if plus
@@ -78,6 +93,20 @@ def test_each_counted_oracle_call_is_one_eval(algo, small_svm_objective):
         calls = gfm_run(obj, cfg, **opts).entries[-1].zo_calls
     assert calls > 0
     assert obj.calls == calls
+    # the same runs on draws split into blocks of agents and sub-blocks of pairs
+    m = M if algo.startswith("dgfm") else 1
+    sizes = (cfg.mega_batch, cfg.batch) if plus else (cfg.batch,)
+    for entries in SPLITS:
+        monkeypatch.setattr(smoothing, "BLOCK_ENTRIES", entries)
+        obj = EvalCounter(small_svm_objective)
+        if m > 1:
+            split = dgfm_run(build_ring(M), part, obj, cfg, **opts)[0].oracle_calls
+        else:
+            split = gfm_run(obj, cfg, **opts).entries[-1].zo_calls
+        assert split == calls
+        assert obj.calls == calls
+    # the last split drew every pair in a sub-block of its own
+    assert all(blocks(m, b, obj.dim) == m * b for b in sizes)
 
 
 class ProductCounter(np.ndarray):
