@@ -162,8 +162,8 @@ class NetworkState:
     rebuilt when the config's seed changes, and the `DrawLayout` of each
     batch size the run draws, rebuilt when the partition's shards or the
     dimension change. They give exactly the streams of `substream` and the
-    blocks of `draw_blocks`, so copying a state, or dropping its caches,
-    changes no number.
+    blocks of a fresh `DrawLayout`, so copying a state, or dropping its
+    caches, changes no number.
     """
 
     x: np.ndarray
@@ -179,7 +179,8 @@ class NetworkState:
 
     @classmethod
     def initial(cls, m, x0):
-        """All agents start at the common point x0."""
+        """All m >= 1 agents start at the common point x0."""
+        m = require_int(1, m=m)
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim != 1:
             raise ShapeError(f"x0 must be a vector, got shape {x0.shape}")
@@ -282,7 +283,7 @@ def step(state, matrix, partition, objective, cfg):
       b = ``mega_batch`` pairs; in between, each agent adds a paired
       difference over b = ``batch`` shared pairs to its previous estimate.
 
-    The draw comes in blocks (see `draw_blocks`): c = max(1, min(m, E //
+    The draw comes in blocks (see `DrawLayout`): c = max(1, min(m, E //
     (b d))) whole agents, E = `dgfm.smoothing.BLOCK_ENTRIES`, or, when one
     agent's b d exceeds E, sub-blocks of max(1, E // d) of its pairs. Each
     block is evaluated as one (see `estimate_block`), with one scalar
@@ -295,15 +296,16 @@ def step(state, matrix, partition, objective, cfg):
     logged; otherwise it is gossiped once with the estimate increment
     folded in. Both cases end with the gossiped descent step on x. The
     state's oracle-call and communication-round counters grow by
-    `dgfm.iteration_cost(cfg, m, k)`. The partition must give each of the
-    state's agents a shard of the objective's samples (`ShapeError`).
+    `dgfm.iteration_cost(cfg, m, k)`. The state's k must lie in [0,
+    ``cfg.iters``) (`BudgetExceeded`), and the partition must give each of
+    the state's agents a shard of the objective's samples (`ShapeError`).
     Mutates ``state`` and returns it; a non-finite estimate or iterate
     raises `NumericFailure` naming the agent and iteration and leaves
     ``state`` as it was, counters and restart log included; only its
     stream cache may have moved on, which changes no later number.
     """
     _require_matrix(matrix)
-    if state.k >= cfg.iters:
+    if not 0 <= state.k < cfg.iters:
         raise BudgetExceeded(f"iteration {state.k} outside the configured budget of {cfg.iters}")
     if state.m != matrix.m:
         raise ShapeError(f"state has {state.m} agents, topology has {matrix.m}")

@@ -149,12 +149,12 @@ def stationarity_estimate(obj, x, delta, n_samples, rng):
     """Norm of the Monte Carlo surrogate gradient, with its standard error.
 
     The surrogate gradient is the mean of the optimizers' two-point
-    estimates over ``n_samples`` pairs drawn from the whole objective as
-    `sample_batch` draws them, from a `DrawLayout` built once per (n,
-    n_samples, d): one member of the delta-ball subdifferential, not the
-    minimizer over it, so its norm is an upper-bound proxy for the
-    stationarity measure. ``stderr`` aggregates the componentwise standard
-    errors of the Monte Carlo mean.
+    estimates over ``n_samples`` pairs drawn from the whole objective by
+    `DrawLayout.batch`, from a layout built once per (n, n_samples, d):
+    one member of the delta-ball subdifferential, not the minimizer over
+    it, so its norm is an upper-bound proxy for the stationarity measure.
+    ``stderr`` aggregates the componentwise standard errors of the Monte
+    Carlo mean.
 
     All 2 * n_samples probes, the plus points stacked over the minus
     points, go to ``obj.eval_batch`` in one call; with the base class's
@@ -166,11 +166,11 @@ def stationarity_estimate(obj, x, delta, n_samples, rng):
     x = np.asarray(x, dtype=float)
     if x.shape != (obj.dim,):
         raise ShapeError(f"x must have shape ({obj.dim},), got {x.shape}")
-    batch = _whole_layout(obj.n_samples, n_samples, obj.dim).batch(rng)
-    steps = delta * batch.ws
-    values = obj.eval_batch(np.concatenate([x + steps, x - steps]), np.tile(batch.xis, 2))
+    xis, ws = _whole_layout(obj.n_samples, n_samples, obj.dim).batch(rng)
+    steps = delta * ws
+    values = obj.eval_batch(np.concatenate([x + steps, x - steps]), np.tile(xis, 2))
     diffs = values[:n_samples] - values[n_samples:]
-    g = (obj.dim / (2.0 * delta)) * diffs[:, None] * batch.ws
+    g = (obj.dim / (2.0 * delta)) * diffs[:, None] * ws
     # the ufunc reductions themselves: ndarray.sum and np.linalg.norm's
     # sqrt(dot) for a vector, without their wrappers
     acc = np.add.reduce(g, axis=0)

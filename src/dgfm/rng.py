@@ -30,6 +30,8 @@ draw is bit-identical to ``substream(seed, lane, k)``'s.
 
 import numpy as np
 
+from .errors import require_int
+
 __all__ = ["substream"]
 
 # Iterations whose keys one `key_block` call computes: 16 KiB of keys. A
@@ -96,9 +98,10 @@ def key_block(seed, lane, k):
     ``np.random.SeedSequence([seed, lane, j]).generate_state(2, np.uint64)``.
     It runs SeedSequence's pool mix on every j at once. Each int enters as
     its 32-bit words, least significant first, so only j's low word varies
-    within a block, and j's word count is the same across it.
+    within a block, and j's word count is the same across it. Each of
+    ``seed``, ``lane`` and ``k`` must be an integer >= 0 (`InvalidParameter`).
     """
-    seed, lane, k = int(seed), int(lane), int(k)
+    seed, lane, k = require_int(0, seed=seed, lane=lane, k=k)
     start = k - k % KEY_BLOCK
     low = np.arange(start & _MASK32, (start & _MASK32) + KEY_BLOCK, dtype=np.uint32)
     high = _words(start >> 32) if start >> 32 else []

@@ -16,20 +16,18 @@ batch, which this module makes structurally impossible to get wrong: a
 :class:`SampleBatch` is sampled once and applied to both points.
 
 Both probes of one pair always share the same sample index xi; only the
-sign of the perturbation differs. `draw_blocks` is the one sampler of
-pairs: it draws every agent's pairs of one iteration from one stream, all
-sample indices in one call and then all directions, in blocks, so agent
-i's pairs are row i of that draw. A `DrawLayout` holds what it computes
-from the shards, batch size and dimension alone, so a run builds it once
-and draws from it every iteration. `sample_batch` is the one-shard case as
-a `SampleBatch` (`DrawLayout.batch`), with which the stationarity proxy in
-:mod:`dgfm.metrics` draws from the whole objective, from one layout per
-shape. `estimate_block` is the one estimator; `minibatch_estimate` is its
-one-agent case, and `two_point_estimate` its one-pair reference.
+sign of the perturbation differs. `DrawLayout` is the one sampler of
+pairs: built once from the shards, batch size and dimension, it draws
+every agent's pairs of one iteration from one stream, so agent i's pairs
+are row i of that draw. Its one-shard draw, `DrawLayout.batch`, serves the
+stationarity proxy in :mod:`dgfm.metrics`, and `sample_batch` as a
+`SampleBatch`. `estimate_block` is the one estimator; `minibatch_estimate`
+is its one-agent case, and `two_point_estimate` its one-pair reference.
 """
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +38,6 @@ __all__ = [
     "DrawLayout",
     "SampleBatch",
     "SmoothingParams",
-    "draw_blocks",
     "estimate_block",
     "minibatch_estimate",
     "require_unit_norm",
@@ -104,14 +101,6 @@ class SampleBatch:
         # `two_point_estimate`, whose value an objective may round by stride
         object.__setattr__(self, "ws", np.ascontiguousarray(ws))
 
-    @classmethod
-    def _of_checked(cls, xis, ws):
-        """A batch whose directions `require_unit_norm` has already passed in bulk."""
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "xis", xis)
-        object.__setattr__(batch, "ws", ws)
-        return batch
-
     @property
     def size(self):
         return self.xis.shape[0]
@@ -142,25 +131,43 @@ def require_unit_norm(ws):
 
 
 class DrawLayout:
-    """What `draw_blocks` computes from (shards, b, d) alone, built once.
+    """One draw of b (xi, w) pairs per shard, in blocks: the one sampler of pairs.
 
-    It holds the ``integers`` bound of every shard (a scalar when they are
+    Agent i's xi are uniform over ``shards[i]`` and its w uniform on the
+    unit sphere in R^d. All sample indices come first, in one (m, b) draw;
+    then the directions, as one (m, b, d) standard normal block filled in
+    blocks of c = max(1, min(m, E // (b d))) whole agents, E =
+    `BLOCK_ENTRIES`; an agent whose b d alone exceeds E is filled in
+    sub-blocks of max(1, E // d) pairs. Each block is drawn only when it is
+    needed, normalized in place and checked once by `require_unit_norm`.
+    A numpy Generator fills arrays in order, so the blocking never changes
+    the numbers: agent i's pairs are row i of the one draw.
+
+    The blocks depend on (shards, b, d) alone, so a caller that draws from
+    the same ones again builds the layout once and calls its ``draw``. It
+    holds the ``integers`` bound of every shard (a scalar when they are
     all of one size, which draws the same numbers faster), the shards
     joined into one index array with each one's start in it, and the
     blocks: for each, the slices of agents and of pairs it covers, its
     shape and whether it is a lone row of a larger draw. ``shards`` is kept
     as given, so a cache can tell which shards a layout was built for. Its
     memory is the joined indices: one int per sample of the shards.
+
+    ``b`` and ``d`` are integers and d >= 1 (`InvalidParameter`); a ``b``
+    below 1, or an empty shard, raises `EmptyBatch`.
     """
 
     __slots__ = ("shards", "b", "d", "_high", "_indices", "_starts", "_blocks")
 
     def __init__(self, shards, b, d):
-        if b < 1:
+        if isinstance(b, numbers.Integral) and b < 1:
             raise EmptyBatch(f"batch size must be >= 1, got {b}")
+        b, d = require_int(1, b=b, d=d)
+        sizes = [len(shard) for shard in shards]
+        if 0 in sizes:
+            raise EmptyBatch(f"shard {sizes.index(0)} is empty: it has no sample to draw")
         self.shards, self.b, self.d = shards, b, d
         m = len(shards)
-        sizes = [len(shard) for shard in shards]
         self._high = sizes[0] if min(sizes) == max(sizes) else np.array(sizes)[:, None]
         self._indices = np.asarray(shards[0]) if m == 1 else np.concatenate(shards)
         self._starts = np.array([0, *itertools.accumulate(sizes[:-1])])[:, None]
@@ -180,13 +187,17 @@ class DrawLayout:
             self._blocks.append((agents, pairs, shape, shape[:2] == (1, 1) and m * b > 1))
 
     def batch(self, rng):
-        """One draw of a one-shard layout as a `SampleBatch`, sub-blocks joined in pair order."""
+        """A one-shard layout's draw as ``(xis, ws)``, shapes (b,) and (b, d), in pair order."""
         parts = [(xis[0], ws[0]) for _, _, xis, ws in self.draw(rng)]
-        xis, ws = parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
-        return SampleBatch._of_checked(xis, ws)
+        return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
 
     def draw(self, rng):
-        """Yield the blocks of one draw from ``rng``, as `draw_blocks` does."""
+        """Yield the blocks of one draw from ``rng``.
+
+        Yields ``(agents, pairs, xis, ws)``: the slices of agents and of
+        their pairs that the block covers, its sample indices, shape
+        (rows, p), and its unit directions, shape (rows, p, d).
+        """
         positions = rng.integers(0, self._high, size=(len(self.shards), self.b))
         positions += self._starts
         xis = self._indices[positions]
@@ -198,36 +209,14 @@ class DrawLayout:
             yield agents, pairs, xis[agents, pairs], ws
 
 
-def draw_blocks(shards, b, d, rng):
-    """Yield one draw of b (xi, w) pairs per shard from ``rng``, in blocks.
-
-    Agent i's xi are uniform over ``shards[i]`` and its w uniform on the
-    unit sphere in R^d. All sample indices come first, in one (m, b) draw;
-    then the directions, as one (m, b, d) standard normal block filled in
-    blocks of c = max(1, min(m, E // (b d))) whole agents, E =
-    `BLOCK_ENTRIES`; an agent whose b d alone exceeds E is filled in
-    sub-blocks of max(1, E // d) pairs. Each block is drawn only when it is
-    needed, normalized in place and checked once by `require_unit_norm`.
-    A numpy Generator fills arrays in order, so the blocking never changes
-    the numbers: agent i's pairs are row i of the one draw. The blocks
-    depend on (shards, b, d) alone; a caller that draws from the same ones
-    again builds their `DrawLayout` once and calls its ``draw``.
-
-    Yields ``(agents, pairs, xis, ws)``: the slices of agents and of their
-    pairs that the block covers, its sample indices, shape (rows, p), and
-    its unit directions, shape (rows, p, d).
-    """
-    yield from DrawLayout(shards, b, d).draw(rng)
-
-
 def sample_batch(indices, b, d, rng):
     """Draw b (xi, w) pairs, xi uniform over ``indices``, w uniform on the sphere.
 
-    The one-shard draw of `draw_blocks`: all b indices, then all b
+    The one-shard draw of `DrawLayout`: all b indices, then all b
     directions. When b d exceeds `BLOCK_ENTRIES` the directions come in
     sub-blocks, which are joined in pair order (see `DrawLayout.batch`).
     """
-    return DrawLayout([indices], b, d).batch(rng)
+    return SampleBatch(*DrawLayout([indices], b, d).batch(rng))
 
 
 def two_point_estimate(obj, x, params, w, xi):

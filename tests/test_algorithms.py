@@ -1,5 +1,10 @@
 import copy
 import math
+import os
+import resource
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -11,6 +16,7 @@ from conftest import (
     records_match,
     step_trajectory,
 )
+import dgfm
 from dgfm import (
     DgfmConfig,
     DgfmPlusConfig,
@@ -47,6 +53,22 @@ from dgfm.metrics import RunRecord
 from dgfm.objectives import AbsTest
 from dgfm.rng import KEY_BLOCK
 from dgfm.smoothing import BLOCK_ENTRIES
+
+
+def run_bounded(code):
+    """Run ``code`` in a child Python held to 1 GiB of address space and 60 s; its stdout.
+
+    A stream key that loops forever then fails its test instead of
+    exhausting the machine's memory.
+    """
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dgfm.__file__))}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 def rel_err(a, ref):
@@ -109,6 +131,22 @@ class TestDgfmStep:
         step(state, mat, part, obj, cfg)
         with pytest.raises(BudgetExceeded):
             step(state, mat, part, obj, cfg)
+
+    def test_a_negative_iteration_is_outside_the_budget(self):
+        # it would key a negative stream; the state stays as it was
+        assert run_bounded("""
+            import numpy as np
+            from dgfm import (DgfmConfig, NetworkState, QuadraticTest, build_complete,
+                              partition, step)
+            from dgfm.errors import BudgetExceeded
+            state = NetworkState.initial(1, np.ones(2))
+            state.k = -1
+            cfg = DgfmConfig(eta=0.1, delta=0.1, iters=1, seed=0)
+            try:
+                step(state, build_complete(1), partition(1, 1, seed=0), QuadraticTest(dim=2), cfg)
+            except BudgetExceeded:
+                print(state.k, state.oracle_calls, state.comm_rounds, (state.x == 1).all())
+        """) == ["-1", "0", "0", "True"]
 
     def test_oracle_and_comm_accounting(self):
         obj = QuadraticTest(2, n_samples=8)
@@ -269,6 +307,19 @@ class TestStreamCache:
         for _ in range(5):
             for s in (twin, state):
                 assert np.array_equal(self.trajectory(s, cfg, 1)[0], solo[s.k - self.START - 1])
+
+    def test_a_negative_key_is_refused(self):
+        assert run_bounded("""
+            from dgfm.errors import InvalidParameter
+            from dgfm.rng import StreamCache, key_block
+            for call in (lambda: key_block(-1, 0, 0), lambda: key_block(0, -1, 0),
+                         lambda: key_block(0, 0, -1), lambda: StreamCache(-1)(0, 0),
+                         lambda: StreamCache(0)(-1, 0), lambda: StreamCache(0)(0, -1)):
+                try:
+                    call()
+                except InvalidParameter as refused:
+                    print(refused.name)
+        """) == ["seed", "lane", "k"] * 2
 
     def test_a_config_with_another_seed_draws_that_seeds_stream(self):
         state = self.fresh()

@@ -4,12 +4,14 @@ paragraph names every flag the CLI's rule table rejects.
 
 All four catch documentation left behind when the package drops, renames or
 adds a name; each demo also runs to exit 0, which catches one that fails at
-run time. Two more check that the package's star imports export each
-module's ``__all__`` whole and unshadowed, and that no module of the package
-imports another's private (``_``-prefixed) name.
+run time. The package's own single-backticked names must resolve too. Two
+more check that the package's star imports export each module's
+``__all__`` whole and unshadowed, and that no module of the package imports
+another's private (``_``-prefixed) name.
 """
 
 import ast
+import functools
 import importlib
 import os
 import pkgutil
@@ -73,6 +75,36 @@ def test_readme_dgfm_names_resolve():
         except ImportError:
             missing.append(name)
     assert not missing, f"README names {missing}, which dgfm does not have"
+
+
+def has_path(obj, dotted):
+    """Whether ``obj`` has the attribute path ``dotted``."""
+    try:
+        functools.reduce(getattr, dotted.split("."), obj)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_source_backticked_names_resolve():
+    # a single-backticked name, bare or called, resolves in its module, in
+    # dgfm, in dgfm.errors or on a class of its module; a `dgfm.` path in
+    # dgfm. Other spans are prose.
+    paths = sorted((ROOT / "src" / "dgfm").glob("*.py"))
+    modules = [importlib.import_module(f"dgfm.{path.stem}") for path in paths]
+    missing = []
+    for path, module in zip(paths, modules):
+        classes = [obj for obj in vars(module).values() if isinstance(obj, type)]
+        for span in re.findall(r"(?<!`)`([^`\n]+)`(?!`)", path.read_text()):
+            name = re.fullmatch(r"([A-Za-z_][\w.]*)(?:\(.*\))?", span)
+            if name is None:
+                continue
+            name = name.group(1)
+            scopes = ([dgfm] if name.startswith("dgfm.")
+                      else [module, dgfm, dgfm.errors, *classes])
+            if not any(has_path(scope, name.removeprefix("dgfm.")) for scope in scopes):
+                missing.append(f"{path.name}: {span}")
+    assert not missing, f"backticked names that resolve nowhere: {missing}"
 
 
 def test_readme_cli_paragraph_names_every_ruled_flag():

@@ -6,7 +6,8 @@ and the value below the floor are refused; numpy integers are accepted and
 kept as Python ints. A rate or radius must be positive and finite, so nan,
 inf and 0 are refused. Each refusal is an `InvalidParameter` whose
 ``name`` is the field's, except where a value below a count's floor has
-an error type of its own (`InvalidPartition`, `InvalidTopology`).
+an error type of its own (`InvalidPartition`, `InvalidTopology`,
+`EmptyBatch`).
 """
 
 import math
@@ -17,6 +18,7 @@ import pytest
 from dgfm import (
     DgfmConfig,
     DgfmPlusConfig,
+    NetworkState,
     QuadraticTest,
     SmoothingParams,
     build_complete,
@@ -26,6 +28,7 @@ from dgfm import (
     gfm_run,
     parse_libsvm,
     partition,
+    sample_batch,
     sigma_squared,
     stationarity_estimate,
     subset,
@@ -35,6 +38,7 @@ from dgfm import (
     theorem_params_dgfm_plus,
 )
 from dgfm.errors import (
+    EmptyBatch,
     InvalidParameter,
     InvalidPartition,
     InvalidTopology,
@@ -79,6 +83,9 @@ COUNTS = [
     ("QuadraticTest", "n_samples", 1, 4, lambda o: o.n_samples, InvalidParameter),
     ("estimate_lipschitz", "probes", 2, 3, None, InvalidParameter),
     ("stationarity_estimate", "n_samples", 1, 2, None, InvalidParameter),
+    ("sample_batch", "b", 1, 2, lambda batch: batch.size, EmptyBatch),
+    ("sample_batch", "d", 1, 3, None, InvalidParameter),
+    ("NetworkState.initial", "m", 1, 2, lambda state: state.m, InvalidParameter),
     ("partition", "dataset", 0, 10, lambda p: p.n, InvalidParameter),
     ("partition", "m", 1, 2, lambda p: p.m, InvalidPartition),
     ("partition", "seed", 0, 1, None, InvalidParameter),
@@ -123,6 +130,9 @@ ENTRY = {
     "stationarity_estimate": lambda field, value: stationarity_estimate(
         **{"obj": OBJ, "x": np.ones(3), "delta": 0.01, "n_samples": 4, "rng": substream(0, 1),
            field: value}),
+    "sample_batch": keyword(sample_batch, indices=np.arange(4), b=2, d=3,
+                            rng=substream(0, 2)),
+    "NetworkState.initial": keyword(NetworkState.initial, m=2, x0=np.zeros(3)),
     "partition": keyword(partition, dataset=10, m=2, seed=0),
     "subset": lambda field, value: subset(
         DATASET, **({"n": value} if field == "subset size" else {"n": 2, "seed": value})),

@@ -47,6 +47,7 @@ from dgfm import (
     CappedL1Svm,
     DgfmConfig,
     DgfmPlusConfig,
+    DrawLayout,
     LinearTest,
     NetworkState,
     Partition,
@@ -58,7 +59,6 @@ from dgfm import (
     build_complete,
     build_metropolis_hastings,
     dgfm_run,
-    draw_blocks,
     gfm_run,
     mix,
     parse_libsvm,
@@ -219,8 +219,8 @@ def draws(draw):
 
 
 def step_draw(shards, b, d, seed, k):
-    """Iteration k's draw as `step` takes it: the blocks of `draw_blocks`."""
-    return list(draw_blocks(shards, b, d, substream(seed, DRAW_LANE, k)))
+    """Iteration k's draw as `step` takes it: the blocks of `DrawLayout.draw`."""
+    return list(DrawLayout(shards, b, d).draw(substream(seed, DRAW_LANE, k)))
 
 
 def one_block(shards, b, d, seed, k):
@@ -326,7 +326,7 @@ class ZeroNormals:
 @given(case=draws())
 def test_sampler_checks_every_chunk(case):
     shards, b, d, seed, k = case
-    blocks = draw_blocks(shards, b, d, ZeroNormals(substream(seed, DRAW_LANE, k)))
+    blocks = DrawLayout(shards, b, d).draw(ZeroNormals(substream(seed, DRAW_LANE, k)))
     with np.errstate(invalid="ignore"), pytest.raises(InvalidParameter, match="unit norm"):
         next(blocks)
 
@@ -385,8 +385,8 @@ def pairwise_estimates(state, part, obj, cfg):
     params = SmoothingParams(delta=cfg.delta, dim=d)
     points = (state.x, state.x_prev) if paired else (state.x,)
     sums = np.empty((len(points), m, d))
-    for agents, pairs, xis, ws in draw_blocks(part.assignment, b, d,
-                                              substream(cfg.seed, DRAW_LANE, state.k)):
+    draw = DrawLayout(part.assignment, b, d).draw(substream(cfg.seed, DRAW_LANE, state.k))
+    for agents, pairs, xis, ws in draw:
         for i, row_xis, row_ws in zip(range(agents.start, agents.stop), xis, ws):
             for j, xi, w in zip(range(pairs.start, pairs.stop), row_xis, row_ws):
                 for acc, x in zip(sums[:, i], points):

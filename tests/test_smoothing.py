@@ -4,6 +4,7 @@ from conftest import EvalCounter
 
 from dgfm import (
     AbsTest,
+    DrawLayout,
     LinearTest,
     QuadraticTest,
     SampleBatch,
@@ -165,6 +166,12 @@ class TestBatches:
             SampleBatch(xis=np.array([0]), ws=np.array([[1.0, 1.0]]))
         with pytest.raises(EmptyBatch):
             sample_batch(np.arange(5), 0, 3, substream(0, 2))
+
+    def test_an_empty_shard_is_an_empty_batch(self):
+        with pytest.raises(EmptyBatch, match="shard 0 is empty"):
+            sample_batch(np.array([], dtype=int), 2, 3, substream(0, 2))
+        with pytest.raises(EmptyBatch, match="shard 1 is empty"):
+            DrawLayout([np.arange(2), np.arange(0), np.arange(1)], 2, 3)
 
     def test_identical_pairs_equal_single(self):
         obj = QuadraticTest(4)

@@ -24,12 +24,12 @@ from conftest import EvalCounter
 from dgfm import (
     DgfmConfig,
     DgfmPlusConfig,
+    DrawLayout,
     MixingMatrix,
     algorithms,
     build_complete,
     build_ring,
     dgfm_run,
-    draw_blocks,
     gfm_run,
     partition,
     smoothing,
@@ -74,8 +74,8 @@ SPLITS = (48, 12)
 
 
 def blocks(m, b, d):
-    """Number of blocks `draw_blocks` yields for m agents of b pairs in R^d."""
-    return sum(1 for _ in draw_blocks([np.arange(1)] * m, b, d, substream(0, 0)))
+    """Number of blocks `DrawLayout.draw` yields for m agents of b pairs in R^d."""
+    return sum(1 for _ in DrawLayout([np.arange(1)] * m, b, d).draw(substream(0, 0)))
 
 
 @pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus", "gfm", "gfm-plus"])
