@@ -20,13 +20,14 @@ equals the average estimate, and the iterates descend it,
 Every stochastic draw comes from a counter-based stream keyed by
 (seed, lane, iteration), which a run opens by re-keying one cached Philox
 (see :mod:`dgfm.rng`). An iteration draws every agent's pairs at once, and
-agent i's pairs are row i of that draw, so the agent updates inside one
-iteration are independent and could run in any order or in parallel with
-identical results; the gossip applications are the synchronization
-barriers. Exact invariants (used heavily by the
-tests): the mean of the tracking variable after the step equals the mean
-of the current estimates, and the mean iterate moves by exactly
--eta * mean(tracker), both up to round-off.
+agent i's pairs are row i of that draw; small draws of consecutive
+iterations are made together, each from its own iteration's stream, with
+the same numbers. So the agent updates inside one iteration are
+independent and could run in any order or in parallel with identical
+results; the gossip applications are the synchronization barriers. Exact
+invariants (used heavily by the tests): the mean of the tracking variable
+after the step equals the mean of the current estimates, and the mean
+iterate moves by exactly -eta * mean(tracker), both up to round-off.
 
 This module holds the algorithms only; the hyperparameters their analysis
 prescribes at a target accuracy are in :mod:`dgfm.params`.
@@ -78,6 +79,8 @@ __all__ = [
 _LANE_DRAW = 0
 _LANE_METRICS = 1
 _LANE_SELECT = 2
+# the agents of a draw taken from a window: all of them, in one block
+_ALL = slice(None)
 
 
 def _check_config(cfg, *counts):
@@ -157,13 +160,17 @@ class NetworkState:
     previous iterate the paired differences are taken against. At k = 0 y
     and v are zero and x_prev equals x.
 
-    ``_streams`` and ``_layouts`` are caches, not state: the run's one
-    re-keyed Philox (`dgfm.rng.StreamCache`), built at the first step and
-    rebuilt when the config's seed changes, and the `DrawLayout` of each
-    batch size the run draws, rebuilt when the partition's shards or the
-    dimension change. They give exactly the streams of `substream` and the
-    blocks of a fresh `DrawLayout`, so copying a state, or dropping its
-    caches, changes no number.
+    ``_streams``, ``_layouts`` and ``_window`` are caches, not state: the
+    run's one re-keyed Philox (`dgfm.rng.StreamCache`), built at the first
+    step and rebuilt when the config's seed changes; the `DrawLayout` of
+    each batch size the run draws, rebuilt when the partition's shards or
+    the dimension change; and a `DrawWindow` of the draws of the iterations
+    from k on, with the layout, seed and delta it was filled under and the
+    iterations it covers, refilled when one of those changes or k leaves
+    them. Its directions and steps take at most two blocks of
+    `dgfm.smoothing.BLOCK_ENTRIES`. The caches give exactly the streams of
+    `substream` and the draws of a fresh `DrawLayout`, so copying a state,
+    or dropping its caches, changes no number.
     """
 
     x: np.ndarray
@@ -176,6 +183,7 @@ class NetworkState:
     restart_log: list = field(default_factory=list)
     _streams: StreamCache = field(default=None, init=False, repr=False, compare=False)
     _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _window: tuple = field(default=(None, 0, 0, None), init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, m, x0):
@@ -236,11 +244,11 @@ def _require_finite(z, what, k):
         raise NumericFailure(f"non-finite {what} of agent {agent} at iteration {k}", iteration=k)
 
 
-def _stream(state, cfg, lane):
-    """``substream(cfg.seed, lane, state.k)``, re-keyed from the state's stream cache."""
+def _streams(state, cfg):
+    """The state's `StreamCache` of ``cfg.seed``: ``substream(cfg.seed, lane, k)`` by re-keying."""
     if state._streams is None or state._streams.seed != cfg.seed:
         state._streams = StreamCache(cfg.seed)
-    return state._streams(lane, state.k)
+    return state._streams
 
 
 def _layout(state, partition, size):
@@ -249,6 +257,47 @@ def _layout(state, partition, size):
     if layout is None or layout.shards is not partition.assignment or layout.d != state.d:
         layout = state._layouts[size] = DrawLayout(partition.assignment, size, state.d)
     return layout
+
+
+def _window_size(cfg, most, k):
+    """Iterations from k, at most ``most``, whose draws one window holds.
+
+    It never passes ``cfg.iters``; under a `DgfmPlusConfig` a restart
+    stands alone, and the paired iterations after it share windows up to
+    the next restart.
+    """
+    count = min(most, cfg.iters - k)
+    if isinstance(cfg, DgfmPlusConfig):
+        phase = k % cfg.period
+        count = 1 if phase == 0 else min(count, cfg.period - phase)
+    return count
+
+
+def _draw(state, partition, cfg, size):
+    """Iteration k's draw of ``size`` pairs per agent: ``(agents, first, xis, ws, steps)`` blocks.
+
+    ``agents`` is the slice of agents a block covers, ``first`` whether it
+    holds their first pairs, and ``xis``, ``ws`` and ``steps`` its pairs as
+    `estimate_block` takes them. A draw that fits one block is taken from
+    the state's window of several iterations' draws (see
+    `DrawLayout.draw_window`), filled here when no window cached under
+    this layout, seed and delta covers k. A draw that stands alone, or
+    needs several blocks, comes block by block from `DrawLayout.draw`.
+    """
+    layout = _layout(state, partition, size)
+    k = state.k
+    key, start, stop, window = state._window
+    if key != (layout, cfg.seed, cfg.delta) or not start <= k < stop:
+        count = _window_size(cfg, layout.window, k)
+        streams = _streams(state, cfg)
+        if count < 2:
+            return ((agents, pairs.start == 0, xis.reshape(-1).tolist(), ws, cfg.delta * ws)
+                    for agents, pairs, xis, ws in layout.draw(streams(_LANE_DRAW, k)))
+        window = layout.draw_window((streams(_LANE_DRAW, j) for j in range(k, k + count)),
+                                    count, cfg.delta)
+        start = k
+        state._window = (layout, cfg.seed, cfg.delta), start, k + count, window
+    return [(_ALL, True, *window.block(k - start))]
 
 
 def _estimates(state, partition, objective, cfg, size, paired):
@@ -261,10 +310,12 @@ def _estimates(state, partition, objective, cfg, size, paired):
     """
     m, d = state.x.shape
     sums = np.empty((2 if paired else 1, m, d))
-    draw = _layout(state, partition, size).draw(_stream(state, cfg, _LANE_DRAW))
-    for agents, pairs, xis, ws in draw:
+    for agents, first, xis, ws, steps in _draw(state, partition, cfg, size):
         X = np.array((state.x[agents], state.x_prev[agents])) if paired else state.x[None, agents]
-        estimate_block(objective, X, cfg.delta, xis, ws, sums[:, agents], first=pairs.start == 0)
+        estimate_block(objective, X, cfg.delta, xis, ws, steps, sums[:, agents], first)
+        # let go of the block before the next one is drawn: held on, its
+        # directions and steps slowed a 64-agent, d = 2000 draw by 12%
+        del ws, steps
     if size > 1:
         sums /= size
     return state.v + (sums[0] - sums[1]) if paired else sums[0]
@@ -283,13 +334,20 @@ def step(state, matrix, partition, objective, cfg):
       b = ``mega_batch`` pairs; in between, each agent adds a paired
       difference over b = ``batch`` shared pairs to its previous estimate.
 
-    The draw comes in blocks (see `DrawLayout`): c = max(1, min(m, E //
-    (b d))) whole agents, E = `dgfm.smoothing.BLOCK_ENTRIES`, or, when one
-    agent's b d exceeds E, sub-blocks of max(1, E // d) of its pairs. Each
-    block is evaluated as one (see `estimate_block`), with one scalar
-    ``eval`` per probe: a paired difference evaluates it at x and at
-    x_prev. The estimates equal, bit for bit, the pair-by-pair sums of
-    `two_point_estimate`, divided by b.
+    The draw comes in blocks (see `DrawLayout`), with E =
+    `dgfm.smoothing.BLOCK_ENTRIES`. A draw of m b d <= E entries is one
+    block, and the iterations after k that draw as many pairs share a
+    window, of up to E // (m b d) iterations: it stops at ``cfg.iters`` and,
+    under a `DgfmPlusConfig`, before the next restart, and a restart's
+    draw stands alone. The window's draws, each from its iteration's own
+    stream, are gathered, normalized, checked and scaled by delta at once
+    (see `DrawWindow`), and the state keeps it for the next iterations. A
+    larger draw comes in blocks of c = max(1, min(m, E // (b d))) whole
+    agents, or, when one agent's b d exceeds E, in sub-blocks of max(1, E
+    // d) of its pairs. Each block is evaluated as one (see
+    `estimate_block`), with one scalar ``eval`` per probe: a paired
+    difference evaluates it at x and at x_prev. The estimates equal, bit
+    for bit, the pair-by-pair sums of `two_point_estimate`, divided by b.
 
     At a restart the tracker is reset to the new estimates and gossiped
     ``gossip_rounds`` times, and its consensus error after each round is
@@ -302,7 +360,9 @@ def step(state, matrix, partition, objective, cfg):
     Mutates ``state`` and returns it; a non-finite estimate or iterate
     raises `NumericFailure` naming the agent and iteration and leaves
     ``state`` as it was, counters and restart log included; only its
-    stream cache may have moved on, which changes no later number.
+    caches may have moved on, which changes no later number. So does a
+    draw whose directions fail their unit-norm check (`InvalidParameter`),
+    at the iteration of that draw, also when it sits in a window.
     """
     _require_matrix(matrix)
     if not 0 <= state.k < cfg.iters:
@@ -366,7 +426,7 @@ def _observe(record, objective, state, cfg, t0, stationarity_every, stationarity
     stat = None
     if stationarity_every and (len(record.entries) + 1) % stationarity_every == 0:
         stat = stationarity_estimate(objective, xbar, cfg.delta, stationarity_samples,
-                                     _stream(state, cfg, _LANE_METRICS)).value
+                                     _streams(state, cfg)(_LANE_METRICS, state.k)).value
     record.append(
         RunEntry(
             iteration=state.k,

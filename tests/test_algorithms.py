@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import os
 import resource
@@ -238,13 +239,16 @@ class TestDgfmStep:
                             mega_batch=1), 1),
         (1, DgfmPlusConfig(eta=0.01, delta=1e-3, iters=1, seed=1, period=1, batch=2,
                            mega_batch=100), 0),
-    ], ids=["dgfm-m64", "paired-m64", "gfm-plus-restart"])
+        (1, DgfmConfig(eta=0.01, delta=1e-3, iters=8, seed=1, batch=2), 0),
+    ], ids=["dgfm-m64", "paired-m64", "gfm-plus-restart", "gfm-window"])
     def test_peak_memory_is_bounded_by_the_state_and_the_blocks(self, m, cfg, k):
         # Outside the estimate a step holds at most four (m, d) arrays at once:
         # the estimates, a gossip operand, its product and the next tracker or
         # iterate. The estimate holds the sums at one or two points and one
         # block's directions, steps, points and probes, at most eight blocks of
-        # BLOCK_ENTRIES. An unblocked draw breaks the bound in the last two cases.
+        # BLOCK_ENTRIES. An unblocked draw breaks the bound in the paired and the
+        # restart case. In the last case the step fills a window of eight
+        # iterations' draws, whose directions and steps fill two blocks.
         d = 2000
         obj = QuadraticTest(d, n_samples=2 * m)
         matrix = build_ring(m) if m > 1 else build_complete(1)
@@ -329,6 +333,18 @@ class TestStreamCache:
                                 x_prev=state.x_prev.copy(), k=state.k)
         got = self.trajectory(state, self.config(4), 4)
         want = self.trajectory(uncached, self.config(4), 4)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_a_config_with_another_delta_steps_by_that_delta(self):
+        # the state's cached window holds its next draw with its steps delta w,
+        # formed under the first config's delta
+        state = self.fresh()
+        self.trajectory(state, self.config(3), 4)
+        uncached = NetworkState(x=state.x.copy(), y=state.y.copy(), v=state.v.copy(),
+                                x_prev=state.x_prev.copy(), k=state.k)
+        other = dataclasses.replace(self.config(3), delta=0.02)
+        got = self.trajectory(state, other, 4)
+        want = self.trajectory(uncached, other, 4)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 

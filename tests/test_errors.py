@@ -7,7 +7,7 @@ kept as Python ints. A rate or radius must be positive and finite, so nan,
 inf and 0 are refused. Each refusal is an `InvalidParameter` whose
 ``name`` is the field's, except where a value below a count's floor has
 an error type of its own (`InvalidPartition`, `InvalidTopology`,
-`EmptyBatch`).
+`EmptyBatch`, `ShapeError`).
 """
 
 import math
@@ -29,6 +29,7 @@ from dgfm import (
     parse_libsvm,
     partition,
     sample_batch,
+    sample_sphere,
     sigma_squared,
     stationarity_estimate,
     subset,
@@ -42,6 +43,7 @@ from dgfm.errors import (
     InvalidParameter,
     InvalidPartition,
     InvalidTopology,
+    ShapeError,
     require_int,
     require_positive,
 )
@@ -85,6 +87,7 @@ COUNTS = [
     ("stationarity_estimate", "n_samples", 1, 2, None, InvalidParameter),
     ("sample_batch", "b", 1, 2, lambda batch: batch.size, EmptyBatch),
     ("sample_batch", "d", 1, 3, None, InvalidParameter),
+    ("sample_sphere", "d", 1, 3, None, ShapeError),
     ("NetworkState.initial", "m", 1, 2, lambda state: state.m, InvalidParameter),
     ("partition", "dataset", 0, 10, lambda p: p.n, InvalidParameter),
     ("partition", "m", 1, 2, lambda p: p.m, InvalidPartition),
@@ -132,6 +135,7 @@ ENTRY = {
            field: value}),
     "sample_batch": keyword(sample_batch, indices=np.arange(4), b=2, d=3,
                             rng=substream(0, 2)),
+    "sample_sphere": keyword(sample_sphere, d=3, rng=substream(0, 3)),
     "NetworkState.initial": keyword(NetworkState.initial, m=2, x0=np.zeros(3)),
     "partition": keyword(partition, dataset=10, m=2, seed=0),
     "subset": lambda field, value: subset(

@@ -20,7 +20,12 @@ seeds up to 2^64 and at iterations on either side of a key block's edge
 and of 2^32; and `key_block` gives SeedSequence's own Philox keys. A
 state's cached draw layouts never go stale: stepped under partitions with
 other shard sizes, at other batch sizes, or deep-copied mid-run, it
-moves bit for bit as a state with empty caches does.
+moves bit for bit as a state with empty caches does. Every one-block draw
+the engine takes from a window of several iterations' draws, at a
+window's edges, at restarts, at the budget's end and for lone rows either
+side of einsum's buffer, is bit for bit the iteration's own draw, and
+zero normals in one iteration of a window fail that iteration's step
+alone.
 Records, LIBSVM text and partitions round-trip or cover exactly. The
 batched oracle agrees with scalar ``eval`` row by row: the SVM's CSR
 kernel to round-off, on rows with no nonzeros too, and the base class's
@@ -34,6 +39,7 @@ import math
 import os
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,8 +78,10 @@ from dgfm import (
     two_point_estimate,
     write_records,
 )
+from dgfm import algorithms, smoothing
+from dgfm.algorithms import _draw
 from dgfm.errors import InvalidParameter, SampleIndexError, ShapeError
-from dgfm.rng import KEY_BLOCK, key_block
+from dgfm.rng import KEY_BLOCK, StreamCache, key_block
 from dgfm.smoothing import BLOCK_ENTRIES, UNIT_NORM_TOL, require_unit_norm
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -318,8 +326,11 @@ class ZeroNormals:
     def __init__(self, rng):
         self.integers = rng.integers
 
-    def standard_normal(self, shape):
-        return np.zeros(shape)
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
 
 
 @PROPERTY
@@ -477,6 +488,96 @@ def test_the_cached_draw_layout_never_goes_stale(case):
             assert s.x.tobytes() == fresh.x.tobytes(), (k, s is not state)
         if k == copy_at:
             states.append(copy.deepcopy(state))
+
+
+@st.composite
+def windowed_runs(draw):
+    """Shards, d, a `BLOCK_ENTRIES` value, a config and the first iteration a run draws.
+
+    Three cases in four set E to hold the draws of one to three
+    iterations, so windows of two or three occur, and end inside the
+    budget; the fourth draws one pair per iteration at d = 8192 or 8193,
+    either side of einsum's buffer, whose windows at the default E hold
+    four or three lone rows. The first iteration is often at a key
+    block's edge, and a dgfm-plus config puts restarts inside the run.
+    """
+    lone = draw(st.integers(0, 3)) == 0
+    m, b = (1, 1) if lone else (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    d = draw(st.sampled_from([8192, 8193])) if lone else draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    part = random_shards(sum(sizes), sizes, draw(st.integers(0, 2**16)))
+    entries = BLOCK_ENTRIES if lone else draw(st.integers(m * b * d, 4 * m * b * d - 1))
+    start = draw(st.sampled_from(KEY_EDGES) | st.integers(0, 10_000))
+    common = dict(eta=0.05, delta=draw(st.floats(1e-3, 0.1)), seed=draw(st.integers(0, 2**64)),
+                  iters=start + draw(st.integers(1, 10)), batch=b)
+    if draw(st.booleans()):
+        cfg = DgfmConfig(**common)
+    else:
+        cfg = DgfmPlusConfig(period=draw(st.integers(1, 5)), gossip_rounds=1, **common,
+                             mega_batch=1 if lone else draw(st.integers(1, 4)))
+    return part, d, entries, cfg, start
+
+
+@PROPERTY
+@given(case=windowed_runs())
+# lone rows at the default E: windows of 4 + 1 at d = 8192, of 3 + 2 at 8193
+@example(case=(random_shards(5, [5], 1), 8192, BLOCK_ENTRIES,
+               DgfmConfig(eta=0.05, delta=0.01, iters=5, seed=1), 0))
+@example(case=(random_shards(5, [5], 2), 8193, BLOCK_ENTRIES,
+               DgfmConfig(eta=0.05, delta=0.01, iters=5, seed=2), 0))
+def test_a_windowed_draw_is_each_iterations_own_draw(case):
+    # every one-block draw the engine takes, from a window or alone, at a
+    # window's edges, at restarts and at the budget's end, is bit for bit the
+    # iteration's own draw, and its steps are delta times its directions
+    part, d, entries, cfg, start = case
+    state = NetworkState.initial(part.m, np.zeros(d))
+    with mock.patch.object(smoothing, "BLOCK_ENTRIES", entries):
+        for k in range(start, cfg.iters):
+            state.k = k
+            restart = isinstance(cfg, DgfmPlusConfig) and k % cfg.period == 0
+            b = cfg.mega_batch if restart else cfg.batch
+            if part.m * b * d > entries:  # a draw of several blocks, tested above
+                continue
+            xis, ws = one_block(part.assignment, b, d, cfg.seed, k)
+            [(_, _, own_xis, own_ws)] = step_draw(part.assignment, b, d, cfg.seed, k)
+            [(agents, first, got_xis, got_ws, got_steps)] = _draw(state, part, cfg, b)
+            assert first and range(part.m)[agents] == range(part.m)
+            assert got_xis == xis.reshape(-1).tolist() == own_xis.reshape(-1).tolist()
+            assert got_ws.tobytes() == ws.tobytes() == own_ws.tobytes()
+            assert got_steps.tobytes() == (cfg.delta * ws).tobytes()
+
+
+class ZeroNormalsAt(StreamCache):
+    """A seed's streams, but with zero normals in the draw of iteration ``BAD``."""
+
+    BAD = 2
+
+    def __call__(self, lane, k):
+        rng = super().__call__(lane, k)
+        return ZeroNormals(rng) if (lane, k) == (DRAW_LANE, self.BAD) else rng
+
+
+def test_zero_normals_inside_a_window_fail_their_own_step(monkeypatch):
+    obj = AbsTest(3, n_samples=8)
+    matrix = build_complete(4)
+    part = partition(8, 4, seed=0)
+    cfg = DgfmConfig(eta=0.02, delta=0.01, iters=6, seed=3, batch=2)
+    clean = NetworkState.initial(4, np.linspace(-1.0, 1.0, 3))
+    want = [step(clean, matrix, part, obj, cfg).x.copy() for _ in range(ZeroNormalsAt.BAD)]
+    monkeypatch.setattr(algorithms, "StreamCache", ZeroNormalsAt)
+    state = NetworkState.initial(4, np.linspace(-1.0, 1.0, 3))
+    for x in want:
+        assert step(state, matrix, part, obj, cfg).x.tobytes() == x.tobytes()
+    # the first step filled one window with the draws of all six iterations
+    assert state._window[1:3] == (0, cfg.iters)
+    before = copy.deepcopy(state)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            InvalidParameter, match=r"^directions must be unit norm, worst error nan$"):
+        step(state, matrix, part, obj, cfg)
+    for name in ("x", "y", "v", "x_prev"):
+        assert getattr(state, name).tobytes() == getattr(before, name).tobytes()
+    assert ((state.k, state.oracle_calls, state.comm_rounds, state.restart_log)
+            == (before.k, before.oracle_calls, before.comm_rounds, before.restart_log))
 
 
 @PROPERTY

@@ -172,6 +172,8 @@ class TestBatches:
             sample_batch(np.array([], dtype=int), 2, 3, substream(0, 2))
         with pytest.raises(EmptyBatch, match="shard 1 is empty"):
             DrawLayout([np.arange(2), np.arange(0), np.arange(1)], 2, 3)
+        with pytest.raises(EmptyBatch, match="^no shard to draw from$"):
+            DrawLayout([], 2, 3)
 
     def test_identical_pairs_equal_single(self):
         obj = QuadraticTest(4)

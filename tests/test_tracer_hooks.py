@@ -9,9 +9,10 @@ gossip product per counted communication round. These tests catch all
 three from the package's own suite. The stationarity proxy is
 measurement and evaluates through ``eval_batch``, so the count holds with
 it switched on too. The oracle count is also taken on draws that come in
-several blocks of agents and in sub-blocks of one agent's pairs, with
-``dgfm.smoothing.BLOCK_ENTRIES`` set low: a block that skips or repeats a
-probe then fails here, not only in a traced benchmark run.
+windows of a few iterations, in several blocks of agents and in
+sub-blocks of one agent's pairs, with ``dgfm.smoothing.BLOCK_ENTRIES`` set
+low: a window or block that skips or repeats a probe then fails here, not
+only in a traced benchmark run.
 """
 
 import ast
@@ -67,10 +68,13 @@ def test_every_unused_import_in_algorithms_is_one_the_tracer_patches():
 
 M = 4
 PLUS = dict(period=3, mega_batch=5, batch=2, gossip_rounds=2)
-# BLOCK_ENTRIES values at which the draws below split, at d = 12: 48 puts two
-# agents' pairs (b d = 24) in a block and cuts a mega-batch of 5 pairs into
-# sub-blocks of 4 and 1; 12 gives every pair a sub-block of its own.
-SPLITS = (48, 12)
+# BLOCK_ENTRIES values at which the draws below split, at d = 12: 300 puts
+# the draws of three dgfm iterations (m b d = 96) in one window, of 3, 3 and
+# 2 iterations, and those of two paired dgfm-plus iterations between
+# restarts; 48 puts two agents' pairs (b d = 24) in a block and cuts a
+# mega-batch of 5 pairs into sub-blocks of 4 and 1; 12 gives every pair a
+# sub-block of its own.
+SPLITS = (300, 48, 12)
 
 
 def blocks(m, b, d):
