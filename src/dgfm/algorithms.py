@@ -60,7 +60,7 @@ from .smoothing import (
     spider_difference,  # noqa: F401 -- unused, but perfbench's tracer patches it here
     two_point_estimate,  # noqa: F401 -- unused, but perfbench's tracer patches it here
 )
-from .topology import MixingMatrix, build_complete, mix
+from .topology import MixingMatrix, build_complete
 
 __all__ = [
     "DgfmConfig",
@@ -81,6 +81,8 @@ _LANE_METRICS = 1
 _LANE_SELECT = 2
 # the agents of a draw taken from a window: all of them, in one block
 _ALL = slice(None)
+# a state's window before its first fill: (key, start, stop, window), covering no k
+_NO_WINDOW = (None, 0, 0, None)
 
 
 def _check_config(cfg, *counts):
@@ -183,7 +185,7 @@ class NetworkState:
     restart_log: list = field(default_factory=list)
     _streams: StreamCache = field(default=None, init=False, repr=False, compare=False)
     _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _window: tuple = field(default=(None, 0, 0, None), init=False, repr=False, compare=False)
+    _window: tuple = field(default=_NO_WINDOW, init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, m, x0):
@@ -280,14 +282,16 @@ def _draw(state, partition, cfg, size):
     holds their first pairs, and ``xis``, ``ws`` and ``steps`` its pairs as
     `estimate_block` takes them. A draw that fits one block is taken from
     the state's window of several iterations' draws (see
-    `DrawLayout.draw_window`), filled here when no window cached under
-    this layout, seed and delta covers k. A draw that stands alone, or
-    needs several blocks, comes block by block from `DrawLayout.draw`.
+    `DrawLayout.draw_window`), filled here when the window does not cover
+    k. The caller keeps the window's key current (see
+    `_drop_stale_window`); a run's window always is. A draw that stands
+    alone, or needs several blocks, comes block by block from
+    `DrawLayout.draw`.
     """
-    layout = _layout(state, partition, size)
     k = state.k
-    key, start, stop, window = state._window
-    if key != (layout, cfg.seed, cfg.delta) or not start <= k < stop:
+    _, start, stop, window = state._window
+    if not start <= k < stop:
+        layout = _layout(state, partition, size)
         count = _window_size(cfg, layout.window, k)
         streams = _streams(state, cfg)
         if count < 2:
@@ -297,7 +301,22 @@ def _draw(state, partition, cfg, size):
                                     count, cfg.delta)
         start = k
         state._window = (layout, cfg.seed, cfg.delta), start, k + count, window
-    return [(_ALL, True, *window.block(k - start))]
+    return ((_ALL, True, *window.block(k - start)),)
+
+
+def _drop_stale_window(state, partition, cfg):
+    """Empty the state's window unless it was filled under this partition, seed and delta.
+
+    A window covering k holds iteration k's draw only if it was filled
+    from the draw layout of k's batch size over the partition's shards
+    and d, and under the config's seed and delta.
+    """
+    key, start, stop, _ = state._window
+    if start <= state.k < stop:
+        restart = isinstance(cfg, DgfmPlusConfig) and state.k % cfg.period == 0
+        size = cfg.mega_batch if restart else cfg.batch
+        if key != (_layout(state, partition, size), cfg.seed, cfg.delta):
+            state._window = _NO_WINDOW
 
 
 def _estimates(state, partition, objective, cfg, size, paired):
@@ -355,14 +374,19 @@ def step(state, matrix, partition, objective, cfg):
     folded in. Both cases end with the gossiped descent step on x. The
     state's oracle-call and communication-round counters grow by
     `dgfm.iteration_cost(cfg, m, k)`. The state's k must lie in [0,
-    ``cfg.iters``) (`BudgetExceeded`), and the partition must give each of
-    the state's agents a shard of the objective's samples (`ShapeError`).
-    Mutates ``state`` and returns it; a non-finite estimate or iterate
-    raises `NumericFailure` naming the agent and iteration and leaves
-    ``state`` as it was, counters and restart log included; only its
-    caches may have moved on, which changes no later number. So does a
-    draw whose directions fail their unit-norm check (`InvalidParameter`),
-    at the iteration of that draw, also when it sits in a window.
+    ``cfg.iters``) (`BudgetExceeded`), the matrix must be a `MixingMatrix`
+    (`InvalidTopology`) of the state's agents, and the partition must give
+    each of them a shard of the objective's samples (`ShapeError`). A
+    state's window of draws is kept only if it was filled under this
+    partition, seed and delta. Past these checks, which `dgfm_run` makes
+    once per run, each gossip round is the product ``matrix.weights @ z``
+    that `mix` returns. Mutates ``state`` and returns it; a non-finite
+    estimate or iterate raises `NumericFailure` naming the agent and
+    iteration and leaves ``state`` as it was, counters and restart log
+    included; only its caches may have moved on, which changes no later
+    number. So does a draw whose directions fail their unit-norm check
+    (`InvalidParameter`), at the iteration of that draw, also when it sits
+    in a window.
     """
     _require_matrix(matrix)
     if not 0 <= state.k < cfg.iters:
@@ -370,16 +394,26 @@ def step(state, matrix, partition, objective, cfg):
     if state.m != matrix.m:
         raise ShapeError(f"state has {state.m} agents, topology has {matrix.m}")
     _require_partition(partition, state.m, objective)
-    m, d = state.x.shape
+    _drop_stale_window(state, partition, cfg)
+    return _advance(state, _gossip_weights(matrix), partition, objective, cfg)
+
+
+def _gossip_weights(matrix):
+    """The weights a gossip round multiplies by, or None for one agent, who has no neighbours."""
+    return None if matrix.m == 1 else matrix.weights
+
+
+def _advance(state, weights, partition, objective, cfg):
+    """`step` past its checks: ``weights`` from `_gossip_weights`, the state's window current.
+
+    A gossip round is ``weights @ z``, the product `mix` returns, and W =
+    [[1]] (``weights`` None) leaves z as it is.
+    """
+    m = state.x.shape[0]
     k = state.k
     recursive = isinstance(cfg, DgfmPlusConfig)
     restart = recursive and k % cfg.period == 0
     size = cfg.mega_batch if restart else cfg.batch
-
-    def gossip(z):
-        # a single agent has no neighbours: W = [[1]] leaves z as it is
-        return z if m == 1 else mix(matrix, z)
-
     v_new = _estimates(state, partition, objective, cfg, size, paired=recursive and not restart)
     _require_finite(v_new, "estimate", k)
     if restart:
@@ -387,17 +421,21 @@ def step(state, matrix, partition, objective, cfg):
         # consensus_error of each round, past its input checks
         trace = [_spread(y_new, _row_mean(y_new))]
         for _ in range(cfg.gossip_rounds):
-            y_new = gossip(y_new)
+            if weights is not None:
+                y_new = weights @ y_new
             trace.append(_spread(y_new, _row_mean(y_new)))
     else:
         # (y - v) + v_new, in that order, keeps the m = 1 path bit-equal to
         # plain descent; one temporary holds it.
         y_new = state.y - state.v
         y_new += v_new
-        y_new = gossip(y_new)
+        if weights is not None:
+            y_new = weights @ y_new
     # x - eta y_new, in one temporary
     x_new = cfg.eta * y_new
-    x_new = gossip(np.subtract(state.x, x_new, out=x_new))
+    np.subtract(state.x, x_new, out=x_new)
+    if weights is not None:
+        x_new = weights @ x_new
     _require_finite(x_new, "iterate", k)
     # commit the iteration as a whole: a failure above leaves the state untouched
     if restart:
@@ -472,6 +510,11 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
     ``iters`` is not a multiple of the period. Per-restart gossip
     diagnostics are logged into the record.
 
+    The run checks the matrix and the partition once, before its first
+    step, and its loop stays inside the budget; it then advances through
+    the body of `step` without `step`'s checks, so each iteration is that
+    of `step`, bit for bit.
+
     Returns
     -------
     (NetworkState, RunRecord)
@@ -499,9 +542,10 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
     if keep_iterates and recorded:
         pick = _draw_output(cfg.seed, m * recorded)
         output_k, output_agent = (pick // m + 1) * record_every, pick % m
+    weights = _gossip_weights(matrix)
     t0 = perf_counter()
     for _ in range(cfg.iters):
-        step(state, matrix, partition, objective, cfg)
+        _advance(state, weights, partition, objective, cfg)
         if state.k % record_every == 0:
             _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples)
         if state.k == output_k:

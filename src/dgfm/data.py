@@ -35,6 +35,7 @@ Files ending in ``.gz`` are decompressed transparently.
 import gzip
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,7 +382,7 @@ def partition(dataset, m, seed):
     baselines.
     """
     n = dataset.n if isinstance(dataset, SparseDataset) else require_int(0, dataset=dataset)
-    if m < 1:
+    if isinstance(m, numbers.Real) and m < 1:
         raise InvalidPartition(f"need at least one agent, got {m}")
     m = require_int(1, m=m)
     if n < m:

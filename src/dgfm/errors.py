@@ -4,8 +4,8 @@ A count (size, batch, period, rounds, iterations, samples) or a seed is an
 integer, numpy integers included, and is kept as a Python int; a count has
 a floor, usually 1, and a seed is >= 0 (`require_int`). A rate, radius or
 constant (step size, smoothing radius, Lipschitz constant, accuracy) is
-positive and finite (`require_positive`). A value that breaks its rule
-raises `InvalidParameter`, whose ``name`` names it.
+a real number, positive and finite (`require_positive`). A value that
+breaks its rule raises `InvalidParameter`, whose ``name`` names it.
 """
 
 import math
@@ -42,8 +42,10 @@ class InvalidParameter(ValueError):
 
 
 def require_positive(**values):
-    """Raise InvalidParameter unless each value v satisfies 0 < v < inf."""
+    """Raise InvalidParameter unless each value v is a real number with 0 < v < inf."""
     for name, value in values.items():
+        if not isinstance(value, numbers.Real):  # a string or None: no comparison to make
+            raise InvalidParameter(f"must be positive and finite, got {value!r}", name)
         if not 0 < value < math.inf:  # a nan fails too
             raise InvalidParameter(f"must be positive and finite, got {value}", name)
 

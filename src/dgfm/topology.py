@@ -12,9 +12,10 @@ reports it for any square matrix (1 for a disconnected one), and
 
 Matrices are stored dense; the network sizes of interest are at most a few
 hundred agents. The Kronecker lift A (x) I_d is never materialized: `mix`
-applies it as a plain (m, m) x (m, d) product. `mix` is the one gossip
-round in the package (the optimizers gossip through it); several rounds
-are several calls. Weights come from the ring, complete and
+applies it as a plain (m, m) x (m, d) product, ``weights @ z``, after
+checking its input; the optimizers, whose stacked states are checked once
+per run, apply the same product without those checks. Several rounds
+are several products. Weights come from the ring, complete and
 Metropolis-Hastings constructors, each a few whole-array numpy operations:
 the ring is the identity plus its two cyclic shifts (``np.roll``), scaled
 by 1/3; the complete graph is J; Metropolis-Hastings puts
@@ -23,6 +24,7 @@ degrees, and the remainder on the diagonal. The last one is fed by a 0/1
 adjacency file through `load_adjacency`.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -195,7 +197,7 @@ def build_ring(m):
     The equal 1/3 split is the simplest symmetric doubly stochastic choice
     for a ring. Requires m >= 3 (below that the ring degenerates).
     """
-    if m < 3:
+    if isinstance(m, numbers.Real) and m < 3:
         raise InvalidTopology(f"ring topology needs at least 3 agents, got {m}")
     m = require_int(3, m=m)
     eye = np.eye(m)
@@ -205,7 +207,7 @@ def build_ring(m):
 
 def build_complete(m):
     """Fully connected topology: the averaging matrix J itself (rho = 0)."""
-    if m < 1:
+    if isinstance(m, numbers.Real) and m < 1:
         raise InvalidTopology(f"need at least one agent, got {m}")
     return MixingMatrix.from_weights(averaging_matrix(require_int(1, m=m)))
 

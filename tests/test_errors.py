@@ -1,10 +1,10 @@
 """The value rules of `dgfm.errors`, over every entry point that takes a
 count, seed, rate or radius.
 
-A count or seed must be an integer at or above its floor, so 2.5, nan, inf
-and the value below the floor are refused; numpy integers are accepted and
-kept as Python ints. A rate or radius must be positive and finite, so nan,
-inf and 0 are refused. Each refusal is an `InvalidParameter` whose
+A count or seed must be an integer at or above its floor, so 2.5, nan, inf,
+the value below the floor, a string and None are refused; numpy integers
+are accepted and kept as Python ints. A rate or radius must be a positive
+and finite number, so nan, inf, 0, a string and None are refused. Each refusal is an `InvalidParameter` whose
 ``name`` is the field's, except where a value below a count's floor has
 an error type of its own (`InvalidPartition`, `InvalidTopology`,
 `EmptyBatch`, `ShapeError`).
@@ -149,15 +149,21 @@ ENTRY = {
     "build_complete": lambda field, value: build_complete(value),
 }
 
+# Values that are no numbers; no floor applies to them. A subset seed of
+# None asks for the first n rows, so it is not a bad value there.
+NOT_NUMBERS = ("3", None)
 BAD_COUNTS = [(entry, field, value, error if value < floor else InvalidParameter)
               for entry, field, floor, _, _, error in COUNTS
               for value in (2.5, math.nan, math.inf, floor - 1)]
+BAD_COUNTS += [(entry, field, value, InvalidParameter)
+               for entry, field, *_ in COUNTS for value in NOT_NUMBERS
+               if not (field == "subset seed" and value is None)]
 BAD_RATES = [(entry, field, value) for entry, field in RATES
-             for value in (math.nan, math.inf, 0.0)]
+             for value in (math.nan, math.inf, 0.0, "0.1", None)]
 
 
 def case_id(entry, field, value, *_):
-    return f"{entry}-{field}-{value}"
+    return f"{entry}-{field}-{value!r}"
 
 
 @pytest.mark.parametrize("entry, field, value, error", BAD_COUNTS,
@@ -197,5 +203,8 @@ def test_the_helpers_state_the_rules():
     require_positive(a=1e-300, b=np.float32(2.5))
     with pytest.raises(InvalidParameter, match=r"^b must be positive and finite, got -inf$"):
         require_positive(a=1.0, b=-math.inf)
+    for value, shown in (("2", "'2'"), (None, "None"), (1j, r"1j")):
+        with pytest.raises(InvalidParameter, match=rf"^a must be positive and finite, got {shown}$"):
+            require_positive(a=value)
     unnamed = InvalidParameter("x0 must be finite")
     assert unnamed.name is None and str(unnamed) == "x0 must be finite"

@@ -238,3 +238,56 @@ def test_oracle_and_observation_keep_their_summation_order(case):
     want = (np.maximum(1.0 - labels[xis] * dots, 0.0)
             + lam * np.minimum(np.abs(P), alpha).sum(axis=1))
     assert obj.eval_batch(P, xis).tobytes() == want.tobytes()
+
+
+@st.composite
+def int32_csr_cases(draw):
+    """An int32-indexed CSR matrix with empty rows, one-entry rows and negative values.
+
+    Also labels, a penalty, a point and a batch of (row of P, sample index)
+    pairs; the points' scale spans four decades.
+    """
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    counts = rng.integers(0, d + 1, n)
+    counts[:2] = 0, 1
+    rng.shuffle(counts)
+    indices = np.concatenate([np.sort(rng.choice(d, k, replace=False)) for k in counts])
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    features = sp.csr_matrix((rng.uniform(-2.0, 2.0, indices.size), indices, indptr), (n, d))
+    labels = rng.choice([-1.0, 1.0], n)
+    lam, alpha = draw(st.sampled_from([0.0, 1e-5 / n, 0.1])), draw(st.floats(0.01, 3.0))
+    x = 10.0 ** rng.uniform(-2.0, 2.0) * rng.standard_normal(d)
+    r = draw(st.integers(0, 2 * n))
+    P = 10.0 ** rng.uniform(-2.0, 2.0, (r, 1)) * rng.standard_normal((r, d))
+    return features, labels, lam, alpha, x, P, rng.integers(0, n, r)
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=int32_csr_cases())
+def test_the_svm_reads_intp_indices_as_int32_ones_read(case):
+    # the SVM keeps its own intp indices and row bounds; every value it gives
+    # is bit for bit the same computation through the caller's int32 ones
+    features, labels, lam, alpha, x, P, xis = case
+    assert features.indices.dtype == features.indptr.dtype == np.int32
+    before = [a.copy() for a in (features.data, features.indices, features.indptr)]
+    obj = CappedL1Svm(features, labels, lam=lam, alpha=alpha)
+    after = (features.data, features.indices, features.indptr)
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    assert obj._indices.dtype == obj._indptr.dtype == np.intp
+    assert obj._matrix.indices is obj._indices and obj._matrix.indptr is obj._indptr
+    idx32, ptr32 = features.indices, features.indptr
+    data = features.data * np.repeat(labels, np.diff(ptr32))
+    penalty = lam * float(np.add.reduce(np.minimum(np.abs(x), alpha)))
+    for xi in range(features.shape[0]):
+        lo, hi = ptr32[xi], ptr32[xi + 1]
+        hinge = max(1.0 - float(data[lo:hi].dot(x.take(idx32[lo:hi]))), 0.0)
+        assert bits(obj.eval(x, xi)) == bits(hinge + penalty), xi
+    hinge = np.maximum(1.0 - labels * (features @ x), 0.0)
+    assert bits(obj.full_loss(x)) == bits(float(np.add.reduce(hinge) / len(labels)) + penalty)
+    counts = ptr32[xis + 1] - ptr32[xis]
+    rows = np.repeat(np.arange(len(xis)), counts)
+    nz = np.concatenate([np.arange(ptr32[xi], ptr32[xi + 1]) for xi in xis] + [[]]).astype(int)
+    dots = np.bincount(rows, weights=data[nz] * P[rows, idx32[nz]], minlength=len(xis))
+    want = np.maximum(1.0 - dots, 0.0) + lam * np.minimum(np.abs(P), alpha).sum(axis=1)
+    assert obj.eval_batch(P, xis).tobytes() == want.tobytes()
