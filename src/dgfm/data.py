@@ -19,6 +19,22 @@ are not text, other characters (letters but the exponent's, ``_``,
 non-ASCII digits, other whitespace, a CR not followed by LF), ``nan``,
 ``inf`` or a number that overflows to it, and a signed index.
 
+Numbers are read eight bytes at a time. The 8 bytes that end a field are
+loaded as one little-endian 64-bit word, and three multiply-and-shift
+steps combine eight digits held in a word (Lemire, "Number Parsing at a
+Gigabyte per Second", 2021). An index of at most 8 digits is one such
+word; a longer one adds its other digits one at a time. A label or value
+of at most 8 bytes of the form ``[+-]digits[.digits]`` (also ``.5`` and
+``5.``) has its sign and dot taken out, and is its digits' integer m over
+10**k, with k digits after the dot. As m < 10**8 and 10**k are exact
+doubles, the one division rounds correctly (Clinger, "How to Read
+Floating Point Numbers Accurately", 1990): the value is the correctly
+rounded decimal, as numpy's string conversion gives it, bit for bit and
+``-0`` included. Every other field (9 bytes or more, an exponent, anything
+malformed) is handed over unchanged to numpy's conversion of fixed-width
+byte strings, and a field that fails there sends the block to the
+line-by-line checks, which name the line.
+
 Indices are converted to 0-based at the parse boundary and nowhere else.
 Labels are normalized to {-1, +1} by one rule over the file's label set:
 
@@ -64,6 +80,28 @@ BLOCK_BYTES = 1 << 16
 MAX_INDEX = 2**31
 # Every byte the grammar allows.
 _TEXT = b"0123456789+-.eE: \t\n"
+
+
+def _bytes_of(byte):
+    """The uint64 with ``byte`` in each of its 8 bytes."""
+    return np.uint64(byte * 0x0101010101010101)
+
+
+# Constants of the word arithmetic of `_digit_words`, `_eight_digits` and
+# `_decimal_words`, as uint64 so that it stays in wrapping uint64 arrays.
+_ZEROS, _DOT_DIGITS, _BIG_DIGITS = (_bytes_of(b) for b in (0x30, ord(".") ^ 0x30, 0x76))
+_HIGH_BITS, _LOW_SEVEN_BITS, _ONES = (_bytes_of(b) for b in (0x80, 0x7F, 0x01))
+# Multipliers that combine digit pairs, then fours, then the eight, and the
+# masks that keep the pairs and the fours.
+_PAIRS, _FOURS, _EIGHTS = (np.uint64(f * 2**s + 1) for f, s in ((10, 8), (100, 16), (10000, 32)))
+_PAIR_MASK, _FOUR_MASK = np.uint64(0x00FF00FF00FF00FF), np.uint64(0x0000FFFF0000FFFF)
+# A word times this holds 8 - p in its top byte when it is 1 << 8 p.
+_DOT_PLACE = np.uint64(0x0807060504030201)
+# _LAST_BYTES[n] keeps a word's last n bytes; _AFTER_DOT[j] keeps the bytes
+# after a dot whose j is as in `_decimal_words`, or all without a dot.
+_LAST_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
+_AFTER_DOT = np.concatenate(([_LAST_BYTES[8]], _LAST_BYTES[:8]))
+_POWERS = np.array([1.0] + [10.0**k for k in range(8)])
 
 
 @dataclass(frozen=True)
@@ -171,15 +209,18 @@ def _parse_block(block):
 
     Returns the block's labels, row lengths, 0-based indices, values, width
     (largest 1-based index) and line count, or None if it breaks the
-    grammar. Positions index the block's bytes ``a``; every temporary is as
-    long as the block's bytes or tokens.
+    grammar. Positions index the bytes ``a``: the block after 8 zero bytes,
+    which separate tokens like spaces and let every word of `_digit_words`
+    start inside ``a``. Indices and numbers are read eight bytes at a time,
+    as the module docstring says. Every temporary is as long as the block's
+    bytes or tokens.
     """
     if block.translate(None, _TEXT):
         return None
-    a = np.frombuffer(block, dtype=np.uint8)
+    a = np.frombuffer(bytes(8) + block, dtype=np.uint8)
     sep = np.empty(a.shape[0] + 1, dtype=bool)  # sep[i + 1]: a[i] separates tokens
     sep[0] = True
-    np.less_equal(a, 32, out=sep[1:])  # space, tab or LF: no other byte this low is left
+    np.less_equal(a, 32, out=sep[1:])  # space, tab, LF or pad: no other byte this low is left
     edges = np.flatnonzero(sep[1:] != sep[:-1])
     del sep
     starts, ends = edges[0::2], edges[1::2]  # token t is a[starts[t]:ends[t]]
@@ -188,6 +229,7 @@ def _parse_block(block):
     label[:1] = True
     first = np.searchsorted(starts, newline)
     label[first[first < starts.shape[0]]] = True
+    del first
     feature = ~label
     begin = starts[feature]
     colon = np.flatnonzero(a == 58)
@@ -198,8 +240,12 @@ def _parse_block(block):
         return None
     width = colon - begin
     del begin
-    index = np.zeros(colon.shape[0], dtype=np.int64)
-    for k in range(width.max(initial=0)):
+    # the last 8 digits in one word; longer indices add digits one at a time
+    index = _digit_words(a, colon, width)
+    if not _eight_digits(index).all():
+        return None
+    index = index.view(np.int64)
+    for k in range(8, width.max(initial=0)):
         # the k-th digit from the right; shorter indices read another byte
         # (or wrap around), which is zeroed
         digit = a[colon - 1 - k] - np.uint8(48)
@@ -210,22 +256,132 @@ def _parse_block(block):
             index += np.multiply(digit, 10**k, dtype=np.int64)
         elif digit.any():
             return None
+    del width
     if not ((index >= 1) & (index <= MAX_INDEX)).all():
         return None
     after_label = label[:-1][feature[1:]]  # a row's first feature
     if not (after_label[1:] | (index[1:] > index[:-1])).all():
         return None
-    field = starts.copy()  # the label, or the value after a feature's colon
-    field[feature] = colon + 1
-    numbers = _to_float(a, field, ends - field)
+    del after_label
+    starts[feature] = colon + 1  # now the label, or the value after a feature's colon
+    del colon
+    numbers = _to_float(a, starts, ends)
     if numbers is None or not np.isfinite(numbers).all():
         return None
     row_nnz = np.diff(np.append(np.flatnonzero(label), label.shape[0])) - 1
-    return (numbers[label], row_nnz, (index - 1).astype(np.int32), numbers[feature],
-            int(index.max(initial=0)), newline.shape[0])
+    largest = int(index.max(initial=0))
+    index -= 1
+    return (numbers[label], row_nnz, index.astype(np.int32), numbers[feature], largest,
+            newline.shape[0])
 
 
-def _to_float(a, start, length):
+def _digit_words(a, end, size):
+    """The 8 bytes of ``a`` before each position ``end``, as little-endian
+    words, so a word's lowest byte is its first in the text, with each byte
+    XOR ``0``: a digit byte holds the digit's value. Each word keeps its
+    last ``size`` bytes (all 8 if ``size`` exceeds 8); its other bytes are
+    zero, which reads as the digit 0."""
+    # indexed, not taken: take would copy the 8-fold window view first
+    words = np.ndarray((a.shape[0] - 7,), dtype="<u8", buffer=a, strides=(1,))[end - 8]
+    words = words.astype(np.uint64, copy=False)  # a copy on big-endian hosts only
+    words ^= _ZEROS
+    words &= _LAST_BYTES.take(size, mode="clip")
+    return words
+
+
+def _eight_digits(words):
+    """Which words of `_digit_words` hold 8 digits; each such word is
+    replaced in place by the 8 digits' value, and any other by garbage.
+
+    Every byte is below 0x80, so none carries into the next when 0x76 is
+    added, and its top bit is then set exactly when the byte exceeds 9. The
+    three multiply-and-shift steps that combine the digits are those of
+    Lemire, "Number Parsing at a Gigabyte per Second" (2021).
+    """
+    test = words + _BIG_DIGITS
+    test &= _HIGH_BITS
+    ok = test == 0
+    del test
+    words *= _PAIRS
+    words >>= 8
+    words &= _PAIR_MASK
+    words *= _FOURS
+    words >>= 16
+    words &= _FOUR_MASK
+    words *= _EIGHTS
+    words >>= 32
+    return ok
+
+
+def _to_float(a, start, end):
+    """float64 of the fields ``a[start:end]``, or None if one is not a
+    decimal number.
+
+    A field of at most 8 bytes of the form ``[+-]digits[.digits]`` is read
+    by `_decimal_words`. Every other field, such as one of 9 bytes or more,
+    one with an exponent or one that is malformed, is handed to
+    `_string_floats`, which parses it with numpy's ``astype``.
+    """
+    out, exact = _decimal_words(a, start, end)
+    rest = np.flatnonzero(~exact)
+    if rest.shape[0]:
+        numbers = _string_floats(a, start[rest], end[rest] - start[rest])
+        if numbers is None:
+            return None
+        out[rest] = numbers
+    return out
+
+
+def _decimal_words(a, start, end):
+    """The values of the fields ``a[start:end]`` read as words, and which
+    of them are exact: those of at most 8 bytes with an optional sign, at
+    least one digit and at most one dot.
+
+    The sign byte and the bytes before the field read as the digit 0, and
+    the dot's place is closed by moving the bytes before it up one byte, so
+    the word holds the digits right-aligned. With k digits after the dot,
+    the value is the digits' integer divided by 10**k. Both are below
+    2**53, so they are exact doubles and the one division rounds correctly:
+    the value equals numpy's ``astype`` of the field bit for bit, ``-0``
+    included.
+    """
+    length = end - start
+    lead = a[start]
+    negative = lead == 45
+    short = length <= 8
+    size = length - (negative | (lead == 43))  # the field's bytes but a sign
+    del length, lead
+    words = _digit_words(a, end, size)
+    # words ^ _DOT_DIGITS is zero exactly in the bytes that hold a dot: 0x01 there
+    dot = words ^ _DOT_DIGITS
+    dot += _LOW_SEVEN_BITS
+    dot >>= 7
+    dot &= _ONES
+    dot ^= _ONES
+    # j = 8 - p for one dot in byte p, so k = j - 1 digits follow it; 0
+    # without a dot. With more dots j is the sum of theirs, at most 36, and
+    # a dot stays in the word whichever byte j names, so the digit test
+    # fails.
+    dot *= _DOT_PLACE
+    dot >>= 56
+    j = dot.view(np.int64)
+    exact = size > (j != 0)  # a digit besides the dot
+    exact &= short
+    del size, short
+    shifted = words << 8
+    words ^= shifted
+    words &= _AFTER_DOT.take(j, mode="clip")
+    words ^= shifted
+    del shifted
+    exact &= _eight_digits(words)
+    values = words.astype(np.float64)
+    del words
+    values /= _POWERS.take(j, mode="clip")
+    np.negative(values, out=values, where=negative)
+    return values, exact
+
+
+def _string_floats(a, start, length):
     """float64 of the fields ``a[start:start + length]``, or None if one is
     not a decimal number.
 

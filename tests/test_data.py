@@ -1,11 +1,12 @@
 import gzip
 import io
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_svm_text
@@ -18,7 +19,14 @@ from dgfm import (
     subset,
     to_libsvm,
 )
-from dgfm.data import BLOCK_BYTES, MAX_INDEX
+from dgfm.data import (
+    BLOCK_BYTES,
+    MAX_INDEX,
+    _blocks,
+    _digit_words,
+    _eight_digits,
+    _parse_block,
+)
 from dgfm.errors import InvalidParameter, InvalidPartition, ParseError
 
 
@@ -274,6 +282,21 @@ def filler(label, min_bytes):
 LABEL_SETS = [("-1", "+1", "1", "-1.0", "1e0", "+1.", "-.1e1", "01"), ("0", "1", "0.0", "+1"),
               ("1", "2", "2.0"), ("3.5", "-2e1", "7")]
 FINITE = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def word_sized_decimals(draw):
+    """Decimals of exactly 8 or 9 bytes, the longest a word holds and one
+    more: an optional sign, then digits with a dot in any place or none."""
+    size = draw(st.sampled_from([8, 9]))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    body = list(draw(st.text("0123456789", min_size=size - len(sign), max_size=size - len(sign))))
+    dot = draw(st.integers(-1, len(body) - 1))
+    if dot >= 0:
+        body[dot] = "."
+    return sign + "".join(body)
+
+
 DECIMALS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     FINITE.map(lambda v: f"{v:.6g}"),
@@ -281,6 +304,10 @@ DECIMALS = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from([".5", "5.", "-.5", "+0", "-0", "-0.0", "007", "1e5", "1E+05", "2e-3",
                      "+.25e1"]),
+    word_sized_decimals(),
+    st.integers(-10**8 + 1, 10**8 - 1).filter(lambda v: abs(v) >= 10**6).map(str),
+    st.sampled_from(["-0000000", "+0000000", "-0.00000", "+.000000", "1234567.", ".1234567",
+                     "-1234567", "+1234567", "99999999", "-9999999.", "+.9999999"]),
 )
 SPACE = st.sampled_from([" ", "\t", "  ", " \t", "\t\t "])
 EDGE = st.sampled_from(["", " ", "\t", " \t "])
@@ -294,7 +321,7 @@ def libsvm_lines(draw, labels):
     else:
         index = sorted(draw(st.sets(st.integers(1, 10**6), max_size=8 if kind == "features" else 0)))
         fields = [draw(st.sampled_from(labels))]
-        fields += [f"{i:0{draw(st.integers(0, 9))}d}:{draw(DECIMALS)}" for i in index]
+        fields += [f"{i:0{draw(st.integers(0, 12))}d}:{draw(DECIMALS)}" for i in index]
         body = draw(EDGE) + "".join(f + draw(SPACE) for f in fields[:-1]) + fields[-1] + draw(EDGE)
     return body + draw(st.sampled_from(["\n", "\r\n"]))
 
@@ -329,7 +356,9 @@ class TestBulkParse:
                 "index not numeric": "1 1.5:1", "empty index": "1 :1", "empty value": "1 1:",
                 "two colons": "1 1:2:3", "index below one": "1 0:1", "negative index": "1 -3:1",
                 "repeated index": "1 3:1 3:2", "decreasing index": "1 3:1 2:2",
-                "non-ASCII letter": "1 1:\u00e9"}
+                "non-ASCII letter": "1 1:\u00e9", "two dots": "1 1:1.2.3", "two minus signs": "1 1:--1",
+                "inner minus sign": "1 1:1-2", "two signs": "1 1:+-1", "dot alone": "1 1:.",
+                "sign alone": "1 1:-"}
 
     @pytest.mark.parametrize("bad", REJECTED.values(), ids=REJECTED.keys())
     def test_bad_line_in_the_second_block_is_named_alike(self, bad):
@@ -338,6 +367,27 @@ class TestBulkParse:
         want = reference_outcome(text)
         assert want[0] == lead.count("\n") + 2
         assert outcome(text) == want
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(value=st.text("0123456789+-.eE", min_size=1, max_size=10))
+    def test_any_short_value_field_reads_as_the_per_token_parser_reads_it(self, value):
+        try:
+            finite = math.isfinite(float(value))
+        except ValueError:
+            finite = True  # refused by both
+        assume(finite)  # the per-token parser took inf; the grammar refuses it
+        text = filler("1", 100) + f"-1 1:{value} 2:1\n"
+        assert_same_outcome(outcome(text), reference_outcome(text))
+
+    def test_a_word_reads_the_text_little_endian(self):
+        text = b" 12345678:9\n"
+        a = np.frombuffer(bytes(8) + text, dtype=np.uint8)
+        colon = np.array([8 + text.index(b":")])
+        words = _digit_words(a, colon, np.array([8]))
+        digits = bytes(b ^ 0x30 for b in b"12345678")
+        assert words.tolist() == [int.from_bytes(digits, "little")]
+        assert _eight_digits(words).tolist() == [True]
+        assert words.tolist() == [12345678]
 
     # One line of each kind the grammar refuses and the per-token parser did not
     # (it took them, or failed on an index past int32 with an OverflowError).
@@ -395,3 +445,29 @@ class TestBulkParse:
         csr = ds.features
         kept = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes + ds.labels.nbytes
         assert peak <= 3 * kept
+
+    # A multiple of the block's bytes above the parser's peak on either block:
+    # a9a-shaped blocks peaked near 20 times their bytes when every number
+    # went through numpy's string conversion, and 8-byte decimals near 10.
+    BLOCK_PEAK = 30
+
+    @pytest.mark.parametrize("kind", ["a9a-shaped", "8-byte decimals"])
+    def test_peak_memory_of_one_block_is_bounded_by_its_bytes(self, kind):
+        if kind == "a9a-shaped":
+            text = synthetic_svm_text()
+        else:
+            rng = np.random.default_rng(0)
+            text = "".join(
+                "+1 " + " ".join(f"{j}:{v:.6f}" for j, v in enumerate(rng.random(12), 1)) + "\n"
+                for _ in range(1000))
+        block = next(_blocks(io.BytesIO(text.encode()).read))
+        assert len(block) > BLOCK_BYTES - 200
+        _parse_block(block)
+        tracemalloc.start()
+        try:
+            parsed = _parse_block(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed is not None
+        assert peak <= self.BLOCK_PEAK * len(block)
