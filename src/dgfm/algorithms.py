@@ -21,8 +21,11 @@ Every stochastic draw comes from a counter-based stream keyed by
 (seed, lane, iteration), which a run opens by re-keying one cached Philox
 (see :mod:`dgfm.rng`). An iteration draws every agent's pairs at once, and
 agent i's pairs are row i of that draw; small draws of consecutive
-iterations are made together, each from its own iteration's stream, with
-the same numbers. So the agent updates inside one iteration are
+iterations are made together, each from its own iteration's stream, and
+large ones (at least `dgfm.smoothing.PAIR_FLOOR` entries) two at a time,
+the second on a worker thread beside the first, when the process may run
+on more than one CPU. Either way the numbers are those of one draw per
+iteration. So the agent updates inside one iteration are
 independent and could run in any order or in parallel with identical
 results; the gossip applications are the synchronization barriers. Exact
 invariants (used heavily by the tests): the mean of the tracking variable
@@ -79,8 +82,6 @@ __all__ = [
 _LANE_DRAW = 0
 _LANE_METRICS = 1
 _LANE_SELECT = 2
-# the agents of a draw taken from a window: all of them, in one block
-_ALL = slice(None)
 # a state's window before its first fill: (key, start, stop, window), covering no k
 _NO_WINDOW = (None, 0, 0, None)
 
@@ -168,11 +169,13 @@ class NetworkState:
     each batch size the run draws, rebuilt when the partition's shards or
     the dimension change; and a `DrawWindow` of the draws of the iterations
     from k on, with the layout, seed and delta it was filled under and the
-    iterations it covers, refilled when one of those changes or k leaves
-    them. Its directions and steps take at most two blocks of
-    `dgfm.smoothing.BLOCK_ENTRIES`. The caches give exactly the streams of
-    `substream` and the draws of a fresh `DrawLayout`, so copying a state,
-    or dropping its caches, changes no number.
+    iterations it covers, dropped when k leaves them and refilled when one
+    of those changes. Its directions and steps take at most two blocks of
+    `dgfm.smoothing.BLOCK_ENTRIES`; a pair's directions take at most
+    `dgfm.smoothing.PAIR_BLOCKS` blocks, and its steps one block at a
+    time. The caches give exactly the streams of `substream` and the draws
+    of a fresh `DrawLayout`, so copying a state, or dropping its caches,
+    changes no number.
     """
 
     x: np.ndarray
@@ -280,28 +283,32 @@ def _draw(state, partition, cfg, size):
 
     ``agents`` is the slice of agents a block covers, ``first`` whether it
     holds their first pairs, and ``xis``, ``ws`` and ``steps`` its pairs as
-    `estimate_block` takes them. A draw that fits one block is taken from
-    the state's window of several iterations' draws (see
-    `DrawLayout.draw_window`), filled here when the window does not cover
-    k. The caller keeps the window's key current (see
-    `_drop_stale_window`); a run's window always is. A draw that stands
-    alone, or needs several blocks, comes block by block from
-    `DrawLayout.draw`.
+    `estimate_block` takes them. A draw is taken from the state's window
+    of several iterations' draws (see `DrawLayout.draw_window`), filled
+    here, from k on, when the window does not cover k or has handed k's
+    draw of a pair out already; a pair's two streams come from
+    `dgfm.rng.StreamCache.pair`. The caller keeps the window's key current
+    (see `_drop_stale_window`); a run's window always is. A draw that
+    stands alone comes block by block from `DrawLayout.draw`.
     """
     k = state.k
     _, start, stop, window = state._window
-    if not start <= k < stop:
-        layout = _layout(state, partition, size)
-        count = _window_size(cfg, layout.window, k)
-        streams = _streams(state, cfg)
-        if count < 2:
-            return ((agents, pairs.start == 0, xis.reshape(-1).tolist(), ws, cfg.delta * ws)
-                    for agents, pairs, xis, ws in layout.draw(streams(_LANE_DRAW, k)))
-        window = layout.draw_window((streams(_LANE_DRAW, j) for j in range(k, k + count)),
-                                    count, cfg.delta)
-        start = k
-        state._window = (layout, cfg.seed, cfg.delta), start, k + count, window
-    return ((_ALL, True, *window.block(k - start)),)
+    blocks = window.take(k - start) if start <= k < stop else None
+    if blocks is not None:
+        return blocks
+    # let go of a spent window before the next draw: a step holds one window
+    state._window = window = _NO_WINDOW
+    layout = _layout(state, partition, size)
+    count = _window_size(cfg, layout.window, k)
+    streams = _streams(state, cfg)
+    if count < 2:
+        return ((agents, pairs.start == 0, xis.reshape(-1).tolist(), ws, cfg.delta * ws)
+                for agents, pairs, xis, ws in layout.draw(streams(_LANE_DRAW, k)))
+    rngs = (streams.pair(_LANE_DRAW, k) if layout.paired
+            else (streams(_LANE_DRAW, j) for j in range(k, k + count)))
+    window = layout.draw_window(rngs, count, cfg.delta)
+    state._window = (layout, cfg.seed, cfg.delta), k, k + count, window
+    return window.take(0)
 
 
 def _drop_stale_window(state, partition, cfg):
@@ -355,15 +362,22 @@ def step(state, matrix, partition, objective, cfg):
 
     The draw comes in blocks (see `DrawLayout`), with E =
     `dgfm.smoothing.BLOCK_ENTRIES`. A draw of m b d <= E entries is one
-    block, and the iterations after k that draw as many pairs share a
-    window, of up to E // (m b d) iterations: it stops at ``cfg.iters`` and,
-    under a `DgfmPlusConfig`, before the next restart, and a restart's
-    draw stands alone. The window's draws, each from its iteration's own
-    stream, are gathered, normalized, checked and scaled by delta at once
-    (see `DrawWindow`), and the state keeps it for the next iterations. A
-    larger draw comes in blocks of c = max(1, min(m, E // (b d))) whole
-    agents, or, when one agent's b d exceeds E, in sub-blocks of max(1, E
-    // d) of its pairs. Each block is evaluated as one (see
+    block; a larger draw comes in blocks of c = max(1, min(m, E // (b d)))
+    whole agents, or, when one agent's b d exceeds E, in sub-blocks of
+    max(1, E // d) of its pairs. The iterations after k that draw as many
+    pairs share a window: it stops at ``cfg.iters`` and, under a
+    `DgfmPlusConfig`, before the next restart, and a restart's draw stands
+    alone, drawn block by block. A window holds up to E // (m b d)
+    one-block draws, filled on the calling thread. When m b d is at least
+    `dgfm.smoothing.PAIR_FLOOR`, two draws take at most
+    `dgfm.smoothing.PAIR_BLOCKS` blocks and the process may run on more
+    than one CPU, it holds two iterations' draws instead: the caller fills
+    the first while the package's one worker thread fills the second, and
+    waits for it before going on. The window's draws, each from its
+    iteration's own stream, are gathered, normalized, checked and scaled
+    by delta (see `DrawWindow`), and the state keeps it for the next
+    iterations. No number depends on the window or the thread. Each block
+    is evaluated as one (see
     `estimate_block`), with one scalar ``eval`` per probe: a paired
     difference evaluates it at x and at x_prev. The estimates equal, bit
     for bit, the pair-by-pair sums of `two_point_estimate`, divided by b.

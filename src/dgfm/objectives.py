@@ -2,7 +2,10 @@
 
 No objective in this package ever exposes a gradient; optimizers see a
 single method ``eval(x, xi)`` returning the value of the xi-th summand at
-x, one call per counted oracle call. Measurement (the stationarity proxy
+x, one call per counted oracle call. A sample index is an integer, numpy
+integers included (``operator.index``): a float, a string or any other
+value raises `SampleIndexError`, as an index outside range(n_samples)
+does. Measurement (the stationarity proxy
 of :mod:`dgfm.metrics`) calls its batched form ``eval_batch(P, xis)``,
 the value of summand ``xis[r]`` at row ``P[r]`` for every r; the base
 class forms it from ``eval``, and an objective that overrides it must
@@ -31,6 +34,7 @@ are safe to share across concurrently simulated agents.
 """
 
 import math
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +44,8 @@ from .smoothing import sample_sphere
 
 # The penalty's ufuncs, bound once: every counted oracle call makes them.
 _absolute, _minimum, _add_reduce = np.absolute, np.minimum, np.add.reduce
+# int() without its truncation of floats and parsing of strings
+_index = operator.index
 
 __all__ = [
     "StochasticObjective",
@@ -73,7 +79,10 @@ class StochasticObjective:
         self.name = name or type(self).__name__
 
     def _check_index(self, xi):
-        xi = int(xi)
+        try:
+            xi = _index(xi)
+        except TypeError:
+            raise SampleIndexError(f"sample index must be an integer, got {xi!r}") from None
         if not 0 <= xi < self.n_samples:
             raise SampleIndexError(
                 f"sample index {xi} out of range [0, {self.n_samples})"
@@ -87,7 +96,11 @@ class StochasticObjective:
         return x
 
     def _check_batch(self, P, xis):
-        xis = np.asarray(xis, dtype=np.intp)
+        xis = np.asarray(xis)
+        # an empty list is a float array: it holds no index to refuse
+        if xis.dtype.kind not in "biu" and xis.size:
+            raise SampleIndexError(f"sample indices must be integers, got {xis.dtype} ones")
+        xis = xis.astype(np.intp, copy=False)
         P = np.asarray(P, dtype=float)
         if xis.ndim != 1 or P.shape != (xis.shape[0], self.dim):
             raise ShapeError(

@@ -8,7 +8,10 @@ statistically independent, and the same key always reproduces the same
 stream. The optimizers open one stream per iteration and draw every
 agent's pairs from it at once, agent i's being row i of that draw, so
 simulation results do not depend on the order in which agents are
-processed (and would not change under parallel execution).
+processed, nor on the thread that draws: when an iteration's draw is
+large, two consecutive iterations are drawn at once on two threads, each
+from its own stream (`StreamCache.pair`, and `dgfm.smoothing.DrawLayout`
+for when), with the numbers of one thread.
 
 `substream` defines the stream of a key: a Philox generator keyed by
 ``SeedSequence([seed, *path])``. Building that SeedSequence, its Philox
@@ -25,7 +28,9 @@ iteration:
 
 That is exactly the state in which ``Philox(SeedSequence([seed, lane,
 k]))`` starts, and a ``Generator`` keeps no state of its own, so every
-draw is bit-identical to ``substream(seed, lane, k)``'s.
+draw is bit-identical to ``substream(seed, lane, k)``'s. A pair of
+iterations takes a second Philox, re-keyed the same way, so that two
+threads never share a generator.
 """
 
 import numpy as np
@@ -56,8 +61,12 @@ def substream(seed, *path):
     *path : int
         Nonnegative integers identifying the consumer, e.g.
         ``substream(seed, lane, iteration)``.
+
+    Any other seed or path entry raises `InvalidParameter` naming ``seed``
+    or ``path``.
     """
-    key = np.random.SeedSequence([int(seed), *(int(p) for p in path)])
+    key = np.random.SeedSequence([require_int(0, seed=seed),
+                                  *(require_int(0, path=p) for p in path)])
     # Philox is counter-based: cheap to construct per key. The SeedSequence
     # is the dominant cost; `StreamCache` gives the same streams without it.
     return np.random.Generator(np.random.Philox(key))
@@ -128,20 +137,33 @@ class StreamCache:
 
     It holds one Philox ``Generator``, re-keyed on every call, and the
     current `key_block` of each lane. The returned generator is shared:
-    finish with it before the next call.
+    finish with it before the next call. ``pair(lane, k)`` serves streams k
+    and k + 1 at once, the second from a second Philox, built at the first
+    pair, so two threads may draw from them side by side. ``seed`` is an
+    integer >= 0 (`InvalidParameter`).
     """
 
     def __init__(self, seed):
-        self.seed = int(seed)
+        self.seed = require_int(0, seed=seed)
         self._generator = np.random.Generator(np.random.Philox(0))
+        self._second = None
         # a fresh Philox's state: counter 0, empty buffer, no cached uint32
         self._state = self._generator.bit_generator.state
         self._blocks = {}
 
     def __call__(self, lane, k):
+        return self._rekey(self._generator, lane, k)
+
+    def pair(self, lane, k):
+        """Two distinct generators, drawing as streams (lane, k) and (lane, k + 1)."""
+        if self._second is None:
+            self._second = np.random.Generator(np.random.Philox(0))
+        return self(lane, k), self._rekey(self._second, lane, k + 1)
+
+    def _rekey(self, generator, lane, k):
         start, keys = self._blocks.get(lane, (None, None))
         if start is None or not start <= k < start + KEY_BLOCK:
             start, keys = self._blocks[lane] = key_block(self.seed, lane, k)
         self._state["state"]["key"] = keys[k - start]
-        self._generator.bit_generator.state = self._state
-        return self._generator
+        generator.bit_generator.state = self._state
+        return generator

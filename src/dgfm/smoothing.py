@@ -22,9 +22,17 @@ every agent's pairs of one iteration from one stream, so agent i's pairs
 are row i of that draw. When one iteration's draw is small, a
 `DrawWindow` holds the draws of several consecutive iterations, each from
 its own stream, gathered, normalized, checked and scaled by delta at
-once; each iteration's part is bit for bit its own draw. Its one-shard
-draw, `DrawLayout.batch`, serves the stationarity proxy in
-:mod:`dgfm.metrics`, and `sample_batch` as a `SampleBatch`.
+once; each iteration's part is bit for bit its own draw. When one
+iteration's draw has at least `PAIR_FLOOR` entries, two consecutive
+iterations' draws are filled at once on two threads: the caller fills the
+first, one worker thread of the package, started by the first such pair,
+fills the second from its own stream, and the caller waits for it before
+it goes on, so nothing else runs beside a fill. A pair's normals take at
+most `PAIR_BLOCKS` blocks of `BLOCK_ENTRIES`, whatever m, b and d; a
+process that may run on one CPU never pairs, and no number changes
+either way. The one-shard draw, `DrawLayout.batch`, serves the
+stationarity proxy in :mod:`dgfm.metrics`, and `sample_batch` as a
+`SampleBatch`.
 `estimate_block` is the one estimator; `minibatch_estimate` is its
 one-agent case, and `two_point_estimate` its one-pair reference.
 """
@@ -32,6 +40,8 @@ one-agent case, and `two_point_estimate` its one-pair reference.
 import itertools
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +72,17 @@ UNIT_NORM_TOL = 1e-12
 # still holds all of an 8-agent draw at d = 123 in one piece, and a window
 # of 33 such draws.
 BLOCK_ENTRIES = 1 << 15
+# Entries of one iteration's draw from which two consecutive iterations are
+# drawn at once, on two threads. On a 2-core x86-64 VM with one BLAS
+# thread, a whole draw (indices, normals, norms, checks, steps) cost one
+# thread per iteration 0.82-0.96x what a pair on two threads did at 4000
+# entries, 0.95-1.07x at 5000-6000, 1.11-1.22x at 8000 and 1.23x at
+# 10000; at 1000-2000, one thread's windows of many draws cost 0.42-0.67x.
+# The floor sits past the crossover (5000-6000 entries), where the gain
+# clears the hand-off's cost and its noise.
+PAIR_FLOOR = 1 << 13
+# A pair's normals take at most this many blocks of BLOCK_ENTRIES: 2 MiB.
+PAIR_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -146,6 +167,33 @@ def require_unit_norm(ws):
     _require_small_norm_error(float(np.maximum.reduce(np.abs(_norms(ws) - 1.0), axis=None)))
 
 
+def _cpus():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _new_worker():
+    """Make the executor of the one thread that fills a pair's second draw.
+
+    The executor starts its thread at its first task, and never a second.
+    """
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dgfm-draw")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    # a forked child has no worker thread, whatever the parent's executor says
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _beside(fill, out):
+    """Start ``fill(out=out)`` on the worker thread; returns its Future."""
+    return _worker.submit(fill, out=out)
+
+
 class DrawLayout:
     """One draw of b (xi, w) pairs per shard, in blocks: the one sampler of pairs.
 
@@ -156,31 +204,43 @@ class DrawLayout:
     the numbers: agent i's pairs are row i of the one draw.
 
     With E = `BLOCK_ENTRIES`, read when the layout is built, a draw of m b
-    d <= E entries is one block, and ``window`` = E // (m b d) >= 1 such
-    draws fit in one block together. `draw_window` fills that many
-    consecutive iterations' draws, each from its own stream, and then
-    gathers, normalizes, checks and scales them at once (see `DrawWindow`);
-    ``draw`` is its one-iteration case. A larger draw (``window`` = 0) is
-    filled in blocks of c = max(1, min(m, E // (b d))) whole agents, and an
-    agent whose b d alone exceeds E in sub-blocks of max(1, E // d) pairs;
-    each block is drawn only when it is needed, normalized in place and
-    checked once by `require_unit_norm`.
+    d <= E entries is one block; a larger one is cut into blocks of c =
+    max(1, min(m, E // (b d))) whole agents, and an agent whose b d alone
+    exceeds E into sub-blocks of max(1, E // d) pairs. ``window`` is the
+    number of consecutive iterations' draws that `draw_window` fills at
+    once, each from its own stream, and then gathers, normalizes and
+    checks together (see `DrawWindow`):
+
+    * ``paired`` is set when a draw has at least `PAIR_FLOOR` entries, two
+      take at most `PAIR_BLOCKS` blocks and ``os.sched_getaffinity``
+      allows more than one CPU, all read when the layout is built. Then
+      ``window`` is 2: the calling thread fills the first iteration's
+      normals while one worker thread, started by the first pair and kept
+      for the process, fills the second's from its own generator, and the
+      caller waits for it before anything else. Both numbers and checks
+      are those of one thread.
+    * Otherwise ``window`` is E // (m b d), 0 for a draw of several blocks.
+
+    ``draw`` is the one-iteration case. One block is filled as a window of
+    one; a larger draw is filled block by block, each drawn only when it
+    is needed, normalized in place and checked once by `require_unit_norm`.
 
     The blocks depend on (shards, b, d) alone, so a caller that draws from
     the same ones again builds the layout once. It holds the ``integers``
     bound of every shard (a scalar when they are all of one size, which
     draws the same numbers faster), the shards joined into one index array
-    with each one's start in it, and a larger draw's blocks: for each, the
-    slices of agents and of pairs it covers, its shape and whether it is a
-    lone row of a larger draw. ``shards`` is kept as given, so a cache can
-    tell which shards a layout was built for. Its memory is the joined
-    indices: one int per sample of the shards.
+    with each one's start in it, and the blocks: for each, the slices of
+    agents and of pairs it covers, its shape and whether it is a lone row
+    of a larger draw. ``shards`` is kept as given, so a cache can tell
+    which shards a layout was built for. Its memory is the joined indices:
+    one int per sample of the shards.
 
     ``b`` and ``d`` are integers and d >= 1 (`InvalidParameter`); no shard,
     a ``b`` below 1, or an empty shard raises `EmptyBatch`.
     """
 
-    __slots__ = ("shards", "b", "d", "window", "_high", "_indices", "_starts", "_blocks")
+    __slots__ = ("shards", "b", "d", "window", "paired", "_high", "_indices", "_starts",
+                 "_blocks")
 
     def __init__(self, shards, b, d):
         if isinstance(b, numbers.Integral) and b < 1:
@@ -196,9 +256,12 @@ class DrawLayout:
         self._high = sizes[0] if min(sizes) == max(sizes) else np.array(sizes)[:, None]
         self._indices = np.asarray(shards[0]) if m == 1 else np.concatenate(shards)
         self._starts = np.array([0, *itertools.accumulate(sizes[:-1])])[:, None]
-        self.window = BLOCK_ENTRIES // (m * b * d)
-        if self.window:
-            spans = []
+        entries = m * b * d
+        self.paired = (PAIR_FLOOR <= entries and 2 * entries <= PAIR_BLOCKS * BLOCK_ENTRIES
+                       and _cpus() > 1)
+        self.window = 2 if self.paired else BLOCK_ENTRIES // entries
+        if entries <= BLOCK_ENTRIES:
+            spans = [(slice(0, m), slice(0, b))]
         elif b * d <= BLOCK_ENTRIES:
             c = BLOCK_ENTRIES // (b * d)
             spans = [(slice(i, min(i + c, m)), slice(0, b)) for i in range(0, m, c)]
@@ -226,10 +289,11 @@ class DrawLayout:
         their pairs that the block covers, its sample indices, shape
         (rows, p), and its unit directions, shape (rows, p, d).
         """
-        if self.window:
+        if len(self._blocks) == 1:
             xis, ws, [worst] = self._fill([rng], 1)
             _require_small_norm_error(worst)
-            yield slice(0, len(self.shards)), slice(0, self.b), xis[0], ws[0]
+            [(agents, pairs, _, _)] = self._blocks
+            yield agents, pairs, xis[0], ws[0]
             return
         positions = rng.integers(0, self._high, size=(len(self.shards), self.b))
         positions += self._starts
@@ -245,9 +309,14 @@ class DrawLayout:
         """The draws of ``count`` iterations, 1 <= count <= ``window``, one from each of ``rngs``.
 
         Each generator is used up before the next is taken, so they may be
-        one re-keyed generator (`dgfm.rng.StreamCache`). Returns a
-        `DrawWindow` whose steps are ``delta`` times the directions.
+        one re-keyed generator (`dgfm.rng.StreamCache`), except for a
+        ``paired`` layout's two draws: these come from two distinct
+        generators at once (`dgfm.rng.StreamCache.pair`; `InvalidParameter`
+        if they are one). Returns a `DrawWindow` whose steps are ``delta``
+        times the directions.
         """
+        if count == 2 and self.paired:
+            return DrawWindow(*self._fill_pair(*rngs), delta, self._blocks)
         return DrawWindow(*self._fill(rngs, count), delta)
 
     def _fill(self, rngs, count):
@@ -266,9 +335,35 @@ class DrawLayout:
             positions[j] = rng.integers(0, self._high, size=shape)
             rng.standard_normal(out=ws[j])
         positions += self._starts
+        return self._indices[positions], ws, self._normalize(ws)
+
+    def _fill_pair(self, first, second):
+        """Two draws as `_fill` makes them, the second's normals filled on the worker thread.
+
+        Each draw's normals are an array of their own, so the first can be
+        freed while the second is kept.
+        """
+        if first is second:
+            raise InvalidParameter("a pair's draws need two distinct generators")
+        shape = (len(self.shards), self.b)
+        positions = np.empty((2, *shape), dtype=np.int64)
+        ws = [np.empty((1, *shape, self.d)) for _ in range(2)]
+        positions[1] = second.integers(0, self._high, size=shape)
+        fill = _beside(second.standard_normal, ws[1])
+        try:
+            positions[0] = first.integers(0, self._high, size=shape)
+            first.standard_normal(out=ws[0])
+        finally:
+            fill.result()
+        positions += self._starts
+        worst = self._normalize(ws[0]) + self._normalize(ws[1])
+        return self._indices[positions], [w[0] for w in ws], worst
+
+    def _normalize(self, ws):
+        """Norm stacked draws in place; each one's largest |norm - 1|, as a list of floats."""
         ws /= self._row_norms(ws)[..., None]
-        errors = np.abs(self._row_norms(ws) - 1.0).reshape(count, -1)
-        return self._indices[positions], ws, np.maximum.reduce(errors, axis=1).tolist()
+        errors = np.abs(self._row_norms(ws) - 1.0).reshape(len(ws), -1)
+        return np.maximum.reduce(errors, axis=1).tolist()
 
     def _row_norms(self, ws):
         """Row norms of stacked draws, each draw's as it would be normed alone."""
@@ -280,26 +375,48 @@ class DrawLayout:
 
 
 class DrawWindow:
-    """Consecutive iterations' one-block draws, ready for `estimate_block`.
+    """Consecutive iterations' draws, ready for `estimate_block`.
 
-    Built by `DrawLayout.draw_window`. ``block(j)`` is iteration j's draw
-    as ``(xis, ws, steps)``: its m b sample indices as a list of ints, in
-    row order, its unit directions, shape (m, b, d), and delta times them.
-    Each is bit for bit what a one-iteration ``draw`` from the same stream
-    gives, and its unit-norm check raises where that draw's would: when
-    iteration j is taken, not when the window is filled.
+    Built by `DrawLayout.draw_window`. ``take(j)`` is iteration j's draw as
+    ``(agents, first, xis, ws, steps)`` blocks: the slice of agents a block
+    covers, whether it holds their first pairs, its sample indices as a
+    list of ints, in row order, its unit directions, shape (rows, p, d),
+    and delta times them. Each is bit for bit what ``draw`` from the same
+    stream gives, and its unit-norm check raises where that draw's would:
+    when iteration j is taken, not when the window is filled.
+
+    A window of one-block draws forms every iteration's lists and steps
+    at once, and serves each as often as it is taken. A pair's draws, in
+    the layout's blocks (``spans``), are formed block by block as they are
+    taken, and each is handed out once: its directions are freed once the
+    caller lets go of them, and ``take`` then returns None. So a pair
+    holds at most its two draws' directions and one block's steps.
     """
 
-    __slots__ = ("_blocks", "_worst")
+    __slots__ = ("_draws", "_worst", "_spans", "_delta")
 
-    def __init__(self, xis, ws, worst, delta):
-        self._blocks = list(zip(xis.reshape(len(worst), -1).tolist(), ws, delta * ws))
-        self._worst = worst
+    def __init__(self, xis, ws, worst, delta, spans=None):
+        self._worst, self._delta, self._spans = worst, delta, spans
+        if spans is None:
+            agents = slice(0, ws.shape[1])
+            self._draws = [((agents, True, *block),) for block in
+                           zip(xis.reshape(len(worst), -1).tolist(), ws, delta * ws)]
+        else:
+            self._draws = list(zip(xis, ws))
 
-    def block(self, j):
-        """Iteration j of the window as ``(xis, ws, steps)``, once its check passes."""
+    def take(self, j):
+        """Iteration j as ``(agents, first, xis, ws, steps)`` blocks, once checked; None if taken."""
         _require_small_norm_error(self._worst[j])
-        return self._blocks[j]
+        if self._spans is None:
+            return self._draws[j]
+        draw, self._draws[j] = self._draws[j], None
+        return None if draw is None else self._cut(*draw)
+
+    def _cut(self, xis, ws):
+        for agents, pairs, *_ in self._spans:
+            part = ws[agents, pairs]
+            yield (agents, pairs.start == 0, xis[agents, pairs].reshape(-1).tolist(), part,
+                   self._delta * part)
 
 
 def sample_batch(indices, b, d, rng):

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
@@ -49,10 +50,11 @@ from dgfm.errors import (
     NumericFailure,
     ShapeError,
 )
-from dgfm.algorithms import _draw_output, _require_finite
+from dgfm.algorithms import _draw, _draw_output, _require_finite
 from dgfm.metrics import RunRecord
 from dgfm.objectives import AbsTest
-from dgfm.rng import KEY_BLOCK
+from dgfm import smoothing
+from dgfm.rng import KEY_BLOCK, StreamCache
 from dgfm.smoothing import BLOCK_ENTRIES
 
 
@@ -247,8 +249,11 @@ class TestDgfmStep:
         # iterate. The estimate holds the sums at one or two points and one
         # block's directions, steps, points and probes, at most eight blocks of
         # BLOCK_ENTRIES. An unblocked draw breaks the bound in the paired and the
-        # restart case. In the last case the step fills a window of eight
-        # iterations' draws, whose directions and steps fill two blocks.
+        # restart case. In the first case the step draws iterations 0 and 1 at
+        # once, as a pair, whose directions fill 7.8 blocks and which keeps
+        # iteration 1's draw of 3.9 past the estimate. In the last case the step
+        # fills a window of eight iterations' draws, whose directions and steps
+        # fill two blocks.
         d = 2000
         obj = QuadraticTest(d, n_samples=2 * m)
         matrix = build_ring(m) if m > 1 else build_complete(1)
@@ -315,15 +320,21 @@ class TestStreamCache:
     def test_a_negative_key_is_refused(self):
         assert run_bounded("""
             from dgfm.errors import InvalidParameter
-            from dgfm.rng import StreamCache, key_block
+            from dgfm.rng import StreamCache, key_block, substream
             for call in (lambda: key_block(-1, 0, 0), lambda: key_block(0, -1, 0),
                          lambda: key_block(0, 0, -1), lambda: StreamCache(-1)(0, 0),
-                         lambda: StreamCache(0)(-1, 0), lambda: StreamCache(0)(0, -1)):
+                         lambda: StreamCache(0)(-1, 0), lambda: StreamCache(0)(0, -1),
+                         # neither a key that is no integer nor a negative one is
+                         # truncated, parsed or passed on to numpy
+                         lambda: substream(2.7, 0), lambda: substream("3", 0),
+                         lambda: substream(-1, 0), lambda: substream(1, 0.5),
+                         lambda: substream(1, 0, -1), lambda: StreamCache(2.7),
+                         lambda: StreamCache("3"), lambda: StreamCache(0).pair(0, -1)):
                 try:
                     call()
                 except InvalidParameter as refused:
                     print(refused.name)
-        """) == ["seed", "lane", "k"] * 2
+        """) == ["seed", "lane", "k"] * 2 + ["seed"] * 3 + ["path"] * 2 + ["seed"] * 2 + ["k"]
 
     def test_a_config_with_another_seed_draws_that_seeds_stream(self):
         state = self.fresh()
@@ -346,6 +357,275 @@ class TestStreamCache:
         got = self.trajectory(state, other, 4)
         want = self.trajectory(uncached, other, 4)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class ZeroNormals:
+    """A stream whose normal draws are all zero, so no row can be normalized."""
+
+    def __init__(self, rng):
+        self.integers = rng.integers
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
+class ZeroSecondOfPair(StreamCache):
+    """A seed's streams, but with zero normals in the second draw of the pair ending at ``BAD``."""
+
+    BAD = 3
+
+    def pair(self, lane, k):
+        first, second = super().pair(lane, k)
+        return first, ZeroNormals(second) if k + 1 == self.BAD else second
+
+
+class TestPairedDraws:
+    """Two iterations drawn at once, on two threads, give the numbers of one.
+
+    The runs lower `smoothing.PAIR_FLOOR` to one entry, so every draw the
+    cap allows pairs, and set `smoothing.BLOCK_ENTRIES` and
+    `smoothing.PAIR_BLOCKS` per case: a pair's draws of one block each, of
+    blocks of fewer agents, or of one agent's pairs in sub-blocks. The dgfm
+    runs end on an iteration whose pair `cfg.iters` cuts short, and the
+    dgfm-plus runs restart every four iterations, so a restart and the
+    iteration before the next one stand alone. Each run is compared with
+    the same run, unpaired.
+    """
+
+    # name: (m, d, BLOCK_ENTRIES, PAIR_BLOCKS); batch 2, mega-batch 3
+    LAYOUTS = {
+        "one-block": (4, 3, BLOCK_ENTRIES, 8),
+        "agent-blocks": (4, 3, 12, 8),  # 24 entries, blocks of two agents
+        "sub-blocks": (3, 5, 6, 32),  # b d = 10: sub-blocks of one pair
+    }
+    PLAIN = dict(eta=0.02, delta=0.01, iters=7, seed=3, batch=2)
+    PLUS = dict(eta=0.02, delta=0.01, iters=10, seed=3, period=4, batch=2, mega_batch=3,
+                gossip_rounds=2)
+
+    def run(self, monkeypatch, algo, layout, paired):
+        m, d, entries, blocks = self.LAYOUTS[layout]
+        monkeypatch.setattr(smoothing, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(smoothing, "PAIR_BLOCKS", blocks)
+        monkeypatch.setattr(smoothing, "PAIR_FLOOR", 1 if paired else 1 << 60)
+        # pairs whatever CPUs the machine running the test allows
+        monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
+        fills = []
+        beside = smoothing._beside
+        monkeypatch.setattr(smoothing, "_beside", lambda *a: fills.append(a) or beside(*a))
+        obj = AbsTest(d, n_samples=4 * m)
+        cfg = DgfmPlusConfig(**self.PLUS) if algo.endswith("plus") else DgfmConfig(**self.PLAIN)
+        kw = dict(x0=np.linspace(-1.0, 1.0, d), stationarity_every=2, stationarity_samples=3)
+        if algo.startswith("gfm"):
+            return None, gfm_run(obj, cfg, **kw), len(fills)
+        matrix = build_ring(m)
+        return (*dgfm_run(matrix, partition(obj.n_samples, m, seed=0), obj, cfg, **kw),
+                len(fills))
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus", "gfm", "gfm-plus"])
+    def test_a_paired_run_equals_the_unpaired_run(self, monkeypatch, algo, layout):
+        state, record, pairs = self.run(monkeypatch, algo, layout, paired=True)
+        want_state, want, unpaired = self.run(monkeypatch, algo, layout, paired=False)
+        # dgfm pairs iterations 0-1, 2-3 and 4-5, and draws 6 alone; dgfm-plus
+        # pairs 1-2 and 5-6 and draws its restarts 0, 4 and 8, the iterations
+        # 3 and 7 before a restart, and 9, the last, alone
+        assert (pairs, unpaired) == (2 if algo.endswith("plus") else 3, 0)
+        assert records_match(record, want)
+        assert record.restarts == want.restarts
+        assert [e.loss for e in record.entries] == [e.loss for e in want.entries]
+        if state is not None:
+            for name in ("x", "y", "v", "x_prev"):
+                assert getattr(state, name).tobytes() == getattr(want_state, name).tobytes()
+            assert ((state.k, state.oracle_calls, state.comm_rounds)
+                    == (want_state.k, want_state.oracle_calls, want_state.comm_rounds))
+
+    def test_zero_normals_in_a_pairs_second_draw_fail_its_own_step(self, monkeypatch):
+        m, d = 4, 3
+        monkeypatch.setattr(smoothing, "PAIR_FLOOR", 1)
+        monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
+        obj = AbsTest(d, n_samples=8)
+        matrix, part = build_complete(m), partition(8, m, seed=0)
+        cfg = DgfmConfig(**self.PLAIN)
+        clean = NetworkState.initial(m, np.linspace(-1.0, 1.0, d))
+        want = [step(clean, matrix, part, obj, cfg).x.copy() for _ in range(ZeroSecondOfPair.BAD)]
+        monkeypatch.setattr(dgfm.algorithms, "StreamCache", ZeroSecondOfPair)
+        state = NetworkState.initial(m, np.linspace(-1.0, 1.0, d))
+        # iteration 2 fills the pair of 2 and 3, whose second draw divides by 0
+        with np.errstate(invalid="ignore"):
+            for x in want:
+                assert step(state, matrix, part, obj, cfg).x.tobytes() == x.tobytes()
+        assert state._window[1:3] == (2, 4)
+        before = copy.deepcopy(state)
+        with pytest.raises(InvalidParameter,
+                           match=r"^directions must be unit norm, worst error nan$"):
+            step(state, matrix, part, obj, cfg)
+        for name in ("x", "y", "v", "x_prev"):
+            assert getattr(state, name).tobytes() == getattr(before, name).tobytes()
+        assert ((state.k, state.oracle_calls, state.comm_rounds, state.restart_log)
+                == (before.k, before.oracle_calls, before.comm_rounds, before.restart_log))
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_an_iteration_taken_again_draws_its_pair_again(self, monkeypatch, layout):
+        # a pair hands each draw out once; a step retried after a failure
+        # draws the pair from its iteration again, with the same numbers
+        m, d, entries, blocks = self.LAYOUTS[layout]
+        monkeypatch.setattr(smoothing, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(smoothing, "PAIR_BLOCKS", blocks)
+        monkeypatch.setattr(smoothing, "PAIR_FLOOR", 1)
+        monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
+        part, cfg = partition(4 * m, m, seed=0), DgfmConfig(**self.PLAIN)
+        state = NetworkState.initial(m, np.zeros(d))
+
+        def draw_bytes(k):
+            state.k = k
+            return [(a, f, x, w.tobytes(), s.tobytes()) for a, f, x, w, s in
+                    _draw(state, part, cfg, cfg.batch)]
+
+        first = draw_bytes(0)
+        assert state._window[1:3] == (0, 2)
+        assert draw_bytes(0) == first
+        second = draw_bytes(1)
+        assert state._window[1:3] == (0, 2) and draw_bytes(1) == second != first
+        monkeypatch.setattr(smoothing, "PAIR_FLOOR", 1 << 60)
+        state = NetworkState.initial(m, np.zeros(d))  # unpaired
+        assert (draw_bytes(0), draw_bytes(1)) == (first, second)
+
+    @pytest.mark.parametrize("m, b, d", [
+        (64, 1, 2000),  # sparse2k-shaped dgfm: blocks of 16 agents
+        (1, 16, 2000),  # sparse2k-shaped gfm: one block
+        (1, 2, 20000),  # lone rows longer than einsum's 8192-entry buffer
+        (1, 1, 100000),  # one pair, a lone row of a draw of one
+    ])
+    def test_a_pair_at_full_size_is_each_iterations_own_draw(self, monkeypatch, m, b, d):
+        monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
+        layout = smoothing.DrawLayout([np.arange(i, i + 5) for i in range(0, 5 * m, 5)], b, d)
+        window = layout.draw_window(StreamCache(11).pair(0, 4), 2, 0.01)
+        for j in range(2):
+            got = [(x, w.tobytes(), s.tobytes()) for _, _, x, w, s in window.take(j)]
+            want = [(x.reshape(-1).tolist(), w.tobytes(), (0.01 * w).tobytes())
+                    for _, _, x, w in layout.draw(StreamCache(11)(0, 4 + j))]
+            assert layout.paired and got == want
+
+    @pytest.mark.parametrize("m, b, d, paired", [
+        (4, 1, 2048, True),  # PAIR_FLOOR entries
+        (4, 1, 2047, False),
+        (1, 1, 8 * BLOCK_ENTRIES // 2, True),  # two draws fill PAIR_BLOCKS blocks
+        (1, 1, 8 * BLOCK_ENTRIES // 2 + 1, False),
+        (8, 1, 123, False),  # a9a-shaped dgfm, gfm and gfm-plus steps
+        (1, 16, 123, False),
+        (1, 2, 123, False),
+        (64, 1, 2000, True),  # sparse2k-shaped dgfm and gfm steps
+        (1, 16, 2000, True),
+        (1, 2, 2000, False),  # sparse2k-shaped gfm-plus steps
+    ])
+    def test_which_draws_pair(self, monkeypatch, m, b, d, paired):
+        # a restart's layout may pair too: its draws stand alone all the same
+        shards = [np.arange(i, i + 2) for i in range(0, 2 * m, 2)]
+        assert smoothing.PAIR_FLOOR == 8192 and smoothing.PAIR_BLOCKS == 8
+        with monkeypatch.context() as patch:
+            patch.setattr(smoothing, "_cpus", lambda: 2)
+            layout = smoothing.DrawLayout(shards, b, d)
+        assert layout.paired is paired
+        assert layout.window == (2 if paired else BLOCK_ENTRIES // (m * b * d))
+        if paired:  # one generator cannot serve two threads
+            rng = substream(0, 0)
+            with pytest.raises(InvalidParameter, match="two distinct generators"):
+                layout.draw_window((rng, rng), 2, 0.1)
+        # no draw pairs where the process may run on one CPU only
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert not smoothing.DrawLayout(shards, b, d).paired
+
+    def test_no_worker_starts_for_a9a_shaped_runs(self, monkeypatch, svm_objective):
+        fills = []
+        monkeypatch.setattr(smoothing, "_beside", lambda *a: fills.append(a))
+        monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
+        part = partition(svm_objective.n_samples, 8, seed=1)
+        plus = dict(eta=0.01, delta=1e-3, iters=12, seed=1)
+        dgfm_run(build_ring(8), part, svm_objective, DgfmConfig(**plus), stationarity_every=0)
+        dgfm_run(build_ring(8), part, svm_objective,
+                 DgfmPlusConfig(**plus, period=10, mega_batch=10, batch=1, gossip_rounds=5),
+                 stationarity_every=0)
+        gfm_run(svm_objective, DgfmConfig(**plus, batch=16), stationarity_every=0)
+        gfm_plus_run(svm_objective, DgfmPlusConfig(**plus, period=50, mega_batch=100, batch=2),
+                     stationarity_every=0)
+        assert fills == []
+
+    def test_no_worker_starts_on_one_cpu(self, monkeypatch):
+        fills = []
+        monkeypatch.setattr(smoothing, "_beside", lambda *a: fills.append(a))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        obj = QuadraticTest(2000, n_samples=8)
+        cfg = DgfmConfig(eta=0.01, delta=1e-3, iters=4, seed=1)
+        dgfm_run(build_ring(8), partition(8, 8, seed=0), obj, cfg, stationarity_every=0)
+        assert fills == []
+
+    def test_runs_on_several_threads_share_the_worker(self, monkeypatch):
+        # four runs at once, with short switch intervals, each draw their
+        # pairs through the one worker and give the numbers they give alone
+        monkeypatch.setattr(smoothing, "PAIR_FLOOR", 1)
+        monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
+        obj, part = AbsTest(3, n_samples=8), partition(8, 4, seed=0)
+        cfgs = [DgfmConfig(**{**self.PLAIN, "seed": seed, "iters": 40}) for seed in range(4)]
+        want = [dgfm_run(build_ring(4), part, obj, cfg)[0].x.tobytes() for cfg in cfgs]
+        got = [None] * 4
+
+        def run(i):
+            got[i] = dgfm_run(build_ring(4), part, obj, cfgs[i])[0].x.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    def test_repeated_runs_hold_at_most_one_extra_thread(self, monkeypatch):
+        monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
+        before = threading.active_count()
+        obj = QuadraticTest(2000, n_samples=8)
+        cfg = DgfmConfig(eta=0.01, delta=1e-3, iters=4, seed=1)
+        for _ in range(3):
+            assert dgfm_run(build_ring(8), partition(8, 8, seed=0), obj, cfg,
+                            stationarity_every=0)[0]._layouts[1].paired
+        workers = [t for t in threading.enumerate() if t.name.startswith("dgfm-draw")]
+        assert len(workers) == 1 and threading.active_count() <= before + 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_draws_its_pairs_on_a_worker_of_its_own(self):
+        # the parent's worker thread is not copied into the child; the
+        # child's first pair starts its own, and draws the parent's numbers
+        assert run_bounded("""
+            import os, signal
+            import numpy as np
+            import dgfm
+            from dgfm import smoothing
+            smoothing._cpus = lambda: 2
+            obj, part = dgfm.QuadraticTest(2000, n_samples=8), dgfm.partition(8, 8, seed=0)
+            cfg = dgfm.DgfmConfig(eta=0.01, delta=1e-3, iters=4, seed=1)
+
+            def run():
+                state, _ = dgfm.dgfm_run(dgfm.build_ring(8), part, obj, cfg, stationarity_every=0)
+                assert state._layouts[1].paired
+                return state.x.tobytes()
+
+            want = run()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)  # a child waiting on a worker it lacks ends itself
+                os._exit(0 if run() == want else 1)
+            print(os.waitpid(pid, 0)[1])
+        """) == ["0"]
 
 
 class TestDgfmPlusStep:

@@ -22,12 +22,18 @@ with no change to the package. So may a change that only reorders
 floating-point sums. Such a change regenerates the hashes only, and the
 tolerance tier passes unedited. A change to the random streams, the
 smoothing or the estimates regenerates both tiers, and says why.
-``python tests/test_golden.py`` prints both.
+``python tests/test_golden.py`` prints both. The bits may not depend on
+the number of threads, the BLAS's or the package's own: one case is run
+again in a child process on one BLAS thread, and must give the same hash.
 """
 
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +250,19 @@ def test_golden_fingerprint(name, records):
     assert fingerprint(record) == GOLDEN[name]
 
 
+def test_golden_hash_holds_on_one_blas_thread(records):
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    code = ("import test_golden as g; "
+            "print(g.fingerprint(g.run_case('dgfm-plus-metropolis', g.a9a_like_objective())))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    in_process = fingerprint(records("dgfm-plus-metropolis"))
+    assert done.stdout.split() == [in_process] == [GOLDEN["dgfm-plus-metropolis"]]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_series(name, records):
     got, want = series(records(name)), SERIES[name]
@@ -254,13 +273,18 @@ def test_golden_series(name, records):
                                atol=CONSENSUS_RTOL * scale)
 
 
-if __name__ == "__main__":
+def a9a_like_objective():
+    """The conftest corpus's SVM, as the ``svm_objective`` fixture builds it."""
     import dgfm
     from conftest import synthetic_svm_text
 
-    obj = dgfm.CappedL1Svm.from_dataset(
+    return dgfm.CappedL1Svm.from_dataset(
         dgfm.normalize_rows(dgfm.parse_libsvm(synthetic_svm_text())), name="a9a-like[n=2000]"
     )
+
+
+if __name__ == "__main__":
+    obj = a9a_like_objective()
     runs = {case: run_case(case, obj) for case in sorted(GOLDEN)}
     print("GOLDEN = {")
     for case, record in runs.items():

@@ -69,6 +69,20 @@ class TestCappedL1Svm:
         obj = tiny_svm()
         with pytest.raises(SampleIndexError):
             obj.eval(np.zeros(2), 3)
+        # an index that is no integer is refused, never truncated or parsed
+        for bad in (2.7, 1.0, "3", np.float64(1.0), None, [1]):
+            for objective in (obj, QuadraticTest(2, n_samples=3)):
+                with pytest.raises(SampleIndexError, match="must be an integer"):
+                    objective.eval(np.zeros(2), bad)
+        for bad in ([2.7], [0, 1.0], ["1"], np.array([0.5])):
+            for objective in (obj, QuadraticTest(2, n_samples=3)):
+                with pytest.raises(SampleIndexError, match="must be integers"):
+                    objective.eval_batch(np.zeros((len(bad), 2)), bad)
+        # numpy integers of any width pass, as Python ints do
+        for xi in (np.int8(1), np.uint64(1), np.intp(1), True):
+            assert obj.eval(np.zeros(2), xi) == obj.eval(np.zeros(2), 1)
+        assert obj.eval_batch(np.zeros((2, 2)), np.array([1, 2], dtype=np.uint8)).tolist() \
+            == obj.eval_batch(np.zeros((2, 2)), [1, 2]).tolist()
 
     def test_rejects_bad_labels_and_params(self):
         features = sp.csr_matrix(np.eye(2))
