@@ -22,7 +22,7 @@ Every stochastic draw comes from a counter-based stream keyed by
 (see :mod:`dgfm.rng`). An iteration draws every agent's pairs at once, and
 agent i's pairs are row i of that draw; small draws of consecutive
 iterations are made together, each from its own iteration's stream, and
-large ones (at least `dgfm.smoothing.PAIR_FLOOR` entries) two at a time,
+large ones (more than half of `dgfm.smoothing.BLOCK_ENTRIES`) two at a time,
 the second on a worker thread beside the first, when the process may run
 on more than one CPU. Either way the numbers are those of one draw per
 iteration. So the agent updates inside one iteration are
@@ -368,19 +368,19 @@ def step(state, matrix, partition, objective, cfg):
     pairs share a window: it stops at ``cfg.iters`` and, under a
     `DgfmPlusConfig`, before the next restart, and a restart's draw stands
     alone, drawn block by block. A window holds up to E // (m b d)
-    one-block draws, filled on the calling thread. When m b d is at least
-    `dgfm.smoothing.PAIR_FLOOR`, two draws take at most
-    `dgfm.smoothing.PAIR_BLOCKS` blocks and the process may run on more
-    than one CPU, it holds two iterations' draws instead: the caller fills
-    the first while the package's one worker thread fills the second, and
-    waits for it before going on. The window's draws, each from its
-    iteration's own stream, are gathered, normalized, checked and scaled
-    by delta (see `DrawWindow`), and the state keeps it for the next
-    iterations. No number depends on the window or the thread. Each block
-    is evaluated as one (see
-    `estimate_block`), with one scalar ``eval`` per probe: a paired
-    difference evaluates it at x and at x_prev. The estimates equal, bit
-    for bit, the pair-by-pair sums of `two_point_estimate`, divided by b.
+    one-block draws, filled on the calling thread. When that is fewer
+    than two, two draws take at most `dgfm.smoothing.PAIR_BLOCKS` blocks
+    and the process may run on more than one CPU, it holds two
+    iterations' draws instead: the caller fills the first while the
+    package's one worker thread fills the second, and waits for it before
+    going on. The window's draws, each from its iteration's own stream,
+    are gathered, normalized, checked and scaled by delta (see
+    `DrawWindow`), and the state keeps it for the next iterations. No
+    number depends on the window or the thread. Each block is evaluated
+    as one (see `estimate_block`), with one scalar ``eval`` per probe: a
+    paired difference evaluates it at x and at x_prev. The estimates
+    equal, bit for bit, the pair-by-pair sums of `two_point_estimate`,
+    divided by b.
 
     At a restart the tracker is reset to the new estimates and gossiped
     ``gossip_rounds`` times, and its consensus error after each round is

@@ -23,14 +23,15 @@ are row i of that draw. When one iteration's draw is small, a
 `DrawWindow` holds the draws of several consecutive iterations, each from
 its own stream, gathered, normalized, checked and scaled by delta at
 once; each iteration's part is bit for bit its own draw. When one
-iteration's draw has at least `PAIR_FLOOR` entries, two consecutive
-iterations' draws are filled at once on two threads: the caller fills the
-first, one worker thread of the package, started by the first such pair,
-fills the second from its own stream, and the caller waits for it before
-it goes on, so nothing else runs beside a fill. A pair's normals take at
-most `PAIR_BLOCKS` blocks of `BLOCK_ENTRIES`, whatever m, b and d; a
-process that may run on one CPU never pairs, and no number changes
-either way. The one-shard draw, `DrawLayout.batch`, serves the
+iteration's draw is too large for a window of two one-block draws (more
+than `BLOCK_ENTRIES` / 2 entries), two consecutive iterations' draws are
+filled at once on two threads: the caller fills the first, one worker
+thread of the package, started by the first such pair, fills the second
+from its own stream, and the caller waits for it before it goes on, so
+nothing else runs beside a fill. A pair's normals take at most
+`PAIR_BLOCKS` blocks of `BLOCK_ENTRIES`, whatever m, b and d; a process
+that may run on one CPU never pairs, and no number changes either way.
+The one-shard draw, `DrawLayout.batch`, serves the
 stationarity proxy in :mod:`dgfm.metrics`, and `sample_batch` as a
 `SampleBatch`.
 `estimate_block` is the one estimator; `minibatch_estimate` is its
@@ -72,15 +73,6 @@ UNIT_NORM_TOL = 1e-12
 # still holds all of an 8-agent draw at d = 123 in one piece, and a window
 # of 33 such draws.
 BLOCK_ENTRIES = 1 << 15
-# Entries of one iteration's draw from which two consecutive iterations are
-# drawn at once, on two threads. On a 2-core x86-64 VM with one BLAS
-# thread, a whole draw (indices, normals, norms, checks, steps) cost one
-# thread per iteration 0.82-0.96x what a pair on two threads did at 4000
-# entries, 0.95-1.07x at 5000-6000, 1.11-1.22x at 8000 and 1.23x at
-# 10000; at 1000-2000, one thread's windows of many draws cost 0.42-0.67x.
-# The floor sits past the crossover (5000-6000 entries), where the gain
-# clears the hand-off's cost and its noise.
-PAIR_FLOOR = 1 << 13
 # A pair's normals take at most this many blocks of BLOCK_ENTRIES: 2 MiB.
 PAIR_BLOCKS = 8
 
@@ -211,14 +203,14 @@ class DrawLayout:
     once, each from its own stream, and then gathers, normalizes and
     checks together (see `DrawWindow`):
 
-    * ``paired`` is set when a draw has at least `PAIR_FLOOR` entries, two
-      take at most `PAIR_BLOCKS` blocks and ``os.sched_getaffinity``
-      allows more than one CPU, all read when the layout is built. Then
-      ``window`` is 2: the calling thread fills the first iteration's
-      normals while one worker thread, started by the first pair and kept
-      for the process, fills the second's from its own generator, and the
-      caller waits for it before anything else. Both numbers and checks
-      are those of one thread.
+    * ``paired`` is set when E // (m b d) < 2, so that no window of two
+      one-block draws holds it, two draws take at most `PAIR_BLOCKS`
+      blocks and ``os.sched_getaffinity`` allows more than one CPU, all
+      read when the layout is built. Then ``window`` is 2: the calling
+      thread fills the first iteration's normals while one worker thread,
+      started by the first pair and kept for the process, fills the
+      second's from its own generator, and the caller waits for it before
+      anything else. Both numbers and checks are those of one thread.
     * Otherwise ``window`` is E // (m b d), 0 for a draw of several blocks.
 
     ``draw`` is the one-iteration case. One block is filled as a window of
@@ -257,9 +249,16 @@ class DrawLayout:
         self._indices = np.asarray(shards[0]) if m == 1 else np.concatenate(shards)
         self._starts = np.array([0, *itertools.accumulate(sizes[:-1])])[:, None]
         entries = m * b * d
-        self.paired = (PAIR_FLOOR <= entries and 2 * entries <= PAIR_BLOCKS * BLOCK_ENTRIES
+        # a draw that no one-thread window of two holds pairs. On a 2-core
+        # x86-64 VM with one BLAS thread, a pair on two threads beat one draw
+        # per iteration on one by 1.11-1.23x at 8000-10000 entries, and two
+        # 128,000-entry normal fills took 2.1 ms against 4.15 ms on one
+        # thread
+        self.window = BLOCK_ENTRIES // entries
+        self.paired = (self.window < 2 and 2 * entries <= PAIR_BLOCKS * BLOCK_ENTRIES
                        and _cpus() > 1)
-        self.window = 2 if self.paired else BLOCK_ENTRIES // entries
+        if self.paired:
+            self.window = 2
         if entries <= BLOCK_ENTRIES:
             spans = [(slice(0, m), slice(0, b))]
         elif b * d <= BLOCK_ENTRIES:
@@ -340,8 +339,10 @@ class DrawLayout:
     def _fill_pair(self, first, second):
         """Two draws as `_fill` makes them, the second's normals filled on the worker thread.
 
-        Each draw's normals are an array of their own, so the first can be
-        freed while the second is kept.
+        Each draw's normals are an array of their own, so the first is
+        freed once its step has used them, before the step's gossip: one
+        (2, m, b, d) array raised the traced peak of a 64-agent, d = 2000
+        dgfm step from 4.9 to 5.9 MiB, and sparse2k's peak RSS by 3-4 MB.
         """
         if first is second:
             raise InvalidParameter("a pair's draws need two distinct generators")

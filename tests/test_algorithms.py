@@ -385,20 +385,21 @@ class ZeroSecondOfPair(StreamCache):
 class TestPairedDraws:
     """Two iterations drawn at once, on two threads, give the numbers of one.
 
-    The runs lower `smoothing.PAIR_FLOOR` to one entry, so every draw the
-    cap allows pairs, and set `smoothing.BLOCK_ENTRIES` and
-    `smoothing.PAIR_BLOCKS` per case: a pair's draws of one block each, of
-    blocks of fewer agents, or of one agent's pairs in sub-blocks. The dgfm
-    runs end on an iteration whose pair `cfg.iters` cuts short, and the
-    dgfm-plus runs restart every four iterations, so a restart and the
-    iteration before the next one stand alone. Each run is compared with
-    the same run, unpaired.
+    The runs lower `smoothing.BLOCK_ENTRIES` below twice a step's draw, so
+    that every step's draw pairs, and set `smoothing.PAIR_BLOCKS` per case:
+    a pair's draws of one block each, of blocks of fewer agents, or of one
+    agent's pairs in sub-blocks. A run of gfm or gfm-plus, which draws for
+    one agent, takes 1/m of the block. The dgfm runs end on an iteration
+    whose pair `cfg.iters` cuts short, and the dgfm-plus runs restart every
+    four iterations, so a restart and the iteration before the next one
+    stand alone. Each run is compared with the same run on one CPU, which
+    never pairs.
     """
 
     # name: (m, d, BLOCK_ENTRIES, PAIR_BLOCKS); batch 2, mega-batch 3
     LAYOUTS = {
-        "one-block": (4, 3, BLOCK_ENTRIES, 8),
-        "agent-blocks": (4, 3, 12, 8),  # 24 entries, blocks of two agents
+        "one-block": (4, 3, 24, 8),  # 24 entries, one block
+        "agent-blocks": (4, 3, 12, 8),  # blocks of two agents
         "sub-blocks": (3, 5, 6, 32),  # b d = 10: sub-blocks of one pair
     }
     PLAIN = dict(eta=0.02, delta=0.01, iters=7, seed=3, batch=2)
@@ -407,18 +408,18 @@ class TestPairedDraws:
 
     def run(self, monkeypatch, algo, layout, paired):
         m, d, entries, blocks = self.LAYOUTS[layout]
-        monkeypatch.setattr(smoothing, "BLOCK_ENTRIES", entries)
+        central = algo.startswith("gfm")
+        monkeypatch.setattr(smoothing, "BLOCK_ENTRIES", entries // m if central else entries)
         monkeypatch.setattr(smoothing, "PAIR_BLOCKS", blocks)
-        monkeypatch.setattr(smoothing, "PAIR_FLOOR", 1 if paired else 1 << 60)
-        # pairs whatever CPUs the machine running the test allows
-        monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
+        # pairs, or not, whatever CPUs the machine running the test allows
+        monkeypatch.setattr(smoothing, "_cpus", lambda: 2 if paired else 1)
         fills = []
         beside = smoothing._beside
         monkeypatch.setattr(smoothing, "_beside", lambda *a: fills.append(a) or beside(*a))
         obj = AbsTest(d, n_samples=4 * m)
         cfg = DgfmPlusConfig(**self.PLUS) if algo.endswith("plus") else DgfmConfig(**self.PLAIN)
         kw = dict(x0=np.linspace(-1.0, 1.0, d), stationarity_every=2, stationarity_samples=3)
-        if algo.startswith("gfm"):
+        if central:
             return None, gfm_run(obj, cfg, **kw), len(fills)
         matrix = build_ring(m)
         return (*dgfm_run(matrix, partition(obj.n_samples, m, seed=0), obj, cfg, **kw),
@@ -444,7 +445,7 @@ class TestPairedDraws:
 
     def test_zero_normals_in_a_pairs_second_draw_fail_its_own_step(self, monkeypatch):
         m, d = 4, 3
-        monkeypatch.setattr(smoothing, "PAIR_FLOOR", 1)
+        monkeypatch.setattr(smoothing, "BLOCK_ENTRIES", 24)  # one step's draw
         monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
         obj = AbsTest(d, n_samples=8)
         matrix, part = build_complete(m), partition(8, m, seed=0)
@@ -474,7 +475,6 @@ class TestPairedDraws:
         m, d, entries, blocks = self.LAYOUTS[layout]
         monkeypatch.setattr(smoothing, "BLOCK_ENTRIES", entries)
         monkeypatch.setattr(smoothing, "PAIR_BLOCKS", blocks)
-        monkeypatch.setattr(smoothing, "PAIR_FLOOR", 1)
         monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
         part, cfg = partition(4 * m, m, seed=0), DgfmConfig(**self.PLAIN)
         state = NetworkState.initial(m, np.zeros(d))
@@ -489,7 +489,7 @@ class TestPairedDraws:
         assert draw_bytes(0) == first
         second = draw_bytes(1)
         assert state._window[1:3] == (0, 2) and draw_bytes(1) == second != first
-        monkeypatch.setattr(smoothing, "PAIR_FLOOR", 1 << 60)
+        monkeypatch.setattr(smoothing, "_cpus", lambda: 1)
         state = NetworkState.initial(m, np.zeros(d))  # unpaired
         assert (draw_bytes(0), draw_bytes(1)) == (first, second)
 
@@ -510,8 +510,8 @@ class TestPairedDraws:
             assert layout.paired and got == want
 
     @pytest.mark.parametrize("m, b, d, paired", [
-        (4, 1, 2048, True),  # PAIR_FLOOR entries
-        (4, 1, 2047, False),
+        (4, 1, BLOCK_ENTRIES // 8 + 1, True),  # past half a block
+        (4, 1, BLOCK_ENTRIES // 8, False),  # half a block: a window of two
         (1, 1, 8 * BLOCK_ENTRIES // 2, True),  # two draws fill PAIR_BLOCKS blocks
         (1, 1, 8 * BLOCK_ENTRIES // 2 + 1, False),
         (8, 1, 123, False),  # a9a-shaped dgfm, gfm and gfm-plus steps
@@ -524,7 +524,7 @@ class TestPairedDraws:
     def test_which_draws_pair(self, monkeypatch, m, b, d, paired):
         # a restart's layout may pair too: its draws stand alone all the same
         shards = [np.arange(i, i + 2) for i in range(0, 2 * m, 2)]
-        assert smoothing.PAIR_FLOOR == 8192 and smoothing.PAIR_BLOCKS == 8
+        assert smoothing.PAIR_BLOCKS == 8
         with monkeypatch.context() as patch:
             patch.setattr(smoothing, "_cpus", lambda: 2)
             layout = smoothing.DrawLayout(shards, b, d)
@@ -559,7 +559,7 @@ class TestPairedDraws:
         monkeypatch.setattr(smoothing, "_beside", lambda *a: fills.append(a))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        obj = QuadraticTest(2000, n_samples=8)
+        obj = QuadraticTest(4000, n_samples=8)
         cfg = DgfmConfig(eta=0.01, delta=1e-3, iters=4, seed=1)
         dgfm_run(build_ring(8), partition(8, 8, seed=0), obj, cfg, stationarity_every=0)
         assert fills == []
@@ -567,7 +567,7 @@ class TestPairedDraws:
     def test_runs_on_several_threads_share_the_worker(self, monkeypatch):
         # four runs at once, with short switch intervals, each draw their
         # pairs through the one worker and give the numbers they give alone
-        monkeypatch.setattr(smoothing, "PAIR_FLOOR", 1)
+        monkeypatch.setattr(smoothing, "BLOCK_ENTRIES", 24)  # one step's draw
         monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
         obj, part = AbsTest(3, n_samples=8), partition(8, 4, seed=0)
         cfgs = [DgfmConfig(**{**self.PLAIN, "seed": seed, "iters": 40}) for seed in range(4)]
@@ -593,7 +593,7 @@ class TestPairedDraws:
     def test_repeated_runs_hold_at_most_one_extra_thread(self, monkeypatch):
         monkeypatch.setattr(smoothing, "_cpus", lambda: 2)
         before = threading.active_count()
-        obj = QuadraticTest(2000, n_samples=8)
+        obj = QuadraticTest(4000, n_samples=8)
         cfg = DgfmConfig(eta=0.01, delta=1e-3, iters=4, seed=1)
         for _ in range(3):
             assert dgfm_run(build_ring(8), partition(8, 8, seed=0), obj, cfg,
@@ -611,7 +611,7 @@ class TestPairedDraws:
             import dgfm
             from dgfm import smoothing
             smoothing._cpus = lambda: 2
-            obj, part = dgfm.QuadraticTest(2000, n_samples=8), dgfm.partition(8, 8, seed=0)
+            obj, part = dgfm.QuadraticTest(4000, n_samples=8), dgfm.partition(8, 8, seed=0)
             cfg = dgfm.DgfmConfig(eta=0.01, delta=1e-3, iters=4, seed=1)
 
             def run():
