@@ -20,12 +20,9 @@ equals the average estimate, and the iterates descend it,
 Every stochastic draw comes from a counter-based stream keyed by
 (seed, lane, iteration), which a run opens by re-keying one cached Philox
 (see :mod:`dgfm.rng`). An iteration draws every agent's pairs at once, and
-agent i's pairs are row i of that draw; small draws of consecutive
-iterations are made together, each from its own iteration's stream, and
-large ones (more than half of `dgfm.smoothing.BLOCK_ENTRIES`) two at a time,
-the second on a worker thread beside the first, when the process may run
-on more than one CPU. Either way the numbers are those of one draw per
-iteration. So the agent updates inside one iteration are
+agent i's pairs are row i of that draw; how draws are cut into blocks and
+grouped over iterations and threads is `DrawLayout`'s to state, and no
+number depends on it. So the agent updates inside one iteration are
 independent and could run in any order or in parallel with identical
 results; the gossip applications are the synchronization barriers. Exact
 invariants (used heavily by the tests): the mean of the tracking variable
@@ -167,15 +164,11 @@ class NetworkState:
     run's one re-keyed Philox (`dgfm.rng.StreamCache`), built at the first
     step and rebuilt when the config's seed changes; the `DrawLayout` of
     each batch size the run draws, rebuilt when the partition's shards or
-    the dimension change; and a `DrawWindow` of the draws of the iterations
-    from k on, with the layout, seed and delta it was filled under and the
-    iterations it covers, dropped when k leaves them and refilled when one
-    of those changes. Its directions and steps take at most two blocks of
-    `dgfm.smoothing.BLOCK_ENTRIES`; a pair's directions take at most
-    `dgfm.smoothing.PAIR_BLOCKS` blocks, and its steps one block at a
-    time. The caches give exactly the streams of `substream` and the draws
-    of a fresh `DrawLayout`, so copying a state, or dropping its caches,
-    changes no number.
+    the dimension change; and the `DrawWindow` the last draw was taken
+    from, with the layout, seed and delta it was filled under and the
+    iterations it covers. The caches give exactly the streams of
+    `substream` and the draws of a fresh `DrawLayout`, so copying a state,
+    or dropping its caches, changes no number.
     """
 
     x: np.ndarray
@@ -265,13 +258,13 @@ def _layout(state, partition, size):
 
 
 def _window_size(cfg, most, k):
-    """Iterations from k, at most ``most``, whose draws one window holds.
+    """Iterations from k, at most ``most`` but at least one, whose draws one window holds.
 
     It never passes ``cfg.iters``; under a `DgfmPlusConfig` a restart
     stands alone, and the paired iterations after it share windows up to
     the next restart.
     """
-    count = min(most, cfg.iters - k)
+    count = min(max(most, 1), cfg.iters - k)
     if isinstance(cfg, DgfmPlusConfig):
         phase = k % cfg.period
         count = 1 if phase == 0 else min(count, cfg.period - phase)
@@ -279,51 +272,29 @@ def _window_size(cfg, most, k):
 
 
 def _draw(state, partition, cfg, size):
-    """Iteration k's draw of ``size`` pairs per agent: ``(agents, first, xis, ws, steps)`` blocks.
+    """Iteration k's draw of ``size`` pairs per agent, as `DrawWindow.take` hands it out.
 
-    ``agents`` is the slice of agents a block covers, ``first`` whether it
-    holds their first pairs, and ``xis``, ``ws`` and ``steps`` its pairs as
-    `estimate_block` takes them. A draw is taken from the state's window
-    of several iterations' draws (see `DrawLayout.draw_window`), filled
-    here, from k on, when the window does not cover k or has handed k's
-    draw of a pair out already; a pair's two streams come from
-    `dgfm.rng.StreamCache.pair`. The caller keeps the window's key current
-    (see `_drop_stale_window`); a run's window always is. A draw that
-    stands alone comes block by block from `DrawLayout.draw`.
+    It comes from the state's window if that covers k, was filled from
+    this draw layout under the config's seed and delta, and has not handed
+    k's draw out yet; otherwise a window is filled from k (see
+    `DrawLayout`), a pair's two streams from `dgfm.rng.StreamCache.pair`.
     """
     k = state.k
-    _, start, stop, window = state._window
-    blocks = window.take(k - start) if start <= k < stop else None
-    if blocks is not None:
-        return blocks
+    layout = _layout(state, partition, size)
+    key, start, stop, window = state._window
+    if key == (layout, cfg.seed, cfg.delta) and start <= k < stop:
+        blocks = window.take(k - start)
+        if blocks is not None:
+            return blocks
     # let go of a spent window before the next draw: a step holds one window
     state._window = window = _NO_WINDOW
-    layout = _layout(state, partition, size)
-    count = _window_size(cfg, layout.window, k)
     streams = _streams(state, cfg)
-    if count < 2:
-        return ((agents, pairs.start == 0, xis.reshape(-1).tolist(), ws, cfg.delta * ws)
-                for agents, pairs, xis, ws in layout.draw(streams(_LANE_DRAW, k)))
+    count = _window_size(cfg, layout.window, k)
     rngs = (streams.pair(_LANE_DRAW, k) if layout.paired
             else (streams(_LANE_DRAW, j) for j in range(k, k + count)))
     window = layout.draw_window(rngs, count, cfg.delta)
     state._window = (layout, cfg.seed, cfg.delta), k, k + count, window
     return window.take(0)
-
-
-def _drop_stale_window(state, partition, cfg):
-    """Empty the state's window unless it was filled under this partition, seed and delta.
-
-    A window covering k holds iteration k's draw only if it was filled
-    from the draw layout of k's batch size over the partition's shards
-    and d, and under the config's seed and delta.
-    """
-    key, start, stop, _ = state._window
-    if start <= state.k < stop:
-        restart = isinstance(cfg, DgfmPlusConfig) and state.k % cfg.period == 0
-        size = cfg.mega_batch if restart else cfg.batch
-        if key != (_layout(state, partition, size), cfg.seed, cfg.delta):
-            state._window = _NO_WINDOW
 
 
 def _estimates(state, partition, objective, cfg, size, paired):
@@ -360,27 +331,13 @@ def step(state, matrix, partition, objective, cfg):
       b = ``mega_batch`` pairs; in between, each agent adds a paired
       difference over b = ``batch`` shared pairs to its previous estimate.
 
-    The draw comes in blocks (see `DrawLayout`), with E =
-    `dgfm.smoothing.BLOCK_ENTRIES`. A draw of m b d <= E entries is one
-    block; a larger draw comes in blocks of c = max(1, min(m, E // (b d)))
-    whole agents, or, when one agent's b d exceeds E, in sub-blocks of
-    max(1, E // d) of its pairs. The iterations after k that draw as many
-    pairs share a window: it stops at ``cfg.iters`` and, under a
-    `DgfmPlusConfig`, before the next restart, and a restart's draw stands
-    alone, drawn block by block. A window holds up to E // (m b d)
-    one-block draws, filled on the calling thread. When that is fewer
-    than two, two draws take at most `dgfm.smoothing.PAIR_BLOCKS` blocks
-    and the process may run on more than one CPU, it holds two
-    iterations' draws instead: the caller fills the first while the
-    package's one worker thread fills the second, and waits for it before
-    going on. The window's draws, each from its iteration's own stream,
-    are gathered, normalized, checked and scaled by delta (see
-    `DrawWindow`), and the state keeps it for the next iterations. No
-    number depends on the window or the thread. Each block is evaluated
-    as one (see `estimate_block`), with one scalar ``eval`` per probe: a
-    paired difference evaluates it at x and at x_prev. The estimates
-    equal, bit for bit, the pair-by-pair sums of `two_point_estimate`,
-    divided by b.
+    The draw comes in blocks, from a window of consecutive iterations'
+    draws (see `DrawLayout`), which stops at ``cfg.iters`` and before a
+    `DgfmPlusConfig` restart, whose draw stands alone. No number depends
+    on the window or the thread. Each block is evaluated as one (see
+    `estimate_block`), with one scalar ``eval`` per probe: a paired
+    difference evaluates it at x and at x_prev. The estimates equal, bit
+    for bit, the pair-by-pair sums of `two_point_estimate`, divided by b.
 
     At a restart the tracker is reset to the new estimates and gossiped
     ``gossip_rounds`` times, and its consensus error after each round is
@@ -390,17 +347,15 @@ def step(state, matrix, partition, objective, cfg):
     `dgfm.iteration_cost(cfg, m, k)`. The state's k must lie in [0,
     ``cfg.iters``) (`BudgetExceeded`), the matrix must be a `MixingMatrix`
     (`InvalidTopology`) of the state's agents, and the partition must give
-    each of them a shard of the objective's samples (`ShapeError`). A
-    state's window of draws is kept only if it was filled under this
-    partition, seed and delta. Past these checks, which `dgfm_run` makes
-    once per run, each gossip round is the product ``matrix.weights @ z``
-    that `mix` returns. Mutates ``state`` and returns it; a non-finite
-    estimate or iterate raises `NumericFailure` naming the agent and
-    iteration and leaves ``state`` as it was, counters and restart log
-    included; only its caches may have moved on, which changes no later
-    number. So does a draw whose directions fail their unit-norm check
-    (`InvalidParameter`), at the iteration of that draw, also when it sits
-    in a window.
+    each of them a shard of the objective's samples (`ShapeError`). Past
+    these checks, which `dgfm_run` makes once per run, each gossip round
+    is the product ``matrix.weights @ z`` that `mix` returns. Mutates
+    ``state`` and returns it; a non-finite estimate or iterate raises
+    `NumericFailure` naming the agent and iteration and leaves ``state``
+    as it was, counters and restart log included; only its caches may
+    have moved on, which changes no later number. So does a draw whose
+    directions fail their unit-norm check (`InvalidParameter`), at the
+    iteration of that draw, also when it sits in a window.
     """
     _require_matrix(matrix)
     if not 0 <= state.k < cfg.iters:
@@ -408,7 +363,6 @@ def step(state, matrix, partition, objective, cfg):
     if state.m != matrix.m:
         raise ShapeError(f"state has {state.m} agents, topology has {matrix.m}")
     _require_partition(partition, state.m, objective)
-    _drop_stale_window(state, partition, cfg)
     return _advance(state, _gossip_weights(matrix), partition, objective, cfg)
 
 
@@ -418,7 +372,7 @@ def _gossip_weights(matrix):
 
 
 def _advance(state, weights, partition, objective, cfg):
-    """`step` past its checks: ``weights`` from `_gossip_weights`, the state's window current.
+    """`step` past its checks, with ``weights`` from `_gossip_weights`.
 
     A gossip round is ``weights @ z``, the product `mix` returns, and W =
     [[1]] (``weights`` None) leaves z as it is.

@@ -8,10 +8,9 @@ statistically independent, and the same key always reproduces the same
 stream. The optimizers open one stream per iteration and draw every
 agent's pairs from it at once, agent i's being row i of that draw, so
 simulation results do not depend on the order in which agents are
-processed, nor on the thread that draws: when an iteration's draw is
-large, two consecutive iterations are drawn at once on two threads, each
-from its own stream (`StreamCache.pair`, and `dgfm.smoothing.DrawLayout`
-for when), with the numbers of one thread.
+processed, nor on how `dgfm.smoothing.DrawLayout` groups the draws of
+several iterations, on one thread or, each from its own stream through
+`StreamCache.pair`, on two.
 
 `substream` defines the stream of a key: a Philox generator keyed by
 ``SeedSequence([seed, *path])``. Building that SeedSequence, its Philox

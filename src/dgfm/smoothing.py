@@ -19,19 +19,9 @@ Both probes of one pair always share the same sample index xi; only the
 sign of the perturbation differs. `DrawLayout` is the one sampler of
 pairs: built once from the shards, batch size and dimension, it draws
 every agent's pairs of one iteration from one stream, so agent i's pairs
-are row i of that draw. When one iteration's draw is small, a
-`DrawWindow` holds the draws of several consecutive iterations, each from
-its own stream, gathered, normalized, checked and scaled by delta at
-once; each iteration's part is bit for bit its own draw. When one
-iteration's draw is too large for a window of two one-block draws (more
-than `BLOCK_ENTRIES` / 2 entries), two consecutive iterations' draws are
-filled at once on two threads: the caller fills the first, one worker
-thread of the package, started by the first such pair, fills the second
-from its own stream, and the caller waits for it before it goes on, so
-nothing else runs beside a fill. A pair's normals take at most
-`PAIR_BLOCKS` blocks of `BLOCK_ENTRIES`, whatever m, b and d; a process
-that may run on one CPU never pairs, and no number changes either way.
-The one-shard draw, `DrawLayout.batch`, serves the
+are row i of that draw, and it states once how an iteration's draw is
+cut into blocks and when several iterations are drawn together, in a
+`DrawWindow`. The one-shard draw, `DrawLayout.batch`, serves the
 stationarity proxy in :mod:`dgfm.metrics`, and `sample_batch` as a
 `SampleBatch`.
 `estimate_block` is the one estimator; `minibatch_estimate` is its
@@ -195,37 +185,41 @@ class DrawLayout:
     Generator fills arrays in order, so how the draw is cut never changes
     the numbers: agent i's pairs are row i of the one draw.
 
-    With E = `BLOCK_ENTRIES`, read when the layout is built, a draw of m b
-    d <= E entries is one block; a larger one is cut into blocks of c =
-    max(1, min(m, E // (b d))) whole agents, and an agent whose b d alone
-    exceeds E into sub-blocks of max(1, E // d) pairs. ``window`` is the
-    number of consecutive iterations' draws that `draw_window` fills at
-    once, each from its own stream, and then gathers, normalizes and
-    checks together (see `DrawWindow`):
+    Here, once, is how draws are cut and grouped. With E = `BLOCK_ENTRIES`
+    and `PAIR_BLOCKS`, both read when the layout is built:
 
-    * ``paired`` is set when E // (m b d) < 2, so that no window of two
-      one-block draws holds it, two draws take at most `PAIR_BLOCKS`
-      blocks and ``os.sched_getaffinity`` allows more than one CPU, all
-      read when the layout is built. Then ``window`` is 2: the calling
-      thread fills the first iteration's normals while one worker thread,
-      started by the first pair and kept for the process, fills the
-      second's from its own generator, and the caller waits for it before
-      anything else. Both numbers and checks are those of one thread.
-    * Otherwise ``window`` is E // (m b d), 0 for a draw of several blocks.
+    * Blocks. A draw of m b d <= E entries is one block; a larger one is
+      cut into blocks of c = max(1, min(m, E // (b d))) whole agents, and
+      an agent whose b d alone exceeds E into sub-blocks of max(1, E // d)
+      pairs.
+    * Windows. Every iteration's draw is taken from a `DrawWindow` that
+      `draw_window` fills with one or more consecutive iterations' draws,
+      each from its own stream, at most max(1, ``window``) of them.
+      One-block draws share a window of up to E // (m b d) of them,
+      gathered, normalized, checked and scaled by delta at once. A draw of
+      several blocks that does not pair is a window of one (``window`` is
+      0), each block drawn, normalized and checked only as it is taken.
+    * Pairs. ``paired`` is set when E // (m b d) < 2, so that no window of
+      two one-block draws holds the draw, two draws take at most
+      `PAIR_BLOCKS` blocks and ``os.sched_getaffinity`` allows more than
+      one CPU. Then ``window`` is 2: the calling thread fills the first
+      iteration's normals while one worker thread, started by the first
+      pair and kept for the process, fills the second's from its own
+      generator, and the caller waits for it before anything else. Each
+      draw is cut into its blocks as it is taken.
 
-    ``draw`` is the one-iteration case. One block is filled as a window of
-    one; a larger draw is filled block by block, each drawn only when it
-    is needed, normalized in place and checked once by `require_unit_norm`.
+    Every number and check is that of one draw per iteration on one
+    thread, whatever the window or the thread: ``draw`` gives that draw,
+    block by block.
 
     The blocks depend on (shards, b, d) alone, so a caller that draws from
     the same ones again builds the layout once. It holds the ``integers``
     bound of every shard (a scalar when they are all of one size, which
     draws the same numbers faster), the shards joined into one index array
     with each one's start in it, and the blocks: for each, the slices of
-    agents and of pairs it covers, its shape and whether it is a lone row
-    of a larger draw. ``shards`` is kept as given, so a cache can tell
-    which shards a layout was built for. Its memory is the joined indices:
-    one int per sample of the shards.
+    agents and of pairs it covers and its shape. ``shards`` is kept as
+    given, so a cache can tell which shards a layout was built for. Its
+    memory is the joined indices: one int per sample of the shards.
 
     ``b`` and ``d`` are integers and d >= 1 (`InvalidParameter`); no shard,
     a ``b`` below 1, or an empty shard raises `EmptyBatch`.
@@ -268,13 +262,8 @@ class DrawLayout:
             p = max(1, BLOCK_ENTRIES // d)
             spans = [(slice(i, i + 1), slice(j, min(j + p, b)))
                      for i in range(m) for j in range(0, b, p)]
-        self._blocks = []
-        for agents, pairs in spans:
-            shape = (agents.stop - agents.start, pairs.stop - pairs.start, d)
-            # einsum sums a lone row longer than its 8192-entry buffer in another
-            # order than the rows of a larger array: norm a lone row of a larger
-            # draw as one of two rows, as the whole draw would
-            self._blocks.append((agents, pairs, shape, shape[:2] == (1, 1) and m * b > 1))
+        self._blocks = [(agents, pairs, (agents.stop - agents.start, pairs.stop - pairs.start, d))
+                        for agents, pairs in spans]
 
     def batch(self, rng):
         """A one-shard layout's draw as ``(xis, ws)``, shapes (b,) and (b, d), in pair order."""
@@ -282,30 +271,21 @@ class DrawLayout:
         return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
 
     def draw(self, rng):
-        """Yield the blocks of one draw from ``rng``.
+        """Yield the blocks of one draw from ``rng``, each drawn, normalized and checked in turn.
 
         Yields ``(agents, pairs, xis, ws)``: the slices of agents and of
         their pairs that the block covers, its sample indices, shape
         (rows, p), and its unit directions, shape (rows, p, d).
         """
-        if len(self._blocks) == 1:
-            xis, ws, [worst] = self._fill([rng], 1)
-            _require_small_norm_error(worst)
-            [(agents, pairs, _, _)] = self._blocks
-            yield agents, pairs, xis[0], ws[0]
-            return
-        positions = rng.integers(0, self._high, size=(len(self.shards), self.b))
-        positions += self._starts
-        xis = self._indices[positions]
-        for agents, pairs, shape, lone in self._blocks:
+        xis = self._sample_indices(self._positions(rng))
+        for agents, pairs, shape in self._blocks:
             ws = rng.standard_normal(shape)
-            norms = _norms(np.concatenate((ws, ws), axis=1))[:, :1] if lone else _norms(ws)
-            ws /= norms[..., None]
-            require_unit_norm(ws)
+            [worst] = self._normalize(ws[None])
+            _require_small_norm_error(worst)
             yield agents, pairs, xis[agents, pairs], ws
 
     def draw_window(self, rngs, count, delta):
-        """The draws of ``count`` iterations, 1 <= count <= ``window``, one from each of ``rngs``.
+        """The draws of 1 <= ``count`` <= max(1, ``window``) iterations, one from each of ``rngs``.
 
         Each generator is used up before the next is taken, so they may be
         one re-keyed generator (`dgfm.rng.StreamCache`), except for a
@@ -315,50 +295,62 @@ class DrawLayout:
         times the directions.
         """
         if count == 2 and self.paired:
-            return DrawWindow(*self._fill_pair(*rngs), delta, self._blocks)
-        return DrawWindow(*self._fill(rngs, count), delta)
-
-    def _fill(self, rngs, count):
-        """``count`` one-block draws, from ``rngs`` in turn: indices, unit directions, checks.
-
-        Each generator draws its (m, b) positions, then its (m, b, d)
-        normals, as ``draw`` would on its own. The rest is done once for
-        all: the positions become sample indices, shape (count, m, b), the
-        normals unit directions, shape (count, m, b, d), and each draw's
-        largest |norm - 1| a float, for `_require_small_norm_error`.
-        """
+            xis, ws, worst = self._fill_pair(*rngs)
+            return DrawWindow([[(agents, pairs, x[agents, pairs], w[agents, pairs])
+                                for agents, pairs, _ in self._blocks] for x, w in zip(xis, ws)],
+                              worst, delta)
+        if len(self._blocks) > 1:
+            # a window of one, whose blocks are checked as they are drawn
+            return DrawWindow([self.draw(next(iter(rngs)))], [0.0], delta)
+        # each generator draws its (m, b) positions, then its (m, b, d) normals
         shape = (len(self.shards), self.b)
         positions = np.empty((count, *shape), dtype=np.int64)
         ws = np.empty((count, *shape, self.d))
         for j, rng in zip(range(count), rngs):
-            positions[j] = rng.integers(0, self._high, size=shape)
+            positions[j] = self._positions(rng)
             rng.standard_normal(out=ws[j])
+        xis, worst = self._sample_indices(positions), self._normalize(ws)
+        # list and scale the window as one block, then cut it per draw
+        n = xis[0].size
+        [(agents, first, listed, ws, steps)] = _steps(
+            [(slice(0, shape[0]), slice(0, self.b), xis, ws)], delta)
+        return DrawWindow([((agents, first, listed[j * n:(j + 1) * n], ws[j], steps[j]),)
+                           for j in range(count)], worst, delta)
+
+    def _positions(self, rng):
+        """One draw's (m, b) positions in the shards: the first numbers it takes from ``rng``."""
+        return rng.integers(0, self._high, size=(len(self.shards), self.b))
+
+    def _sample_indices(self, positions):
+        """The sample indices at the positions of one or more draws, shape (..., m, b).
+
+        ``positions`` is offset in place: a window gathers all its draws' at once.
+        """
         positions += self._starts
-        return self._indices[positions], ws, self._normalize(ws)
+        return self._indices[positions]
 
     def _fill_pair(self, first, second):
-        """Two draws as `_fill` makes them, the second's normals filled on the worker thread.
+        """Two one-thread draws, the second's normals filled on the worker thread.
 
-        Each draw's normals are an array of their own, so the first is
-        freed once its step has used them, before the step's gossip: one
-        (2, m, b, d) array raised the traced peak of a 64-agent, d = 2000
-        dgfm step from 4.9 to 5.9 MiB, and sparse2k's peak RSS by 3-4 MB.
+        Returns each draw's sample indices and unit directions and the
+        largest |norm - 1| of each. Each draw's normals are an array of
+        their own, so the first is freed once its step has used them,
+        before the step's gossip: one (2, m, b, d) array raised the traced
+        peak of a 64-agent, d = 2000 dgfm step from 4.9 to 5.9 MiB, and
+        sparse2k's peak RSS by 3-4 MB.
         """
         if first is second:
             raise InvalidParameter("a pair's draws need two distinct generators")
-        shape = (len(self.shards), self.b)
-        positions = np.empty((2, *shape), dtype=np.int64)
-        ws = [np.empty((1, *shape, self.d)) for _ in range(2)]
-        positions[1] = second.integers(0, self._high, size=shape)
+        ws = [np.empty((1, len(self.shards), self.b, self.d)) for _ in range(2)]
+        later = self._positions(second)
         fill = _beside(second.standard_normal, ws[1])
         try:
-            positions[0] = first.integers(0, self._high, size=shape)
+            xis = [self._sample_indices(self._positions(first)), self._sample_indices(later)]
             first.standard_normal(out=ws[0])
         finally:
             fill.result()
-        positions += self._starts
         worst = self._normalize(ws[0]) + self._normalize(ws[1])
-        return self._indices[positions], [w[0] for w in ws], worst
+        return xis, [w[0] for w in ws], worst
 
     def _normalize(self, ws):
         """Norm stacked draws in place; each one's largest |norm - 1|, as a list of floats."""
@@ -367,57 +359,60 @@ class DrawLayout:
         return np.maximum.reduce(errors, axis=1).tolist()
 
     def _row_norms(self, ws):
-        """Row norms of stacked draws, each draw's as it would be normed alone."""
-        if len(self.shards) * self.b > 1:
-            return _norms(ws)
-        # a one-pair draw is a lone row, which einsum sums past its 8192-entry
-        # buffer in another order than the rows of a larger array
-        return np.array([_norms(row) for row in ws])
+        """Row norms of stacked draws, or of a block of one, each row's as its whole draw's.
+
+        einsum sums a lone row longer than its 8192-entry buffer in another
+        order than the rows of a larger array: a one-pair draw's row is
+        normed alone, and a lone row of a larger draw as one of two rows.
+        """
+        if len(self.shards) * self.b == 1:
+            return np.array([_norms(row) for row in ws])
+        if ws.size == self.d:
+            return _norms(np.concatenate((ws, ws), axis=-2))[..., :1]
+        return _norms(ws)
+
+
+def _steps(blocks, delta):
+    """The `DrawWindow` blocks of ``(agents, pairs, xis, ws)`` blocks of a draw, in turn."""
+    for agents, pairs, xis, ws in blocks:
+        yield agents, pairs.start == 0, xis.reshape(-1).tolist(), ws, delta * ws
 
 
 class DrawWindow:
-    """Consecutive iterations' draws, ready for `estimate_block`.
+    """Consecutive iterations' draws, ready for `estimate_block` (see `DrawLayout`).
 
-    Built by `DrawLayout.draw_window`. ``take(j)`` is iteration j's draw as
-    ``(agents, first, xis, ws, steps)`` blocks: the slice of agents a block
-    covers, whether it holds their first pairs, its sample indices as a
-    list of ints, in row order, its unit directions, shape (rows, p, d),
-    and delta times them. Each is bit for bit what ``draw`` from the same
-    stream gives, and its unit-norm check raises where that draw's would:
-    when iteration j is taken, not when the window is filled.
+    Built by `DrawLayout.draw_window`. ``take(j)`` hands iteration j's draw
+    out once, as ``(agents, first, xis, ws, steps)`` blocks: the slice of
+    agents a block covers, whether it holds their first pairs, its sample
+    indices as a list of ints, in row order, its unit directions, shape
+    (rows, p, d), and delta times them; taken again, it returns None. Each
+    block is bit for bit what ``draw`` from the same stream gives, and its
+    unit-norm check raises where that draw's would: when iteration j is
+    taken, not when the window is filled, and again at every later try.
 
-    A window of one-block draws forms every iteration's lists and steps
-    at once, and serves each as often as it is taken. A pair's draws, in
-    the layout's blocks (``spans``), are formed block by block as they are
-    taken, and each is handed out once: its directions are freed once the
-    caller lets go of them, and ``take`` then returns None. So a pair
-    holds at most its two draws' directions and one block's steps.
+    A taken draw's directions are freed once the caller lets go of them. A
+    pair forms each block's steps as it is taken, so it holds at most its
+    two draws' directions and one block's steps. A window that has handed
+    out a draw of several blocks, drawn as it was taken, holds nothing,
+    and any other window holds arrays only, so a state that keeps one can
+    be copied.
     """
 
-    __slots__ = ("_draws", "_worst", "_spans", "_delta")
+    __slots__ = ("_draws", "_worst", "_delta")
 
-    def __init__(self, xis, ws, worst, delta, spans=None):
-        self._worst, self._delta, self._spans = worst, delta, spans
-        if spans is None:
-            agents = slice(0, ws.shape[1])
-            self._draws = [((agents, True, *block),) for block in
-                           zip(xis.reshape(len(worst), -1).tolist(), ws, delta * ws)]
-        else:
-            self._draws = list(zip(xis, ws))
+    def __init__(self, draws, worst, delta):
+        # each draw is a tuple of its blocks, formed at once, or the
+        # (agents, pairs, xis, ws) blocks that `_steps` forms as it is taken
+        self._draws, self._worst, self._delta = list(draws), worst, delta
 
     def take(self, j):
         """Iteration j as ``(agents, first, xis, ws, steps)`` blocks, once checked; None if taken."""
+        draw = self._draws[j]
+        if draw is None:
+            return None
         _require_small_norm_error(self._worst[j])
-        if self._spans is None:
-            return self._draws[j]
-        draw, self._draws[j] = self._draws[j], None
-        return None if draw is None else self._cut(*draw)
-
-    def _cut(self, xis, ws):
-        for agents, pairs, *_ in self._spans:
-            part = ws[agents, pairs]
-            yield (agents, pairs.start == 0, xis[agents, pairs].reshape(-1).tolist(), part,
-                   self._delta * part)
+        self._draws[j] = None
+        return draw if isinstance(draw, tuple) else _steps(draw, self._delta)
 
 
 def sample_batch(indices, b, d, rng):

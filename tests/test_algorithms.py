@@ -358,6 +358,23 @@ class TestStreamCache:
         want = self.trajectory(uncached, other, 4)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_a_partition_with_other_shards_draws_from_them(self, small_svm_objective):
+        # the state's cached window holds its next draw from the first
+        # partition's shards; the other has as many agents and samples, and
+        # the SVM's values depend on the samples drawn
+        obj = small_svm_objective
+        first, other = (partition(obj.n_samples, 4, seed=seed) for seed in (0, 1))
+        cfg = self.config(3)
+        state = NetworkState.initial(4, np.linspace(-1.0, 1.0, obj.dim))
+        state.k = self.START
+        for _ in range(4):
+            step(state, self.RING, first, obj, cfg)
+        uncached = NetworkState(x=state.x.copy(), y=state.y.copy(), v=state.v.copy(),
+                                x_prev=state.x_prev.copy(), k=state.k)
+        got = [step(state, self.RING, other, obj, cfg).x for _ in range(4)]
+        want = [step(uncached, self.RING, other, obj, cfg).x for _ in range(4)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
 
 class ZeroNormals:
     """A stream whose normal draws are all zero, so no row can be normalized."""
@@ -492,6 +509,32 @@ class TestPairedDraws:
         monkeypatch.setattr(smoothing, "_cpus", lambda: 1)
         state = NetworkState.initial(m, np.zeros(d))  # unpaired
         assert (draw_bytes(0), draw_bytes(1)) == (first, second)
+
+    @pytest.mark.parametrize("entries, count", [
+        (96, 4),  # a window of four one-block draws
+        (12, 1),  # a lone draw, in blocks of two agents
+    ])
+    def test_an_iteration_taken_again_draws_again_from_it(self, monkeypatch, entries, count):
+        # every window hands each draw out once, as a pair does; taken
+        # again, the draw is filled again from its iteration, the same bytes
+        m, d = 4, 3
+        monkeypatch.setattr(smoothing, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(smoothing, "_cpus", lambda: 1)
+        part, cfg = partition(4 * m, m, seed=0), DgfmConfig(**self.PLAIN)
+        state = NetworkState.initial(m, np.zeros(d))
+
+        def draw_bytes(state, k):
+            state.k = k
+            return [(a, f, x, w.tobytes(), s.tobytes()) for a, f, x, w, s in
+                    _draw(state, part, cfg, cfg.batch)]
+
+        draw_bytes(state, 0)
+        first = draw_bytes(state, 1)
+        assert state._window[1:3] == ((0, count) if count > 1 else (1, 2))
+        assert state._window[3].take(1 if count > 1 else 0) is None
+        assert draw_bytes(state, 1) == first
+        assert state._window[1:3] == (1, 1 + count)
+        assert first == draw_bytes(NetworkState.initial(m, np.zeros(d)), 1)
 
     @pytest.mark.parametrize("m, b, d", [
         (64, 1, 2000),  # sparse2k-shaped dgfm: blocks of 16 agents
