@@ -50,7 +50,7 @@ from .errors import (
     require_int,
     require_positive,
 )
-from .metrics import RunEntry, RunRecord, stationarity_estimate
+from .metrics import RunEntry, RunRecord, consensus_spread, stationarity_estimate
 from .rng import StreamCache, substream
 from .smoothing import (
     DrawLayout,
@@ -349,7 +349,7 @@ def step(state, matrix, partition, objective, cfg):
     (`InvalidTopology`) of the state's agents, and the partition must give
     each of them a shard of the objective's samples (`ShapeError`). Past
     these checks, which `dgfm_run` makes once per run, each gossip round
-    is the product ``matrix.weights @ z`` that `mix` returns. Mutates
+    is `MixingMatrix.gossip`, unchecked. Mutates
     ``state`` and returns it; a non-finite estimate or iterate raises
     `NumericFailure` naming the agent and iteration and leaves ``state``
     as it was, counters and restart log included; only its caches may
@@ -363,20 +363,11 @@ def step(state, matrix, partition, objective, cfg):
     if state.m != matrix.m:
         raise ShapeError(f"state has {state.m} agents, topology has {matrix.m}")
     _require_partition(partition, state.m, objective)
-    return _advance(state, _gossip_weights(matrix), partition, objective, cfg)
+    return _advance(state, matrix, partition, objective, cfg)
 
 
-def _gossip_weights(matrix):
-    """The weights a gossip round multiplies by, or None for one agent, who has no neighbours."""
-    return None if matrix.m == 1 else matrix.weights
-
-
-def _advance(state, weights, partition, objective, cfg):
-    """`step` past its checks, with ``weights`` from `_gossip_weights`.
-
-    A gossip round is ``weights @ z``, the product `mix` returns, and W =
-    [[1]] (``weights`` None) leaves z as it is.
-    """
+def _advance(state, matrix, partition, objective, cfg):
+    """`step` past its checks: each gossip round is ``matrix.gossip``."""
     m = state.x.shape[0]
     k = state.k
     recursive = isinstance(cfg, DgfmPlusConfig)
@@ -386,24 +377,20 @@ def _advance(state, weights, partition, objective, cfg):
     _require_finite(v_new, "estimate", k)
     if restart:
         y_new = v_new.copy()
-        # consensus_error of each round, past its input checks
-        trace = [_spread(y_new, _row_mean(y_new))]
+        trace = [consensus_spread(y_new, _row_mean(y_new))]
         for _ in range(cfg.gossip_rounds):
-            if weights is not None:
-                y_new = weights @ y_new
-            trace.append(_spread(y_new, _row_mean(y_new)))
+            y_new = matrix.gossip(y_new)
+            trace.append(consensus_spread(y_new, _row_mean(y_new)))
     else:
         # (y - v) + v_new, in that order, keeps the m = 1 path bit-equal to
         # plain descent; one temporary holds it.
         y_new = state.y - state.v
         y_new += v_new
-        if weights is not None:
-            y_new = weights @ y_new
+        y_new = matrix.gossip(y_new)
     # x - eta y_new, in one temporary
     x_new = cfg.eta * y_new
     np.subtract(state.x, x_new, out=x_new)
-    if weights is not None:
-        x_new = weights @ x_new
+    x_new = matrix.gossip(x_new)
     _require_finite(x_new, "iterate", k)
     # commit the iteration as a whole: a failure above leaves the state untouched
     if restart:
@@ -414,13 +401,6 @@ def _advance(state, weights, partition, objective, cfg):
     state.x_prev, state.x, state.v, state.y = state.x, x_new, v_new, y_new
     state.k += 1
     return state
-
-
-def _spread(x, mean):
-    """`consensus_error` of the rows of ``x`` about ``mean``, their mean formed by the caller."""
-    dev = x - mean
-    np.square(dev, out=dev)
-    return float(np.add.reduce(dev, axis=None))
 
 
 def _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples):
@@ -439,7 +419,7 @@ def _observe(record, objective, state, cfg, t0, stationarity_every, stationarity
             zo_calls=state.oracle_calls,
             comm_rounds=state.comm_rounds,
             loss=loss,
-            consensus_err=_spread(state.x, xbar),
+            consensus_err=consensus_spread(state.x, xbar),
             stationarity=stat,
             wall_ms=(perf_counter() - t0) * 1000.0,
         )
@@ -510,10 +490,9 @@ def dgfm_run(matrix, partition, objective, cfg, record_every=1, x0=None,
     if keep_iterates and recorded:
         pick = _draw_output(cfg.seed, m * recorded)
         output_k, output_agent = (pick // m + 1) * record_every, pick % m
-    weights = _gossip_weights(matrix)
     t0 = perf_counter()
     for _ in range(cfg.iters):
-        _advance(state, weights, partition, objective, cfg)
+        _advance(state, matrix, partition, objective, cfg)
         if state.k % record_every == 0:
             _observe(record, objective, state, cfg, t0, stationarity_every, stationarity_samples)
         if state.k == output_k:

@@ -31,9 +31,9 @@ doubles, the one division rounds correctly (Clinger, "How to Read
 Floating Point Numbers Accurately", 1990): the value is the correctly
 rounded decimal, as numpy's string conversion gives it, bit for bit and
 ``-0`` included. Every other field (9 bytes or more, an exponent, anything
-malformed) is handed over unchanged to numpy's conversion of fixed-width
-byte strings, and a field that fails there sends the block to the
-line-by-line checks, which name the line.
+malformed) is handed over unchanged, as bytes, to numpy's conversion, and
+a field that fails there sends the block to the line-by-line checks,
+which name the line.
 
 Indices are converted to 0-based at the parse boundary and nowhere else.
 Labels are normalized to {-1, +1} by one rule over the file's label set:
@@ -320,12 +320,12 @@ def _to_float(a, start, end):
     A field of at most 8 bytes of the form ``[+-]digits[.digits]`` is read
     by `_decimal_words`. Every other field, such as one of 9 bytes or more,
     one with an exponent or one that is malformed, is handed to
-    `_string_floats`, which parses it with numpy's ``astype``.
+    `_string_floats`, which has numpy convert its bytes.
     """
     out, exact = _decimal_words(a, start, end)
     rest = np.flatnonzero(~exact)
     if rest.shape[0]:
-        numbers = _string_floats(a, start[rest], end[rest] - start[rest])
+        numbers = _string_floats(a, start[rest], end[rest])
         if numbers is None:
             return None
         out[rest] = numbers
@@ -342,8 +342,8 @@ def _decimal_words(a, start, end):
     the word holds the digits right-aligned. With k digits after the dot,
     the value is the digits' integer divided by 10**k. Both are below
     2**53, so they are exact doubles and the one division rounds correctly:
-    the value equals numpy's ``astype`` of the field bit for bit, ``-0``
-    included.
+    the value equals numpy's conversion of the field's bytes bit for bit,
+    ``-0`` included.
     """
     length = end - start
     lead = a[start]
@@ -381,34 +381,15 @@ def _decimal_words(a, start, end):
     return values, exact
 
 
-def _string_floats(a, start, length):
-    """float64 of the fields ``a[start:start + length]``, or None if one is
-    not a decimal number.
-
-    Each field is copied, with the bytes after it, into a fixed-width byte
-    string; a mask zeroes those bytes, and one ``astype`` converts the
-    strings. Fields are grouped by width class (8, 16, 32, ... bytes), so
-    a string takes at most twice its field's bytes, or 8.
-    """
-    bits = np.frexp(np.maximum(length, 8) - 1)[1]  # width class 2**bits
-    top = int(bits.max(initial=3))
-    padded = np.concatenate((a, np.zeros(1 << top, dtype=np.uint8)))
-    out = np.empty(start.shape[0])
-    for bit in range(3, top + 1):
-        width, pick = 1 << bit, bits == bit
-        # every width-byte window of the block, and the mask keeping the
-        # first n bytes of a window, as words, for n = 0 .. width
-        windows = np.ndarray((padded.shape[0] - width + 1,), dtype=f"S{width}",
-                             buffer=padded, strides=(1,))
-        keep = (np.arange(width) < np.arange(width + 1)[:, None]).astype(np.uint8) * np.uint8(255)
-        fields = windows[start[pick]]
-        words = fields.view(np.uint64).reshape(-1, width // 8)
-        words &= np.take(keep.view(np.uint64), length[pick], axis=0)
-        try:
-            out[pick] = fields.astype(np.float64)
-        except ValueError:
-            return None
-    return out
+def _string_floats(a, start, end):
+    """float64 of the fields ``a[start:end]``, or None if one is not a
+    decimal number: numpy's conversion of a list of the fields' bytes."""
+    text = a.tobytes()
+    try:
+        return np.array([text[i:j] for i, j in zip(start.tolist(), end.tolist())],
+                        dtype=np.float64)
+    except ValueError:
+        return None
 
 
 def _raise_first_error(block, first_line):

@@ -123,7 +123,13 @@ def consensus_error(stacked):
     x = np.asarray(stacked, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"stacked iterates must have shape (m, d), got {x.shape}")
-    dev = x - x.mean(axis=0)
+    return consensus_spread(x, x.mean(axis=0))
+
+
+def consensus_spread(x, mean):
+    """`consensus_error` of the (m, d) array ``x`` without its checks, about
+    ``mean``, the row mean of ``x`` formed by the caller."""
+    dev = x - mean
     np.square(dev, out=dev)
     return float(np.add.reduce(dev, axis=None))
 

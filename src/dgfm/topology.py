@@ -11,12 +11,12 @@ reports it for any square matrix (1 for a disconnected one), and
 ``MixingMatrix.rho`` holds it for a validated one.
 
 Matrices are stored dense; the network sizes of interest are at most a few
-hundred agents. The Kronecker lift A (x) I_d is never materialized: `mix`
-applies it as a plain (m, m) x (m, d) product, ``weights @ z``, after
-checking its input; the optimizers, whose stacked states are checked once
-per run, apply the same product without those checks. Several rounds
-are several products. Weights come from the ring, complete and
-Metropolis-Hastings constructors, each a few whole-array numpy operations:
+hundred agents. A gossip round is `MixingMatrix.gossip`, which states its
+contract; `mix` is the same round behind input checks, and the optimizers,
+whose stacked states are checked once per run, call `MixingMatrix.gossip`
+itself. Several rounds are several calls. Weights come from the ring,
+complete and Metropolis-Hastings constructors, each a few whole-array
+numpy operations:
 the ring is the identity plus its two cyclic shifts (``np.roll``), scaled
 by 1/3; the complete graph is J; Metropolis-Hastings puts
 1 / (1 + the larger degree) on each edge, from ``np.maximum.outer`` of the
@@ -171,6 +171,20 @@ class MixingMatrix:
         object.__setattr__(self, "m", w.shape[0])
         w.setflags(write=False)
 
+    def gossip(self, z):
+        """One gossip round on the stacked states ``z``, shape (m, d): ``weights @ z``.
+
+        Row i of the result is sum_j a_ij z_j: the Kronecker lift A (x) I_d
+        applied as one (m, m) x (m, d) product, never materialized. The row
+        mean is preserved up to round-off, and the deviation from it
+        contracts by at least ``rho`` in Frobenius norm. One agent has no
+        neighbours: W = [[1]] returns ``z`` itself and makes no product.
+        Every other round is exactly one product ``self.weights @ z``, so a
+        view of the weights that counts its ``@`` counts the rounds. ``z``
+        is not checked; `mix` is the checked round.
+        """
+        return z if self.m == 1 else self.weights @ z
+
     @classmethod
     def from_weights(cls, weights):
         """Validate a copy of raw weights and wrap it; raises on any failure."""
@@ -242,11 +256,10 @@ def build_metropolis_hastings(adjacency):
 
 
 def mix(matrix, stacked):
-    """One gossip round: row i of the output is sum_j a_ij * row j.
+    """One checked gossip round: `MixingMatrix.gossip` of ``stacked``, as a new array.
 
-    Applies A (x) I_d without materializing the Kronecker product. The row
-    mean is preserved up to round-off, and the deviation from the mean
-    contracts by at least ``matrix.rho`` in Frobenius norm.
+    ``stacked`` must be (m, d) (`ShapeError`). The result is always a new
+    array, also for one agent, where ``gossip`` would return its input.
 
     Parameters
     ----------

@@ -451,15 +451,20 @@ class TestBulkParse:
     # went through numpy's string conversion, and 8-byte decimals near 10.
     BLOCK_PEAK = 30
 
-    @pytest.mark.parametrize("kind", ["a9a-shaped", "8-byte decimals"])
+    # every value of the last two kinds goes to numpy's conversion of its bytes
+    FORMATS = {"8-byte decimals": "{:.6f}", "9-byte decimals": "{:.7f}",
+               "exponent forms": "{:.6e}"}
+
+    @pytest.mark.parametrize("kind", ["a9a-shaped", "8-byte decimals", "9-byte decimals",
+                                      "exponent forms"])
     def test_peak_memory_of_one_block_is_bounded_by_its_bytes(self, kind):
         if kind == "a9a-shaped":
             text = synthetic_svm_text()
         else:
-            rng = np.random.default_rng(0)
+            rng, value = np.random.default_rng(0), self.FORMATS[kind].format
             text = "".join(
-                "+1 " + " ".join(f"{j}:{v:.6f}" for j, v in enumerate(rng.random(12), 1)) + "\n"
-                for _ in range(1000))
+                "+1 " + " ".join(f"{j}:{value(v)}" for j, v in enumerate(rng.random(12), 1))
+                + "\n" for _ in range(1000))
         block = next(_blocks(io.BytesIO(text.encode()).read))
         assert len(block) > BLOCK_BYTES - 200
         _parse_block(block)

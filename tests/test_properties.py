@@ -185,6 +185,8 @@ def test_run_keeps_the_candidate_drawn_before_it(topology, cfg, iters, record_ev
 def test_mix_preserves_column_sums(topology, d, seed):
     z = np.random.default_rng(seed).standard_normal((topology.m, d))
     assert np.allclose(mix(topology, z).sum(axis=0), z.sum(axis=0), rtol=0, atol=1e-12)
+    # the unchecked round is the checked one, byte for byte, for one agent too
+    assert topology.gossip(z).tobytes() == mix(topology, z).tobytes()
 
 
 # Round-off allowance of a gossip round's consensus error, relative to the

@@ -214,6 +214,8 @@ class TestMix:
         dev0 = np.linalg.norm(z - z.mean(axis=0))
         out = z
         for rounds in range(1, 8):
+            # the unchecked round is the checked one, byte for byte
+            assert ring.gossip(out).tobytes() == mix(ring, out).tobytes()
             out = mix(ring, out)
             dev = np.linalg.norm(out - out.mean(axis=0))
             assert dev <= ring.rho**rounds * dev0 * (1 + 1e-12) + 1e-12

@@ -132,6 +132,16 @@ def test_building_a_matrix_makes_no_gossip_product():
     assert counting_matrix(build_ring(4)).weights.products == [0]
 
 
+def test_a_gossip_round_is_one_product_and_none_for_one_agent():
+    ring = counting_matrix(build_ring(4))
+    ring.gossip(np.ones((4, 3)))
+    assert ring.weights.products == [1]
+    # W = [[1]]: one agent has no neighbours, so its round returns its input
+    alone, z = counting_matrix(build_complete(1)), np.ones((1, 3))
+    assert alone.gossip(z) is z
+    assert alone.weights.products == [0]
+
+
 @pytest.mark.parametrize("algo", ["dgfm", "dgfm-plus", "gfm", "gfm-plus"])
 def test_each_counted_comm_round_is_one_gossip_product(algo, small_svm_objective):
     obj = small_svm_objective
